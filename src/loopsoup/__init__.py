@@ -53,6 +53,7 @@ from .scaling import (
     hitting_coefficients,
     invert_renewal,
     sample_conditioned_renewal,
+    sample_conditioned_renewals,
 )
 from .sampler import (
     ClusterStats,

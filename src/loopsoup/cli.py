@@ -83,6 +83,8 @@ LAW_FORMULAS = {
         ("alpha", "r", "m")),
 }
 
+_BRIDGE_CHUNK = 1000
+
 _PARAM_NAMES = ("kappa", "epsilon", "alpha", "a", "b", "x", "y", "t", "lam",
                 "s", "r", "m", "M")
 
@@ -101,16 +103,21 @@ def _emit(formula: str, args, value: float) -> None:
                      sort_keys=True))
 
 
-def _cmd_analytic(args) -> int:
-    fn, _ = ANALYTIC_FORMULAS[args.formula]
+def _evaluate(formulas, args) -> int:
+    fn, needed = formulas[args.formula]
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"formula {args.formula} needs {' '.join(missing)}")
     _emit(args.formula, args, fn(args))
     return 0
+
+
+def _cmd_analytic(args) -> int:
+    return _evaluate(ANALYTIC_FORMULAS, args)
 
 
 def _cmd_law(args) -> int:
-    fn, _ = LAW_FORMULAS[args.formula]
-    _emit(args.formula, args, fn(args))
-    return 0
+    return _evaluate(LAW_FORMULAS, args)
 
 
 def _cmd_sample(args) -> int:
@@ -139,15 +146,23 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
+    if args.resolution < 1:
+        raise ValueError("--resolution must be at least 1")
+    if args.paths < 0:
+        raise ValueError("--paths must be nonnegative")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     bridge = scaling.ConditionedBridgeLaw(
         scaling.SubordinatorLaw(kappa=args.kappa, alpha=args.alpha))
     law = bridge.renewal_approximation(args.resolution)
     rng = np.random.default_rng(args.seed)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
-    for _ in range(args.paths):
-        pts = bridge.sample_bridge_path(args.resolution, rng, law=law)
-        writer.writerow([f"{p:.8g}" for p in pts])
+    # paths are drawn in chunks so memory stays bounded for any --paths
+    for start in range(0, args.paths, _BRIDGE_CHUNK):
+        count = min(_BRIDGE_CHUNK, args.paths - start)
+        for pts in bridge.sample_bridge_paths(args.resolution, count, rng, law=law):
+            writer.writerow([f"{p:.8g}" for p in pts])
     if args.out:
         out.close()
     return 0
@@ -213,7 +228,11 @@ def main(argv=None) -> int:
     p_exp.set_defaults(func=_cmd_experiment)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"loopsoup {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

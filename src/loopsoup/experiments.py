@@ -25,7 +25,7 @@ from .numerics import (
     ks_distance_two_sample,
 )
 from .sampler import SoupEnsemble, conditional_experiment
-from .scaling import ConditionedBridgeLaw, SubordinatorLaw, sample_conditioned_renewal
+from .scaling import ConditionedBridgeLaw, SubordinatorLaw
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,15 @@ CONDITIONS = ("unconditioned", "through-1-only", "avoiding-1-only")
 
 
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based splittable generator: distinct streams are independent."""
-    key = (int(seed) & _MASK64) | (int(stream) << 64)
+    """Counter-based splittable generator: distinct streams are independent.
+
+    The seed fills the low 64 bits of the Philox key, so it must lie in
+    [0, 2^64); a seed outside that range would alias one inside it.
+    """
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    key = seed | (int(stream) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -7,6 +7,12 @@ The renewal hitting probabilities are
 with the r = 0 limit C(m) = (m+1)^{-alpha}.  The jump pmf w solves the
 renewal equation C(m) = sum_j w(j) C(m-j) and may be defective (mass
 escaping to infinity); conditioning on hitting a level renormalizes it.
+
+`invert_renewal` recovers w as W = 1 - 1/C, the power-series reciprocal
+taken by Newton iteration with FFTs in O(N log N).  Conditioned paths are
+drawn in batches: `sample_conditioned_renewals` advances all paths in
+lockstep, one vectorized inverse-cdf draw per round, and is the only path
+sampler; `sample_conditioned_renewal` is its one-path call.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .numerics import QuadratureSpec, integrate, log_gamma, log_sinh
 
@@ -32,18 +39,47 @@ def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
 
 
 def invert_renewal(C: np.ndarray) -> np.ndarray:
-    """Jump pmf w(1..N) from hitting probabilities via the renewal recursion.
+    """Jump pmf w(1..N) from hitting probabilities: W = 1 - 1/C as power series.
 
+    The reciprocal g = 1/C mod z^(N+1) comes from Newton doubling
+    g <- g (2 - C g) with real FFTs, O(N log N) in all (Brent & Kung 1978).
     w[0] is 0 by convention.  Raises if any w(m) < -1e-12, which signals an
     inconsistent C sequence.
     """
     C = np.asarray(C, dtype=float)
     if abs(C[0] - 1.0) > 1e-12:
         raise ValueError("C(0) must equal 1")
-    N = C.size - 1
-    w = np.zeros(N + 1)
-    for m in range(1, N + 1):
-        w[m] = C[m] - np.dot(w[1:m], C[m - 1:0:-1])
+    if C[0] != 1.0:
+        C = C.copy()
+        C[0] = 1.0
+    precisions = [C.size]
+    while precisions[-1] > 1:
+        precisions.append((precisions[-1] + 1) // 2)
+    g = np.ones(C.size)  # g[:h] holds 1/C mod z^h
+    # transforms reuse three buffers sized for the last step, so the peak
+    # memory stays near four arrays of N+1 floats
+    top = next_fast_len(C.size, real=True)
+    buf = np.empty(top)
+    g_spec, spec = np.empty((2, top // 2 + 1), dtype=complex)
+    for k, h in zip(reversed(precisions[:-1]), reversed(precisions[1:])):
+        # a cyclic length of k or more suffices: C[:k] g[:h] has degree
+        # < k + h - 1, so the wrapped terms land below h, where C g is 1
+        size = next_fast_len(k, real=True)
+        x, gs, s = buf[:size], g_spec[:size // 2 + 1], spec[:size // 2 + 1]
+        x[:h], x[h:] = g[:h], 0.0
+        np.fft.rfft(x, out=gs)
+        x[:k], x[k:] = C[:k], 0.0
+        np.fft.rfft(x, out=s)
+        s *= gs
+        np.fft.irfft(s, size, out=x)
+        # C g = 1 + z^h err (mod z^k); g (2 - C g) appends the terms -g err
+        x[:k - h], x[k - h:] = x[h:k], 0.0
+        np.fft.rfft(x, out=s)
+        s *= gs
+        np.fft.irfft(s, size, out=x)
+        np.negative(x[:k - h], out=g[h:k])
+    w = np.negative(g, out=g)
+    w[0] = 0.0
     if w.min() < -1e-12:
         raise ValueError(f"negative jump mass {w.min():.3e}: inconsistent C")
     np.clip(w, 0.0, None, out=w)
@@ -73,38 +109,84 @@ class RenewalLaw:
         return probs / self.C[gap]
 
 
-def sample_conditioned_renewal(law: RenewalLaw, n: int, rng) -> np.ndarray:
-    """One increasing renewal path 0 = s_0 < ... < s_k = n conditioned to hit n.
+_BLOCK_CELLS = 1 << 14  # paths x candidate jumps scanned per block
 
-    From state m the next jump j has probability w(j) C(n-m-j) / C(n-m); the
-    cumulative weights are scanned in blocks so the cost per jump is
-    proportional to the jump size, not to n.
+
+def sample_conditioned_renewals(law: RenewalLaw, n: int, n_paths: int, rng) -> list[np.ndarray]:
+    """`n_paths` independent increasing renewal paths 0 = s_0 < ... < s_k = n
+    conditioned to hit n.
+
+    All paths advance in lockstep: each round draws one uniform per unfinished
+    path and inverts the cdf of its next jump, which from state m is j with
+    probability w(j) C(n-m-j) / C(n-m).  The points are kept as (owner,
+    position) arrays and split per path at the end.
     """
-    if n > law.horizon:
-        raise ValueError("n exceeds the precomputed horizon")
+    if not 0 <= n <= law.horizon:
+        raise ValueError("n must lie in 0..horizon")
+    if n_paths < 0:
+        raise ValueError("n_paths must be nonnegative")
     if np.min(law.C[:n + 1]) <= 0.0:
         raise ValueError("C must be positive up to n")
+    if n_paths == 0:
+        return []
     rng = np.random.default_rng(rng)
-    w, C = law.w, law.C
-    path = [0]
-    m = 0
-    block = 4096
-    while m < n:
-        gap = n - m
-        target = rng.random() * C[gap]
-        acc = 0.0
-        jump = gap  # fallback: numerical slack pushes us to the full gap
-        for lo in range(1, gap + 1, block):
-            hi = min(lo + block - 1, gap)
-            seg = w[lo:hi + 1] * C[gap - lo::-1][:hi - lo + 1]
-            csum = np.cumsum(seg)
-            if acc + csum[-1] >= target:
-                jump = lo + int(np.searchsorted(acc + csum, target))
-                break
-            acc += csum[-1]
-        m += jump
-        path.append(m)
-    return np.asarray(path, dtype=np.int64)
+    # rest[m] = C(n - m), the weight of hitting n from state m, and
+    # rest[n + 1] = 0 stands for every state past n
+    rest = np.append(law.C[n::-1], 0.0)
+    active, at = np.arange(n_paths), np.zeros(n_paths, dtype=np.int64)
+    owners, points = [active], [at]
+    while True:
+        live = at < n
+        if not live.any():
+            break
+        active, at = active[live], at[live]
+        at = at + _draw_jumps(law.w, rest, at, n, rng.random(active.size) * rest[at])
+        owners.append(active)
+        points.append(at)
+    # each list is dropped once merged, to keep the peak memory low; one
+    # in-place sort of owner * (n + 1) + position orders the points by path
+    key = np.concatenate(owners)
+    del owners
+    bounds = np.cumsum(np.bincount(key, minlength=n_paths))[:-1]
+    key *= n + 1
+    key += np.concatenate(points)
+    del points
+    key.sort()
+    return np.split(np.remainder(key, n + 1, out=key), bounds)
+
+
+def _draw_jumps(w: np.ndarray, rest: np.ndarray, at: np.ndarray, n: int,
+                target: np.ndarray) -> np.ndarray:
+    """Per path, the least j with sum_{i <= j} w(i) rest(at + i) >= target.
+
+    Candidate jumps are scanned in shared blocks whose width doubles while
+    the cells (unresolved paths x jumps) stay within _BLOCK_CELLS, or one
+    jump wide past that, so the cost per path is proportional to its jump,
+    not to n.  A path whose
+    target numerical slack leaves unreached jumps the whole gap n - at.
+    """
+    jump = n - at
+    rows = np.arange(at.size)
+    lo, width = 1, 8
+    while True:
+        width = max(1, min(2 * width, _BLOCK_CELLS // rows.size, n - int(at.min()) - lo + 1))
+        cells = np.take(rest, at[:, None] + np.arange(lo, lo + width), mode="clip")
+        cells *= w[lo:lo + width]
+        # cells are nonnegative, so each row of csum is nondecreasing
+        csum = cells.cumsum(axis=1)
+        hit = csum >= target[:, None]
+        found = hit[:, -1]
+        jump[rows[found]] = lo + hit[found].argmax(axis=1)
+        lo += width
+        keep = ~found & (at <= n - lo)
+        if not keep.any():
+            return jump
+        rows, at, target = rows[keep], at[keep], target[keep] - csum[keep, -1]
+
+
+def sample_conditioned_renewal(law: RenewalLaw, n: int, rng) -> np.ndarray:
+    """One increasing renewal path 0 = s_0 < ... < s_k = n conditioned to hit n."""
+    return sample_conditioned_renewals(law, n, 1, rng)[0]
 
 
 def sample_renewal_overshoot(law: RenewalLaw, level: int, n_paths: int, rng) -> np.ndarray:
@@ -281,8 +363,15 @@ class ConditionedBridgeLaw:
         """One sampled path range as scaled points in [0, 1], ending exactly at 1."""
         if law is None:
             law = self.renewal_approximation(n_approx)
-        path = sample_conditioned_renewal(law, n_approx, rng)
-        return path / float(n_approx)
+        return sample_conditioned_renewal(law, n_approx, rng) / float(n_approx)
+
+    def sample_bridge_paths(self, n_approx: int, n_paths: int, rng,
+                            law: RenewalLaw | None = None) -> list[np.ndarray]:
+        """`n_paths` sampled path ranges, drawn in lockstep from one renewal law."""
+        if law is None:
+            law = self.renewal_approximation(n_approx)
+        return [path / float(n_approx)
+                for path in sample_conditioned_renewals(law, n_approx, n_paths, rng)]
 
 
 def bridge_crossing_joint_density(kappa: float, alpha: float, a: float, b: float,

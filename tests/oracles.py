@@ -190,3 +190,20 @@ def edge_config_probabilities(model: CircleModel, mass_avoiding_fn) -> dict:
                 p += (-1.0) ** k * superset_prob[C | frozenset(extra)]
         exact[C] = p
     return exact
+
+
+# ---------------------------------------------------------------------------
+# renewal jump law by the direct recursion
+# ---------------------------------------------------------------------------
+
+def renewal_jumps_by_recursion(C: np.ndarray) -> np.ndarray:
+    """w(0..N) from C(0..N) by w(m) = C(m) - sum_{0<j<m} w(j) C(m-j), O(N^2).
+
+    einsum keeps the N dot products off BLAS, whose threads spin on calls
+    this small.
+    """
+    C = np.asarray(C, dtype=float)
+    w = np.zeros(C.size)
+    for m in range(1, C.size):
+        w[m] = C[m] - np.einsum("i,i->", w[1:m], C[m - 1:0:-1])
+    return w

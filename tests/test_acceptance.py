@@ -45,7 +45,7 @@ from loopsoup.scaling import (
     escape_probability,
     hitting_coefficients,
     invert_renewal,
-    sample_conditioned_renewal,
+    sample_conditioned_renewals,
 )
 
 
@@ -183,12 +183,9 @@ def test_criterion_4_renewal_inversion_and_sampler():
     n, paths = 100, 100_000
     law = RenewalLaw.build(0.5, 0.02, n)
     rng = np.random.default_rng(404)
-    firsts = np.empty(paths, dtype=np.int64)
-    terminated = True
-    for i in range(paths):
-        path = sample_conditioned_renewal(law, n, rng)
-        terminated &= path[-1] == n
-        firsts[i] = path[1]
+    sampled = sample_conditioned_renewals(law, n, paths, rng)
+    terminated = all(path[-1] == n for path in sampled)
+    firsts = np.array([path[1] for path in sampled])
     pmf = law.conditioned_jump_pmf(0, n)
     worst_z = 0.0
     for j in range(1, 13):
@@ -253,8 +250,8 @@ def test_criterion_6_conditioned_model_equivalence():
     # conditioned to hit n-1, with rate r^(n) from the model parameters
     law = RenewalLaw.build(alpha, model.r, n - 1)
     rng = np.random.default_rng(607)
-    renewal_firsts = np.array([sample_conditioned_renewal(law, n - 1, rng)[1]
-                               for _ in range(40_000)])
+    renewal_firsts = np.array([path[1] for path in
+                               sample_conditioned_renewals(law, n - 1, 40_000, rng)])
 
     edges = list(range(1, 14)) + [10_000]
     bins = np.array([0] + edges)
@@ -333,15 +330,15 @@ def test_criterion_9_bridge_properties():
 
     ends_at_one = True
     fwd, bwd = [], []
-    n_paths = 10_000
-    for i in range(n_paths):
-        pts = bridge.sample_bridge_path(n_approx, rng, law=law)
-        ends_at_one &= pts[-1] == 1.0
-        # the same mid-quantile functional of the visited set, forwards and
-        # on the reflected reversal: their laws agree iff reversal holds
-        fwd.append(pts[len(pts) // 2])
-        rev = np.sort(1.0 - pts)
-        bwd.append(rev[len(rev) // 2])
+    n_paths, chunk = 10_000, 1000  # chunks bound the memory the points take
+    for _ in range(n_paths // chunk):
+        for pts in bridge.sample_bridge_paths(n_approx, chunk, rng, law=law):
+            ends_at_one &= pts[-1] == 1.0
+            # the same mid-quantile functional of the visited set, forwards and
+            # on the reflected reversal: their laws agree iff reversal holds
+            fwd.append(pts[len(pts) // 2])
+            rev = np.sort(1.0 - pts)
+            bwd.append(rev[len(rev) // 2])
     ks = ks_distance_two_sample(fwd, bwd)
 
     scaling = run_cluster_scaling(default_cluster_scaling_config())

@@ -84,3 +84,25 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bridge", "--kappa", "1", "--alpha", "0.5", "--resolution", "0"), "--resolution"),
+    (("bridge", "--kappa", "1", "--alpha", "1.5"), "alpha"),
+    (("bridge", "--kappa", "1", "--alpha", "0.5", "--paths", "-3"), "--paths"),
+    (("bridge", "--kappa", "1", "--alpha", "0.5", "--seed", "-1"), "--seed"),
+    (("analytic", "--formula", "through1-extent-cdf", "--n", "8", "--p", "0.5",
+      "--c", "0.3", "--alpha", "1.0"), "--m --M"),
+    (("law", "--formula", "levy-tail", "--kappa", "1", "--alpha", "0.5"), "--t"),
+    (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "0.8",
+      "--replicates", "4", "--seed", str(2 ** 64)), "seed"),
+])
+def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "out.csv"
+    argv = argv + ("--out", str(out_path)) if argv[0] == "bridge" else argv
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and message in captured.err
+    assert not out_path.exists()

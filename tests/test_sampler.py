@@ -67,6 +67,14 @@ def test_sample_soup_deterministic():
     assert a != c  # overwhelmingly likely
 
 
+def test_philox_rng_rejects_out_of_range_seeds():
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError):
+            philox_rng(seed)
+    top = philox_rng(2 ** 64 - 1).random(4)
+    assert not np.array_equal(top, philox_rng(0).random(4))
+
+
 def test_conditional_experiment_deterministic():
     e1 = conditional_experiment(MODEL, 99, "unconditioned", 300, keep_closed_edges=True)
     e2 = conditional_experiment(MODEL, 99, "unconditioned", 300, keep_closed_edges=True)
@@ -324,7 +332,7 @@ def test_conditioned_soup_first_jump_ks_n200():
     """First closed-edge gap of the conditioned soup at n=200 against the
     conditioned renewal sampler: two-sample KS below the 1% critical value."""
     from loopsoup.numerics import ks_critical, ks_distance_two_sample
-    from loopsoup.scaling import RenewalLaw, sample_conditioned_renewal
+    from loopsoup.scaling import RenewalLaw, sample_conditioned_renewals
 
     n, reps = 200, 10_000
     model = build_model(n, 0.5, 1.0 / (2 * n * n), 0.5)
@@ -333,8 +341,8 @@ def test_conditioned_soup_first_jump_ks_n200():
     soup_firsts = np.array([closed[1] for closed in ens.closed_edges])
     law = RenewalLaw.build(0.5, model.r, n - 1)
     rng = np.random.default_rng(62)
-    renewal_firsts = np.array([sample_conditioned_renewal(law, n - 1, rng)[1]
-                               for _ in range(reps)])
+    renewal_firsts = np.array([path[1] for path in
+                               sample_conditioned_renewals(law, n - 1, reps, rng)])
     d = ks_distance_two_sample(soup_firsts, renewal_firsts)
     assert d < ks_critical(reps, reps, level=0.01)
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import renewal_jumps_by_recursion
 from loopsoup.numerics import (
     QuadratureSpec,
     integrate,
@@ -20,6 +23,7 @@ from loopsoup.scaling import (
     hitting_coefficients,
     invert_renewal,
     sample_conditioned_renewal,
+    sample_conditioned_renewals,
     sample_renewal_overshoot,
 )
 
@@ -57,6 +61,23 @@ def test_invert_renewal_round_trip():
     for m in (1, 17, 399, 1234, 2000):
         recon = float(np.dot(w[1:m + 1], C[:m][::-1]))
         assert recon == pytest.approx(C[m], abs=1e-10)
+
+
+@settings(deadline=None)
+@given(alpha=st.floats(0.0, 2.0, exclude_min=True),
+       r=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+       N=st.integers(1, 3000))
+@example(alpha=2.0, r=0.0, N=3000)  # defective: mass 1/zeta(2) escapes
+@example(alpha=0.5, r=0.01, N=1024)
+@example(alpha=0.5, r=0.01, N=1025)
+def test_invert_renewal_matches_recursion(alpha, r, N):
+    C = hitting_coefficients(alpha, r, N)
+    assert np.max(np.abs(invert_renewal(C) - renewal_jumps_by_recursion(C))) <= 1e-13
+
+
+def test_invert_renewal_matches_recursion_at_1e5():
+    C = hitting_coefficients(0.5, 1e-5, 100_000)
+    assert np.max(np.abs(invert_renewal(C) - renewal_jumps_by_recursion(C))) <= 1e-14
 
 
 def test_invert_renewal_rejects_bad_sequence():
@@ -121,11 +142,12 @@ def test_conditioned_jump_pmf_sums_to_one():
 
 def test_conditioned_sampler_hits_target_exactly():
     law = RenewalLaw.build(0.5, 0.02, 100)
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        path = sample_conditioned_renewal(law, 97, rng)
+    paths = sample_conditioned_renewals(law, 97, 200, np.random.default_rng(42))
+    assert len(paths) == 200
+    for path in paths:
         assert path[0] == 0 and path[-1] == 97
         assert np.all(np.diff(path) >= 1)
+    assert sample_conditioned_renewals(law, 97, 0, np.random.default_rng(42)) == []
 
 
 def test_conditioned_sampler_first_jump_law():
@@ -133,7 +155,7 @@ def test_conditioned_sampler_first_jump_law():
     n, paths = 100, 100_000
     law = RenewalLaw.build(0.5, 0.02, n)
     rng = np.random.default_rng(7)
-    firsts = np.array([sample_conditioned_renewal(law, n, rng)[1] for _ in range(paths)])
+    firsts = np.array([path[1] for path in sample_conditioned_renewals(law, n, paths, rng)])
     pmf = law.conditioned_jump_pmf(0, n)
     for j in (1, 2, 3, 5, 8, 13, 21):
         p = pmf[j - 1]
@@ -141,11 +163,27 @@ def test_conditioned_sampler_first_jump_law():
         assert abs(np.mean(firsts == j) - p) < 3.5 * se
 
 
+def test_conditioned_sampler_second_jump_law():
+    """Given a first jump of 1, the second jump follows w(j) C(n-1-j) / C(n-1)."""
+    n = 100
+    law = RenewalLaw.build(0.5, 0.02, n)
+    paths = sample_conditioned_renewals(law, n, 100_000, np.random.default_rng(8))
+    seconds = np.array([path[2] - 1 for path in paths if path[1] == 1])
+    pmf = law.conditioned_jump_pmf(1, n)
+    for j in (1, 2, 3, 5, 8, 13, 21):
+        p = pmf[j - 1]
+        se = math.sqrt(p * (1 - p) / seconds.size)
+        assert abs(np.mean(seconds == j) - p) < 3.5 * se
+
+
 def test_conditioned_sampler_deterministic_for_seed():
     law = RenewalLaw.build(0.5, 0.05, 200)
     a = sample_conditioned_renewal(law, 200, np.random.default_rng(5))
     b = sample_conditioned_renewal(law, 200, np.random.default_rng(5))
     assert np.array_equal(a, b)
+    many_a = sample_conditioned_renewals(law, 200, 50, np.random.default_rng(5))
+    many_b = sample_conditioned_renewals(law, 200, 50, np.random.default_rng(5))
+    assert all(np.array_equal(x, y) for x, y in zip(many_a, many_b, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +326,7 @@ def test_bridge_paths_terminate_at_one():
     rng = np.random.default_rng(9)
     n_approx = 3000
     law = bridge.renewal_approximation(n_approx)
-    for _ in range(25):
-        pts = bridge.sample_bridge_path(n_approx, rng, law=law)
+    for pts in bridge.sample_bridge_paths(n_approx, 25, rng, law=law):
         assert pts[0] == 0.0
         assert pts[-1] == 1.0
         assert np.all(np.diff(pts) > 0.0)
@@ -302,8 +339,7 @@ def test_bridge_time_reversal_symmetry():
     n_approx = 2000
     law = bridge.renewal_approximation(n_approx)
     fwd, bwd = [], []
-    for i in range(3000):
-        pts = bridge.sample_bridge_path(n_approx, rng, law=law)
+    for i, pts in enumerate(bridge.sample_bridge_paths(n_approx, 3000, rng, law=law)):
         mid_fwd = pts[len(pts) // 2]
         reversed_pts = np.sort(1.0 - pts)
         mid_bwd = reversed_pts[len(reversed_pts) // 2]
