@@ -189,6 +189,22 @@ def mass_liftable(model: CircleModel) -> float:
     return (log_cosh(r) - log_sinh(r)) + log_sinh(n * r) - log_cosh(n * r)
 
 
+def mass_liftable_inside(model: CircleModel, m, M):
+    """Mass of the liftable loops whose lift through 0 stays inside [-m, M].
+
+    Equals log(2 cosh r sinh((m+1)r) sinh((M+1)r) / (sinh r sinh((m+M+2)r))),
+    the line-walk mass of loops through 0 inside [-m, M]; written with expm1,
+    where the exponentials cancel exactly, so no digits are lost at large
+    n*r.  Elementwise over arrays m, M >= 0; requires r > 0.
+    """
+    def log_sinh_part(k):  # log sinh(k r) - k r + log 2
+        return np.log(-np.expm1(-2.0 * model.r * k))
+
+    m, M = np.asarray(m), np.asarray(M)
+    return (np.log1p(math.exp(-2.0 * model.r)) - log_sinh_part(1)
+            + log_sinh_part(m + 1) + log_sinh_part(M + 1) - log_sinh_part(m + M + 2))
+
+
 def mass_winding_or_covering(model: CircleModel) -> float:
     """Mass of loops through vertex 1 that wind or sweep a full circuit."""
     return mass_through_vertex1(model) - mass_liftable(model)
@@ -242,10 +258,9 @@ def covered_extent_cdf(model: CircleModel, m: int, M: int) -> float:
     a = model.alpha
     if r == 0.0:
         return (2.0 * (m + 1.0) * (M + 1.0) / (n * (m + M + 2.0))) ** a
-    log_val = (math.log(2.0) + log_cosh(n * r) - log_sinh(n * r)
-               + log_sinh((m + 1.0) * r) + log_sinh((M + 1.0) * r)
-               - log_sinh((m + M + 2.0) * r))
-    return _clip_unit(math.exp(a * log_val))
+    # exp(-alpha * mass of the liftable loops leaving [-m, M])
+    log_val = mass_liftable_inside(model, m, M) - mass_liftable_inside(model, n - 1, n - 1)
+    return _clip_unit(math.exp(a * float(log_val)))
 
 
 def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> float:

@@ -20,6 +20,12 @@ from .circle import build_model
 from .sampler import CONDITIONS, conditional_experiment
 
 
+def _hitting_coefficient(alpha: float, r: float, m: float) -> float:
+    if not (float(m).is_integer() and m >= 1):
+        raise ValueError(f"--m must be an integer >= 1, got {m:g}")
+    return float(scaling.hitting_coefficients(alpha, r, int(m))[int(m)])
+
+
 def _model_formula(fn, *param_names):
     def call(args):
         model = build_model(args.n, args.p, args.c, args.alpha)
@@ -79,8 +85,7 @@ LAW_FORMULAS = {
     "escape-probability": (
         lambda a: scaling.escape_probability(a.alpha), ("alpha",)),
     "hitting-coefficient": (
-        lambda a: float(scaling.hitting_coefficients(a.alpha, a.r, int(a.m))[int(a.m)]),
-        ("alpha", "r", "m")),
+        lambda a: _hitting_coefficient(a.alpha, a.r, a.m), ("alpha", "r", "m")),
 }
 
 _BRIDGE_CHUNK = 1000

@@ -58,29 +58,44 @@ def beta(a: float, b: float) -> float:
     return math.exp(log_beta(a, b))
 
 
+_POLYLOG_MAX_TERMS = 10_000_000
+_ZETA_EXPANSION_TERMS = 40
+
+
 def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
     """Polylogarithm sum_{k>=1} s^k / k^alpha for |s| < 1.
 
-    Terms are summed until the geometric tail bound
-    |s|^(K+1) / ((K+1)^alpha (1-|s|)) drops below tol.
+    For non-integer alpha and s >= 1/2 it uses the expansion about s = 1,
+    Li_a(e^mu) = Gamma(1-a) (-mu)^(a-1) + sum_k zeta(a-k) mu^k / k!, valid
+    for |mu| < 2 pi; here |mu| <= log 2, so 40 terms leave a remainder far
+    below double precision.  Otherwise terms are summed until the geometric
+    tail bound |s|^(K+1) / ((K+1)^alpha (1-|s|)) drops below tol; a ValueError
+    is raised up front when that needs more than 10^7 terms.
     """
     if not abs(s) < 1.0:
         raise ValueError("polylog requires |s| < 1")
     if s == 0.0:
         return 0.0
+    if s >= 0.5 and not float(alpha).is_integer():
+        mu = math.log(s)
+        k = np.arange(_ZETA_EXPANSION_TERMS)
+        mu_pow = np.cumprod(np.concatenate(([1.0], mu / k[1:])))  # mu^k / k!
+        return float(_sci_special.gamma(1.0 - alpha) * (-mu) ** (alpha - 1.0)
+                     + np.sum(_sci_special.zeta(alpha - k) * mu_pow))
     a = abs(s)
+    cap = _POLYLOG_MAX_TERMS
+    if (cap + 1) * math.log(a) - alpha * math.log(cap + 1) - math.log1p(-a) >= math.log(tol):
+        raise ValueError(f"polylog series at alpha={alpha}, s={s} needs more than "
+                         f"{cap} terms")
     total = 0.0
     term_base = s
-    k = 1
-    while True:
+    for k in range(1, cap + 1):
         total += term_base / k ** alpha
         # tail bound: sum_{j>k} |s|^j / j^alpha <= |s|^(k+1)/((k+1)^alpha (1-|s|))
         if a ** (k + 1) / ((k + 1) ** alpha * (1.0 - a)) < tol:
-            return total
+            break
         term_base *= s
-        k += 1
-        if k > 10_000_000:
-            raise QuadratureError("polylog series did not converge")
+    return total
 
 
 def riemann_zeta(alpha: float, *, terms: int = 400) -> float:

@@ -1,15 +1,34 @@
 """Exact Poisson sampling of the loop soup, cluster extraction, and the
-vectorized replicate engine used by the Monte Carlo experiments.
+closed-form replicate engine used by the Monte Carlo experiments.
 
-Sampling scheme: the soup is decomposed by minimal visited vertex.  For each
-base vertex x the sub-soup of loops whose minimal vertex is x is Poisson with
-mean alpha * (mass inside {x..n} minus mass inside {x+1..n}); a loop from it
-is built from a log-series number of independent excursions of the killed
-walk from x back to x inside the allowed arc (the full circle when x = 1),
-sampled stepwise with rejection of killed or escaping paths, then
-concatenated cyclically.  Exactness follows from the restriction property of
-the loop measure and is checked against the closed-form edge probabilities by
-the acceptance suite.
+The soup is decomposed by minimal visited vertex.  By the restriction
+property of the loop measure, the loops whose minimal vertex is x form an
+independent Poisson sub-soup with mean alpha * (mass inside {x..n} minus
+mass inside {x+1..n}).
+
+`sample_soup` builds every loop as an object: a log-series number of
+independent excursions of the killed walk from x back to x inside the
+allowed arc (the full circle when x = 1), sampled stepwise with rejection of
+killed or escaping paths, then concatenated cyclically.  It is the
+independent oracle of the replicate engine.
+
+`conditional_experiment` builds no loop.  The cluster statistics depend on a
+loop only through its range and whether it winds, and the restriction
+property gives the law of each in closed form:
+
+* a loop with minimal vertex x >= 2 stays within x..x+k with probability
+  D(k) / D(n-x), where D(k) = -log(1 - g(k)) is the mass of the loops based
+  at the left end of a (k+1)-vertex arc and g(k) the excursion return
+  probability there; the farthest reach of j such loops has cdf
+  (D(k) / D(n-x))^j;
+* the loops through vertex 1 are a Poisson number of winding or
+  circuit-sweeping loops, each of which opens every edge, and an independent
+  Poisson number of liftable loops, whose lifts through 0 stay inside
+  [-a, b] with probability G(a, b) each; the joint extents of j lifts have
+  cdf G(a, b)^j.
+
+Exactness is checked against the closed-form edge probabilities and against
+`sample_soup` by the test suite.
 """
 
 from __future__ import annotations
@@ -19,9 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .analytics import mass_inside
+from .analytics import mass_inside, mass_liftable_inside
 from .circle import CircleModel, Loop, LoopType, classify_loop, lift_loop
 
 _MASK64 = (1 << 64) - 1
@@ -53,79 +71,36 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _SoupTables:
-    bases: np.ndarray        # 0-based minimal vertices with positive mass
+    bases: np.ndarray        # 0-based minimal vertices 0..n-2
     masses: np.ndarray       # loop mass of each min-vertex sub-soup
     return_prob: np.ndarray  # excursion return probability at each base
+    reach_mass: np.ndarray   # D(0..n-2), see the module docstring
+    winding_mass: float      # loops through vertex 1 that wind or sweep a circuit
+    liftable_mass: float
     step_cw: float
     move_total: float        # step_cw + step_ccw
 
 
-def _return_probability(model: CircleModel, base0: int) -> float:
-    """P[the killed walk from the base returns to it before leaving the arc].
-
-    base0 = 0 means the full circle (return to vertex 1 with any winding);
-    otherwise the walk lives on the arc {base0 .. n-1} (0-based).  Solved as
-    a tridiagonal linear system for the hit-the-base-first probabilities.
-    """
-    n = model.n
-    cw, ccw = model.step_cw, model.step_ccw
-    if base0 == 0:
-        size = n - 1  # unknowns at vertices 1..n-1 (0-based)
-        rhs = np.zeros(size)
-        rhs[0] = ccw   # from vertex 1, counter-clockwise into vertex 0
-        rhs[-1] = cw   # from vertex n-1, clockwise into vertex 0
-    else:
-        size = n - 1 - base0  # unknowns at base0+1 .. n-1
-        if size == 0:
-            return 0.0
-        rhs = np.zeros(size)
-        rhs[0] = ccw
-    ab = np.zeros((3, size))
-    ab[1, :] = 1.0
-    ab[0, 1:] = -cw    # superdiagonal of (I - Q)
-    ab[2, :-1] = -ccw  # subdiagonal
-    f = solve_banded((1, 1), ab, rhs)
-    if base0 == 0:
-        return cw * f[0] + ccw * f[-1]
-    return cw * f[0]
-
-
 @lru_cache(maxsize=32)
 def _soup_tables(model: CircleModel) -> _SoupTables:
-    n = model.n
-    bases, masses, rhos = [], [], []
-    for base0 in range(n - 1):
-        inner = mass_inside(model, range(base0 + 1, n + 1))
-        outer = mass_inside(model, range(base0 + 2, n + 1))
-        m = inner - outer
-        if m <= 0.0:
-            continue
-        rho = _return_probability(model, base0)
-        bases.append(base0)
-        masses.append(m)
-        rhos.append(rho)
-    return _SoupTables(bases=np.asarray(bases, dtype=np.int64),
-                       masses=np.asarray(masses),
-                       return_prob=np.asarray(rhos),
+    n, r = model.n, model.r
+    # D(k) = log(2 cosh r sinh((k+1)r) / sinh((k+2)r)) rises by
+    # -log(1 - sinh(r)^2 / sinh((k+1)r)^2) > 0 at each k, so the cumulative
+    # sum is nondecreasing in floating point too, as searchsorted needs
+    k = np.arange(1, n - 1)
+    ratio = np.exp(-r * k) * math.expm1(-2.0 * r) / np.expm1(-2.0 * r * (k + 1))
+    reach_mass = np.concatenate(([0.0], np.cumsum(-np.log1p(-ratio * ratio))))
+    through = mass_inside(model, range(1, n + 1)) - mass_inside(model, range(2, n + 1))
+    liftable = float(mass_liftable_inside(model, n - 1, n - 1))
+    masses = np.concatenate(([through], reach_mass[n - 2:0:-1]))
+    return _SoupTables(bases=np.arange(n - 1),
+                       masses=masses,
+                       return_prob=-np.expm1(-masses),
+                       reach_mass=reach_mass,
+                       winding_mass=max(through - liftable, 0.0),
+                       liftable_mass=liftable,
                        step_cw=model.step_cw,
                        move_total=model.step_cw + model.step_ccw)
-
-
-def _bases_for_condition(tables: _SoupTables, condition: str) -> np.ndarray:
-    """Indices into the base tables kept by the conditioning.
-
-    Conditioning on a Poisson soup restricts to the complementary independent
-    sub-soup, so no rejection is involved: "through-1-only" keeps only the
-    loops through vertex 1 (conditions away all avoiding loops) and
-    "avoiding-1-only" keeps only loops avoiding vertex 1.
-    """
-    if condition not in CONDITIONS:
-        raise ValueError(f"condition must be one of {CONDITIONS}")
-    if condition == "unconditioned":
-        return np.arange(tables.bases.size)
-    if condition == "through-1-only":
-        return np.flatnonzero(tables.bases == 0)
-    return np.flatnonzero(tables.bases > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,165 +325,84 @@ class SoupEnsemble:
         return float(np.mean(self.closed_edge_count >= 1))
 
 
-def _run_cohort(gen, pos, lo, is_circle, n: int, cw: float, total: float):
-    """Advance excursion walkers to completion.
+def _smallest_reaching(f, target: np.ndarray, n: int) -> np.ndarray:
+    """Elementwise smallest k in 0..n-1 with f(k) >= target, by bisection.
 
-    pos: current positions (unwrapped for circle walkers); lo: arc base
-    (ignored for circle walkers).  Returns (success, zmin, zmax, final_pos)
-    for every walker; zmin/zmax cover the visited prefix up to completion.
+    f must be nondecreasing in k; n-1 is returned where no k < n-1 reaches
+    the target, so the result never depends on f(n-1).
     """
-    W = pos.size
-    ids = np.arange(W)
-    zmin = pos.copy()
-    zmax = pos.copy()
-    success = np.zeros(W, dtype=bool)
-    out_min, out_max, out_pos = pos.copy(), pos.copy(), pos.copy()
-    window = 256
-
-    while ids.size:
-        if ids.size >= 2048:
-            u = gen.random(ids.size)
-            dead = u >= total
-            pos += np.where(u < cw, 1, -1)
-            np.minimum(zmin, pos, out=zmin)
-            np.maximum(zmax, pos, out=zmax)
-            succ = np.where(is_circle, pos % n == 0, pos == lo)
-            escape = ~is_circle & ((pos < lo) | (pos >= n))
-            done = dead | succ | escape
-            ok = succ & ~dead
-            if np.any(done):
-                success[ids[done]] = ok[done]
-                sel = done & ok
-                out_min[ids[sel]] = zmin[sel]
-                out_max[ids[sel]] = zmax[sel]
-                out_pos[ids[sel]] = pos[sel]
-                keep = ~done
-                ids, pos, lo, is_circle = ids[keep], pos[keep], lo[keep], is_circle[keep]
-                zmin, zmax = zmin[keep], zmax[keep]
-        else:
-            # straggler phase: advance a whole window of steps per call
-            W2 = ids.size
-            u = gen.random((W2, window))
-            dead = u >= total
-            moves = np.where(u < cw, 1, -1)
-            cum = pos[:, None] + np.cumsum(moves, axis=1)
-            succ_m = np.where(is_circle[:, None], cum % n == 0, cum == lo[:, None])
-            esc_m = ~is_circle[:, None] & ((cum < lo[:, None]) | (cum >= n))
-            stop_m = succ_m | esc_m
-            first_dead = np.where(dead.any(axis=1), dead.argmax(axis=1), window)
-            first_stop = np.where(stop_m.any(axis=1), stop_m.argmax(axis=1), window)
-            run_min = np.minimum.accumulate(cum, axis=1)
-            run_max = np.maximum.accumulate(cum, axis=1)
-            rows = np.arange(W2)
-
-            # a stop (success or escape) strictly before death commits there;
-            # walkers with neither event in the window keep going
-            stopped = first_stop < first_dead
-            e = np.minimum(first_stop, window - 1)
-            ok = stopped & succ_m[rows, e]
-            died = (first_dead <= first_stop) & (first_dead < window)
-            done = stopped | died
-            if np.any(ok):
-                success[ids[ok]] = True
-                out_min[ids[ok]] = np.minimum(zmin[ok], run_min[rows[ok], e[ok]])
-                out_max[ids[ok]] = np.maximum(zmax[ok], run_max[rows[ok], e[ok]])
-                out_pos[ids[ok]] = cum[rows[ok], e[ok]]
-            keep = ~done
-            pos = cum[:, -1][keep]
-            zmin = np.minimum(zmin, run_min[:, -1])[keep]
-            zmax = np.maximum(zmax, run_max[:, -1])[keep]
-            ids, lo, is_circle = ids[keep], lo[keep], is_circle[keep]
-
-    return success, out_min, out_max, out_pos
+    lo = np.full(target.shape, -1)
+    hi = np.full(target.shape, n - 1)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi + 1) // 2  # in 0..n-1, also where the search is done
+        up = f(mid) >= target
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return hi
 
 
-def _run_block(model: CircleModel, tables: _SoupTables, base_sel: np.ndarray,
+def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
                seed: int, block_index: int, block_reps: int,
                keep_closed: bool):
-    """Simulate one block of replicates; returns per-replicate stat arrays."""
-    n = model.n
+    """Simulate one block of replicates; returns per-replicate stat arrays.
+
+    Draw order on the block's stream: avoiding counts, avoiding reaches,
+    winding counts, liftable counts, liftable extents.  "through-1-only"
+    skips the first two and "avoiding-1-only" the last three.
+    """
+    n, B = model.n, block_reps
     gen = philox_rng(seed, stream=block_index + 1)
-    bases = tables.bases[base_sel]
-    lam = model.alpha * tables.masses[base_sel]
-    rho = tables.return_prob[base_sel]
-    B = block_reps
-
-    counts = gen.poisson(lam, size=(B, bases.size)) if bases.size else np.zeros((B, 0), np.int64)
-    flat = counts.ravel()
-    cells = np.repeat(np.arange(flat.size), flat)
-    loop_rep = cells // max(bases.size, 1)
-    loop_base_idx = cells % max(bases.size, 1)
-    n_loops = cells.size
-
-    loop_base = bases[loop_base_idx] if n_loops else np.zeros(0, np.int64)
-    demand = gen.logseries(rho[loop_base_idx]).astype(np.int64) if n_loops else np.zeros(0, np.int64)
-
-    is_circle_loop = loop_base == 0
-    start = np.where(is_circle_loop, 0, loop_base)
-    loop_zmin = start.copy()
-    loop_zmax = start.copy()
-    loop_wind = np.zeros(n_loops, dtype=bool)
-
-    pending = demand.copy()
-    while pending.sum():
-        owner = np.repeat(np.arange(n_loops), pending)
-        pos0 = np.where(is_circle_loop[owner], 0, loop_base[owner]).astype(np.int64)
-        succ, zmin, zmax, fpos = _run_cohort(
-            gen, pos0, loop_base[owner].astype(np.int64),
-            is_circle_loop[owner], n, tables.step_cw, tables.move_total)
-        got = owner[succ]
-        np.minimum.at(loop_zmin, got, zmin[succ])
-        np.maximum.at(loop_zmax, got, zmax[succ])
-        # only circle excursions can wind: they return at a multiple of n
-        wound = (fpos[succ] != 0) & is_circle_loop[got]
-        np.logical_or.at(loop_wind, got, wound)
-        pending -= np.bincount(got, minlength=n_loops)
-
-    # windings make the lift span at least n, so they always cover everything
-    covers_all = loop_wind | (loop_zmax - loop_zmin >= n)
-
+    edges = np.arange(n)
     open_mask = np.zeros((B, n), dtype=bool)
-    for i in range(n_loops):
-        rep = loop_rep[i]
-        if covers_all[i]:
-            open_mask[rep, :] = True
-        else:
-            a, b = int(loop_zmin[i]), int(loop_zmax[i])
-            if a >= 0:
-                open_mask[rep, a:b] = True
-            else:
-                open_mask[rep, a % n:] = True
-                open_mask[rep, :b] = True
+    zeros = np.zeros(B, dtype=np.int64)
+    avoiding = winding = liftable = lift_left = lift_right = zeros
 
-    loop_count = np.bincount(loop_rep, minlength=B)
-    avoiding = np.bincount(loop_rep[loop_base > 0], minlength=B)
-    windcover = np.bincount(loop_rep[loop_wind], minlength=B)
+    if condition != "through-1-only":
+        # loops with minimal vertex x = 1..n-2 reach x + K with K <= n-1-x;
+        # edge e is open iff some base x <= e reaches beyond e
+        x, mass = tables.bases[1:], tables.masses[1:]  # mass = D(n-1-x)
+        counts = gen.poisson(model.alpha * mass, size=(B, x.size))
+        rep, col = np.nonzero(counts)
+        u = 1.0 - gen.random(col.size)
+        reach = np.broadcast_to(edges, (B, n)).copy()
+        reach[rep, x[col]] += np.searchsorted(tables.reach_mass,
+                                              mass[col] * u ** (1.0 / counts[rep, col]))
+        open_mask |= np.maximum.accumulate(reach, axis=1, out=reach) > edges
+        avoiding = counts.sum(axis=1)
 
-    closed_totals = (~open_mask).sum(axis=0).astype(np.int64)
-    closed_edge_count = np.zeros(B, dtype=np.int64)
-    origin_left = np.full(B, -1, dtype=np.int64)
-    origin_right = np.full(B, -1, dtype=np.int64)
-    closed_lists = [] if keep_closed else None
-    for rep in range(B):
-        closed = np.flatnonzero(~open_mask[rep])
-        closed_edge_count[rep] = closed.size
-        if closed.size:
-            origin_right[rep] = closed[0]
-            origin_left[rep] = n - 1 - closed[-1]
-        if keep_closed:
-            closed_lists.append(closed)
+    if condition != "avoiding-1-only":
+        winding = gen.poisson(model.alpha * tables.winding_mass, B)
+        liftable = gen.poisson(model.alpha * tables.liftable_mass, B)
+        rows = np.flatnonzero(liftable)
+        j = liftable[rows]
+        u, v = 1.0 - gen.random((2, rows.size))
 
-    lift_left = np.zeros(B, dtype=np.int64)
-    lift_right = np.zeros(B, dtype=np.int64)
-    liftable = is_circle_loop & ~loop_wind
-    for i in np.flatnonzero(liftable):
-        rep = loop_rep[i]
-        lift_left[rep] = max(lift_left[rep], -int(loop_zmin[i]))
-        lift_right[rep] = max(lift_right[rep], int(loop_zmax[i]))
+        def cdf(a, b):
+            """P[all j lifts stay inside [-a, b]], 0 for b < 0."""
+            inside = mass_liftable_inside(model, a, np.maximum(b, 0)) / tables.liftable_mass
+            return np.where(b >= 0, np.clip(inside, 0.0, 1.0) ** j, 0.0)
 
-    return (loop_count, avoiding, windcover, closed_edge_count,
+        right = _smallest_reaching(lambda b: cdf(n - 1, b), u, n)
+        at_right = cdf(n - 1, right) - cdf(n - 1, right - 1)
+        left = _smallest_reaching(lambda a: cdf(a, right) - cdf(a, right - 1),
+                                  v * at_right, n)
+        lift_left, lift_right = zeros.copy(), zeros.copy()
+        lift_left[rows], lift_right[rows] = left, right
+        open_mask |= (edges < lift_right[:, None]) | (edges >= n - lift_left[:, None])
+        open_mask[winding > 0] = True
+
+    closed = ~open_mask
+    closed_edge_count = closed.sum(axis=1)
+    some = closed_edge_count > 0
+    origin_right = np.where(some, closed.argmax(axis=1), -1)
+    origin_left = np.where(some, closed[:, ::-1].argmax(axis=1), -1)
+    closed_lists = None
+    if keep_closed:
+        closed_lists = np.split(np.nonzero(closed)[1], np.cumsum(closed_edge_count)[:-1])
+
+    return (avoiding + winding + liftable, avoiding, winding, closed_edge_count,
             origin_left, origin_right, lift_left, lift_right, closed_lists,
-            closed_totals)
+            closed.sum(axis=0))
 
 
 def conditional_experiment(model: CircleModel, seed: int, condition: str,
@@ -516,18 +410,24 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
                            block_size: int = 1024, workers: int = 1) -> SoupEnsemble:
     """Summary statistics of many independent (possibly conditioned) soups.
 
+    Conditioning keeps only the loops through vertex 1 ("through-1-only") or
+    only the loops avoiding it ("avoiding-1-only"): on a Poisson soup that is
+    the complementary independent sub-soup, so no rejection is involved.
     Replicates are processed in fixed blocks; block b draws from the Philox
     stream keyed (seed, b+1), so results are reproducible for a given seed
     and independent of the worker count.
     """
     if model.c <= 0.0:
         raise ValueError("sampling requires c > 0")
+    if condition not in CONDITIONS:
+        raise ValueError(f"condition must be one of {CONDITIONS}")
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     tables = _soup_tables(model)
-    base_sel = _bases_for_condition(tables, condition)
 
     blocks = [(b, min(block_size, replicates - b * block_size))
               for b in range((replicates + block_size - 1) // block_size)]
-    args = [(model, tables, base_sel, seed, b, size, keep_closed_edges)
+    args = [(model, tables, condition, seed, b, size, keep_closed_edges)
             for b, size in blocks]
 
     if workers > 1:
@@ -538,7 +438,7 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
         results = [_run_block(*a) for a in args]
 
     def cat(pos):
-        return np.concatenate([r[pos] for r in results]) if results else np.zeros(0, np.int64)
+        return np.concatenate([r[pos] for r in results])
 
     closed_lists = None
     if keep_closed_edges:

@@ -14,6 +14,7 @@ import math
 from itertools import product
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
 
@@ -154,6 +155,36 @@ def series_mass_avoiding_edges(model: CircleModel, edges, K: int) -> float:
     for (u, v) in edges:
         Q[u - 1, v - 1] = 0.0
     return trace_series(Q, 2, K)
+
+
+def return_probability(model: CircleModel, base0: int) -> float:
+    """P[the killed walk from the base returns to it before leaving the arc].
+
+    base0 = 0 means the full circle (return to vertex 1 with any winding);
+    otherwise the walk lives on the arc {base0 .. n-1} (0-based).  Solved as
+    a tridiagonal linear system for the hit-the-base-first probabilities.
+    """
+    n = model.n
+    cw, ccw = model.step_cw, model.step_ccw
+    if base0 == 0:
+        size = n - 1  # unknowns at vertices 1..n-1 (0-based)
+        rhs = np.zeros(size)
+        rhs[0] = ccw   # from vertex 1, counter-clockwise into vertex 0
+        rhs[-1] = cw   # from vertex n-1, clockwise into vertex 0
+    else:
+        size = n - 1 - base0  # unknowns at base0+1 .. n-1
+        if size == 0:
+            return 0.0
+        rhs = np.zeros(size)
+        rhs[0] = ccw
+    ab = np.zeros((3, size))
+    ab[1, :] = 1.0
+    ab[0, 1:] = -cw    # superdiagonal of (I - Q)
+    ab[2, :-1] = -ccw  # subdiagonal
+    f = solve_banded((1, 1), ab, rhs)
+    if base0 == 0:
+        return cw * f[0] + ccw * f[-1]
+    return cw * f[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup.analytics import (
     DetSpec,
@@ -268,6 +270,22 @@ def test_through1_extent_cdf_properties():
         assert all(b >= a - 1e-15 for a, b in zip(col, col[1:]))  # monotone in m
     with pytest.raises(ValueError):
         through1_extent_cdf(model, 5, 4)  # m + M > n - 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(3, 500), p=st.floats(0.05, 0.95), c=st.floats(1e-6, 2.0),
+       alpha=st.floats(0.05, 2.0))
+def test_extent_cdfs_are_monotone_probabilities(n, p, c, alpha):
+    model = build_model(n, p, c, alpha)
+    grid = np.unique(np.linspace(0, n - 1, 9).astype(int))
+    cov = np.array([[covered_extent_cdf(model, m, M) for M in grid] for m in grid])
+    assert np.all((cov >= 0.0) & (cov <= 1.0))
+    # nondecreasing up to a few ulps of rounding where the cdf saturates
+    assert np.all(np.diff(cov, axis=0) >= -1e-15) and np.all(np.diff(cov, axis=1) >= -1e-15)
+    assert covered_extent_cdf(model, n - 1, n - 1) == pytest.approx(1.0, rel=1e-12)
+    for m in grid:
+        for M in grid[grid <= n - 2 - m]:
+            assert 0.0 <= through1_extent_cdf(model, int(m), int(M)) <= 1.0
 
 
 def test_through1_extent_cdf_zero_extents():

@@ -42,6 +42,13 @@ def test_law_escape_probability(capsys):
     assert json.loads(out)["value"] == pytest.approx(6.0 / math.pi ** 2, abs=1e-10)
 
 
+def test_law_halfline_gap_pgf_near_one(capsys):
+    code, out = run_cli(capsys, "law", "--formula", "halfline-gap-pgf",
+                        "--alpha", "0.5", "--s", "0.9999999")
+    assert code == 0
+    assert 0.0 < json.loads(out)["value"] < 1.0
+
+
 def test_sample_subcommand(tmp_path, capsys):
     out_path = tmp_path / "reps.jsonl"
     summary = tmp_path / "summary.csv"
@@ -96,6 +103,14 @@ def test_experiment_subcommand(tmp_path, capsys):
     (("law", "--formula", "levy-tail", "--kappa", "1", "--alpha", "0.5"), "--t"),
     (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "0.8",
       "--replicates", "4", "--seed", str(2 ** 64)), "seed"),
+    (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "0.8",
+      "--replicates", "0"), "replicates"),
+    (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "0.8",
+      "--replicates", "-3"), "replicates"),
+    (("law", "--formula", "hitting-coefficient", "--alpha", "0.5", "--r", "0.01",
+      "--m", "2.7"), "--m"),
+    (("law", "--formula", "hitting-coefficient", "--alpha", "0.5", "--r", "0.01",
+      "--m", "0"), "--m"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     out_path = tmp_path / "out.csv"

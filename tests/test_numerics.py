@@ -59,9 +59,19 @@ def test_polylog_matches_long_partial_sum():
     assert polylog(alpha, s) == pytest.approx(brute, rel=1e-12)
 
 
+def test_polylog_expansion_near_one_matches_series():
+    k = np.arange(1, 200_001, dtype=float)
+    for alpha in (0.3, 0.5, 0.75, 1.5, 2.5):
+        for s in (0.5, 0.9, 0.99, 0.999):
+            series = float(np.sum(np.exp(k * math.log(s) - alpha * np.log(k))))
+            assert polylog(alpha, s) == pytest.approx(series, rel=1e-13), (alpha, s)
+
+
 def test_polylog_domain():
     with pytest.raises(ValueError):
         polylog(0.5, 1.0)
+    with pytest.raises(ValueError):
+        polylog(1.0, 0.9999999)  # the series would need over 10^7 terms
 
 
 def test_zeta_values():

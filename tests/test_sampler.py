@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup.analytics import (
     covered_extent_cdf,
@@ -16,7 +18,6 @@ from loopsoup.numerics import chi_square_two_sample
 from loopsoup.sampler import (
     ClusterStats,
     SoupSample,
-    _return_probability,
     _soup_tables,
     conditional_experiment,
     extract_clusters,
@@ -34,13 +35,26 @@ MODEL = build_model(6, 0.55, 0.5, 0.8)
 # ---------------------------------------------------------------------------
 
 def test_min_vertex_masses_match_return_probabilities():
-    """The Poisson intensities (mass differences of nested arcs) agree with
+    """The Poisson intensities of the closed-form tables agree with
     -log(1 - return probability) of the excursion walk at every base."""
     for model in (MODEL, build_model(9, 0.5, 0.2, 1.0), build_model(4, 0.7, 0.9, 0.3)):
         tables = _soup_tables(model)
         for base0, m in zip(tables.bases, tables.masses):
-            rho = _return_probability(model, int(base0))
+            rho = oracles.return_probability(model, int(base0))
             assert m == pytest.approx(-math.log1p(-rho), rel=1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(3, 500), p=st.floats(0.05, 0.95), c=st.floats(1e-6, 2.0))
+def test_reach_mass_table_matches_arc_mass_differences(n, p, c):
+    """D(k) starts at 0, never decreases, and is the mass of the loops inside
+    a (k+1)-vertex arc that visit its left end."""
+    model = build_model(n, p, c, 1.0)
+    reach = _soup_tables(model).reach_mass
+    assert reach[0] == 0.0
+    assert np.all(np.diff(reach) >= 0.0)
+    arcs = np.array([mass_inside(model, range(1, k + 1)) for k in range(1, n)])
+    np.testing.assert_allclose(reach[1:], np.diff(arcs), rtol=1e-10)
 
 
 def test_sampling_requires_killing():
@@ -303,6 +317,43 @@ def test_block_engine_matches_object_sampler_extents():
     c2, _ = np.histogram(ens.origin_left, bins=bins)
     _, p = chi_square_two_sample(c1, c2)
     assert p > 1e-3
+
+
+def _joint_counts(a_obj, b_obj, a_eng, b_eng):
+    """Paired contingency counts of two samples of (a, b) pairs; cells seen
+    fewer than 20 times in both samples together share one bin."""
+    obj = np.stack([a_obj, b_obj], axis=1)
+    eng = np.stack([a_eng, b_eng], axis=1)
+    cells, inverse = np.unique(np.concatenate([obj, eng]), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    c_obj = np.bincount(inverse[:len(obj)], minlength=len(cells))
+    c_eng = np.bincount(inverse[len(obj):], minlength=len(cells))
+    rare = c_obj + c_eng < 20
+    return (np.append(c_obj[~rare], c_obj[rare].sum()),
+            np.append(c_eng[~rare], c_eng[rare].sum()))
+
+
+def test_block_engine_matches_object_sampler_joint_laws():
+    """Chi-square homogeneity of the engine and the loop-object sampler on
+    (liftable count, lift_right) and on (avoiding count, closed-edge count):
+    counts and extents must be drawn jointly, not just with the right
+    marginals."""
+    reps = 4000
+    rng = philox_rng(67)
+    obj = np.zeros((reps, 4), dtype=np.int64)
+    for i in range(reps):
+        sample = sample_soup(MODEL, rng)
+        stats = extract_clusters(MODEL, sample)
+        kinds = [classify_loop(MODEL, loop) for loop in sample.loops]
+        obj[i] = (kinds.count(LoopType.LIFTABLE), stats.lift_right,
+                  kinds.count(LoopType.AVOIDING), len(stats.closed_left_endpoints))
+    ens = conditional_experiment(MODEL, 68, "unconditioned", reps)
+    liftable = ens.loop_count - ens.avoiding_count - ens.winding_or_cover_count
+    for a_eng, b_eng, cols in ((liftable, ens.lift_right, (0, 1)),
+                               (ens.avoiding_count, ens.closed_edge_count, (2, 3))):
+        c1, c2 = _joint_counts(obj[:, cols[0]], obj[:, cols[1]], a_eng, b_eng)
+        _, p = chi_square_two_sample(c1, c2)
+        assert p > 1e-3, cols
 
 
 def test_engine_split_fraction_matches_analytic_small_n():
