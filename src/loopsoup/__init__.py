@@ -62,7 +62,6 @@ from .sampler import (
     conditional_experiment,
     extract_clusters,
     philox_rng,
-    replicate_rng,
     sample_soup,
 )
 from .experiments import (

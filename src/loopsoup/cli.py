@@ -143,7 +143,7 @@ def _cmd_sample(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["statistic", "mean"])
             for name, arr in (("loops", ens.loop_count),
-                              ("clusters", ens.cluster_count),
+                              ("clusters", np.maximum(ens.closed_edge_count, 1)),
                               ("closed_edges", ens.closed_edge_count),
                               ("split_fraction", ens.closed_edge_count >= 1)):
                 writer.writerow([name, float(np.mean(arr))])

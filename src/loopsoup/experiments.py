@@ -25,7 +25,7 @@ from .numerics import (
     ks_distance_two_sample,
 )
 from .sampler import SoupEnsemble, conditional_experiment
-from .scaling import ConditionedBridgeLaw, SubordinatorLaw
+from .scaling import ConditionedBridgeLaw, SubordinatorLaw, sample_conditioned_renewals
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class ExperimentConfig:
     kappa: float | None = None    # target of n^2 kappa_n, when a limit is compared
     epsilon: float | None = None  # target of n^2 c_n
     out_dir: str | None = None
-    bridge_resolution: int = 2000
+    bridge_resolution: int = 2000  # grid steps per unit circle, shared by all mixture paths
     bridge_paths: int = 1000
     comparison_n: int | None = None       # schedule entry used for law comparisons
     comparison_replicates: int = 3000
@@ -188,7 +188,7 @@ def ensemble_records(ensemble: SoupEnsemble) -> list[dict]:
         rec = {
             "replicate": i,
             "loops": int(ensemble.loop_count[i]),
-            "clusters": int(ensemble.cluster_count[i]),
+            "clusters": max(int(ensemble.closed_edge_count[i]), 1),
             "closed_edges": int(ensemble.closed_edge_count[i]),
             "origin_left": int(ensemble.origin_left[i]),
             "origin_right": int(ensemble.origin_right[i]),
@@ -392,7 +392,9 @@ def run_cluster_scaling(config: ExperimentConfig, *, workers: int = 1) -> dict:
     under the no-loops-through-1 conditioning, gated on relative spread;
     (2) at the comparison n, the scaled closed-endpoint sets of split
     unconditioned soups against extent-mixed bridge ranges (KS on the leftmost
-    point and on the scaled cluster count, matched-quantile mean Hausdorff);
+    point and on the scaled cluster count, matched-quantile mean Hausdorff),
+    where given limit extents (g, d) a path is one shared renewal law on the
+    circle's grid conditioned to hit the far end of the arc 1 - g - d;
     (3) the through-1-only extent cdf against its scaling limit on a grid.
     """
     config.validate()
@@ -429,15 +431,14 @@ def run_cluster_scaling(config: ExperimentConfig, *, workers: int = 1) -> dict:
     rng = np.random.default_rng(config.seed + 2)
     extents = sample_limit_extents(kappa, alpha, config.bridge_paths, rng)
     res = config.bridge_resolution
-    mix_sets, mix_left, mix_k = [], [], []
-    for g, d in extents:
-        k_eff = kappa * (1.0 - g - d) ** 2
-        bridge = ConditionedBridgeLaw(SubordinatorLaw(kappa=k_eff, alpha=alpha))
-        pts = bridge.sample_bridge_path(res, rng)
-        s = g + (1.0 - g - d) * pts
-        mix_sets.append(s)
-        mix_left.append(s[0])
-        mix_k.append((pts.size - 1) / res ** (1.0 - alpha) * (1.0 - g - d) ** (1.0 - alpha))
+    law = ConditionedBridgeLaw(SubordinatorLaw(kappa, alpha)).renewal_approximation(res)
+    lengths = 1.0 - extents.sum(axis=1)
+    levels = np.maximum(np.rint(lengths * res).astype(np.int64), 1)
+    paths = sample_conditioned_renewals(law, levels, len(levels), rng)
+    mix_sets = [g + length * pts / level
+                for g, length, pts, level in zip(extents[:, 0], lengths, paths, levels)]
+    mix_left = extents[:, 0]
+    mix_k = [(pts.size - 1) / res ** (1.0 - alpha) for pts in paths]
     ks_left = ks_distance_two_sample(soup_left, mix_left)
     ks_k = ks_distance_two_sample(soup_k, mix_k)
 

@@ -65,23 +65,29 @@ _ZETA_EXPANSION_TERMS = 40
 def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
     """Polylogarithm sum_{k>=1} s^k / k^alpha for |s| < 1.
 
-    For non-integer alpha and s >= 1/2 it uses the expansion about s = 1,
-    Li_a(e^mu) = Gamma(1-a) (-mu)^(a-1) + sum_k zeta(a-k) mu^k / k!, valid
-    for |mu| < 2 pi; here |mu| <= log 2, so 40 terms leave a remainder far
-    below double precision.  Otherwise terms are summed until the geometric
-    tail bound |s|^(K+1) / ((K+1)^alpha (1-|s|)) drops below tol; a ValueError
-    is raised up front when that needs more than 10^7 terms.
+    For s >= 1/2 it uses the expansion about s = 1, valid for |mu| < 2 pi,
+    Li_a(e^mu) = Gamma(1-a) (-mu)^(a-1) + sum_j zeta(a-j) mu^j / j!, whose two
+    poles at a positive integer a = k cancel into mu^(k-1)/(k-1)! (H_(k-1) -
+    log(-mu)); here |mu| <= log 2, so 40 terms leave a remainder far below
+    double precision.  Otherwise terms are summed until the geometric tail bound
+    |s|^(K+1) / ((K+1)^alpha (1-|s|)) drops below tol; a ValueError is
+    raised up front when that needs more than 10^7 terms.
     """
     if not abs(s) < 1.0:
         raise ValueError("polylog requires |s| < 1")
     if s == 0.0:
         return 0.0
-    if s >= 0.5 and not float(alpha).is_integer():
+    if s >= 0.5:
         mu = math.log(s)
-        k = np.arange(_ZETA_EXPANSION_TERMS)
-        mu_pow = np.cumprod(np.concatenate(([1.0], mu / k[1:])))  # mu^k / k!
-        return float(_sci_special.gamma(1.0 - alpha) * (-mu) ** (alpha - 1.0)
-                     + np.sum(_sci_special.zeta(alpha - k) * mu_pow))
+        j = np.arange(_ZETA_EXPANSION_TERMS)
+        mu_pow = np.cumprod(np.concatenate(([1.0], mu / j[1:])))  # mu^j / j!
+        coef, head = _sci_special.zeta(alpha - j), 0.0
+        if alpha >= 1.0 and float(alpha).is_integer():
+            # the log term at j = k - 1; H_(k-1) = digamma(k) + Euler's gamma
+            coef[j == alpha - 1.0] = _sci_special.digamma(alpha) + np.euler_gamma - math.log(-mu)
+        else:
+            head = _sci_special.gamma(1.0 - alpha) * (-mu) ** (alpha - 1.0)
+        return float(head + np.sum(coef * mu_pow))
     a = abs(s)
     cap = _POLYLOG_MAX_TERMS
     if (cap + 1) * math.log(a) - alpha * math.log(cap + 1) - math.log1p(-a) >= math.log(tol):

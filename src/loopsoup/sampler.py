@@ -60,25 +60,17 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """Deterministically derived stream for one replicate."""
-    return philox_rng(seed, stream=replicate + 1)
-
-
 # ---------------------------------------------------------------------------
 # per-model tables
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _SoupTables:
-    bases: np.ndarray        # 0-based minimal vertices 0..n-2
-    masses: np.ndarray       # loop mass of each min-vertex sub-soup
+    masses: np.ndarray       # loop mass of the sub-soup at each 0-based minimal vertex 0..n-2
     return_prob: np.ndarray  # excursion return probability at each base
     reach_mass: np.ndarray   # D(0..n-2), see the module docstring
     winding_mass: float      # loops through vertex 1 that wind or sweep a circuit
     liftable_mass: float
-    step_cw: float
-    move_total: float        # step_cw + step_ccw
 
 
 @lru_cache(maxsize=32)
@@ -93,14 +85,11 @@ def _soup_tables(model: CircleModel) -> _SoupTables:
     through = mass_inside(model, range(1, n + 1)) - mass_inside(model, range(2, n + 1))
     liftable = float(mass_liftable_inside(model, n - 1, n - 1))
     masses = np.concatenate(([through], reach_mass[n - 2:0:-1]))
-    return _SoupTables(bases=np.arange(n - 1),
-                       masses=masses,
+    return _SoupTables(masses=masses,
                        return_prob=-np.expm1(-masses),
                        reach_mass=reach_mass,
                        winding_mass=max(through - liftable, 0.0),
-                       liftable_mass=liftable,
-                       step_cw=model.step_cw,
-                       move_total=model.step_cw + model.step_ccw)
+                       liftable_mass=liftable)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +153,16 @@ def _walk_excursion(ubuf: _UniformBuffer, base0: int, n: int,
 
 
 def _sample_loop_at(rng, ubuf: _UniformBuffer, model: CircleModel,
-                    tables: _SoupTables, idx: int) -> Loop:
-    base0 = int(tables.bases[idx])
-    rho = tables.return_prob[idx]
+                    tables: _SoupTables, base0: int) -> Loop:
+    rho = tables.return_prob[base0]
     j = int(rng.logseries(rho))
     vertices: list[int] = []
-    n = model.n
+    n, cw = model.n, model.step_cw
+    total = cw + model.step_ccw
     offset = 0
     for _ in range(j):
         while True:
-            path = _walk_excursion(ubuf, base0, n, tables.step_cw, tables.move_total)
+            path = _walk_excursion(ubuf, base0, n, cw, total)
             if path is not None:
                 break
         if base0 == 0:
@@ -196,9 +185,9 @@ def sample_soup(model: CircleModel, seed) -> SoupSample:
     ubuf = _UniformBuffer(rng)
     loops: list[Loop] = []
     counts = rng.poisson(model.alpha * tables.masses)
-    for idx, count in enumerate(counts):
+    for base0, count in enumerate(counts):
         for _ in range(count):
-            loops.append(_sample_loop_at(rng, ubuf, model, tables, idx))
+            loops.append(_sample_loop_at(rng, ubuf, model, tables, base0))
     return SoupSample(loops=tuple(loops), seed=seed_record)
 
 
@@ -310,8 +299,7 @@ class SoupEnsemble:
     loop_count: np.ndarray
     avoiding_count: np.ndarray
     winding_or_cover_count: np.ndarray
-    closed_edge_count: np.ndarray
-    cluster_count: np.ndarray
+    closed_edge_count: np.ndarray  # the cluster count is max(closed_edge_count, 1)
     origin_left: np.ndarray    # -1 when no closed edge exists
     origin_right: np.ndarray
     lift_left: np.ndarray
@@ -360,7 +348,7 @@ def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
     if condition != "through-1-only":
         # loops with minimal vertex x = 1..n-2 reach x + K with K <= n-1-x;
         # edge e is open iff some base x <= e reaches beyond e
-        x, mass = tables.bases[1:], tables.masses[1:]  # mass = D(n-1-x)
+        x, mass = np.arange(1, n - 1), tables.masses[1:]  # mass = D(n-1-x)
         counts = gen.poisson(model.alpha * mass, size=(B, x.size))
         rep, col = np.nonzero(counts)
         u = 1.0 - gen.random(col.size)
@@ -424,9 +412,9 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     tables = _soup_tables(model)
-
-    blocks = [(b, min(block_size, replicates - b * block_size))
-              for b in range((replicates + block_size - 1) // block_size)]
+    # a block holds several B x n arrays, so B * n is capped at 2^22 cells
+    B = min(block_size, max(1, 2 ** 22 // model.n))
+    blocks = [(b, min(B, replicates - b * B)) for b in range((replicates + B - 1) // B)]
     args = [(model, tables, condition, seed, b, size, keep_closed_edges)
             for b, size in blocks]
 
@@ -444,12 +432,11 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
     if keep_closed_edges:
         closed_lists = [arr for r in results for arr in r[8]]
 
-    cc = cat(3)
     return SoupEnsemble(
         model=model.to_dict(), condition=condition, replicates=replicates,
         seed=int(seed),
         loop_count=cat(0), avoiding_count=cat(1), winding_or_cover_count=cat(2),
-        closed_edge_count=cc, cluster_count=np.maximum(cc, 1),
+        closed_edge_count=cat(3),
         origin_left=cat(4), origin_right=cat(5),
         lift_left=cat(6), lift_right=cat(7),
         closed_edge_totals=np.sum([r[9] for r in results], axis=0),

@@ -11,8 +11,8 @@ escaping to infinity); conditioning on hitting a level renormalizes it.
 `invert_renewal` recovers w as W = 1 - 1/C, the power-series reciprocal
 taken by Newton iteration with FFTs in O(N log N).  Conditioned paths are
 drawn in batches: `sample_conditioned_renewals` advances all paths in
-lockstep, one vectorized inverse-cdf draw per round, and is the only path
-sampler; `sample_conditioned_renewal` is its one-path call.
+lockstep to their own levels, one vectorized inverse-cdf draw per round,
+and is the only path sampler; `sample_conditioned_renewal` is its one-path call.
 """
 
 from __future__ import annotations
@@ -112,65 +112,73 @@ class RenewalLaw:
 _BLOCK_CELLS = 1 << 14  # paths x candidate jumps scanned per block
 
 
-def sample_conditioned_renewals(law: RenewalLaw, n: int, n_paths: int, rng) -> list[np.ndarray]:
+def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[np.ndarray]:
     """`n_paths` independent increasing renewal paths 0 = s_0 < ... < s_k = n
-    conditioned to hit n.
+    conditioned to hit n, one level for all or an int array of one per path.
 
     All paths advance in lockstep: each round draws one uniform per unfinished
-    path and inverts the cdf of its next jump, which from state m is j with
-    probability w(j) C(n-m-j) / C(n-m).  The points are kept as (owner,
-    position) arrays and split per path at the end.
+    path and inverts the cdf of its next jump, which from a remaining gap G is
+    j with probability w(j) C(G-j) / C(G).  The points are kept as (owner,
+    gap) arrays and turned into positions level - gap at the end.
     """
-    if not 0 <= n <= law.horizon:
-        raise ValueError("n must lie in 0..horizon")
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
-    if np.min(law.C[:n + 1]) <= 0.0:
-        raise ValueError("C must be positive up to n")
+    levels = np.asarray(n, dtype=np.int64)
+    if levels.ndim and levels.shape != (n_paths,):
+        raise ValueError(f"levels must have shape ({n_paths},), got {levels.shape}")
+    if np.any((levels < 0) | (levels > law.horizon)):
+        raise ValueError("levels must lie in 0..horizon")
+    top = int(levels.max(initial=0))
+    if np.min(law.C[:top + 1]) <= 0.0:
+        raise ValueError("C must be positive up to the highest level")
     if n_paths == 0:
         return []
     rng = np.random.default_rng(rng)
-    # rest[m] = C(n - m), the weight of hitting n from state m, and
-    # rest[n + 1] = 0 stands for every state past n
-    rest = np.append(law.C[n::-1], 0.0)
-    active, at = np.arange(n_paths), np.zeros(n_paths, dtype=np.int64)
-    owners, points = [active], [at]
+    levels = np.broadcast_to(levels, (n_paths,))
+    # weight[G + 1] = C(G), the weight of hitting the level from gap G, and
+    # weight[0] = 0 stands for every overshoot (G < 0, index clipped to 0)
+    weight = np.concatenate(([0.0], law.C[:top + 1]))
+    active, gap = np.arange(n_paths), levels.copy()
+    owners, gaps = [active], [gap]
     while True:
-        live = at < n
+        live = gap > 0
         if not live.any():
             break
-        active, at = active[live], at[live]
-        at = at + _draw_jumps(law.w, rest, at, n, rng.random(active.size) * rest[at])
+        active, gap = active[live], gap[live]
+        gap = gap - _draw_jumps(law.w, weight, gap, rng.random(active.size) * law.C[gap])
         owners.append(active)
-        points.append(at)
+        gaps.append(gap)
     # each list is dropped once merged, to keep the peak memory low; one
-    # in-place sort of owner * (n + 1) + position orders the points by path
+    # in-place sort of owner * (top + 1) + position orders the points by path
     key = np.concatenate(owners)
     del owners
     bounds = np.cumsum(np.bincount(key, minlength=n_paths))[:-1]
-    key *= n + 1
-    key += np.concatenate(points)
+    points = levels[key]
+    points -= np.concatenate(gaps)
+    del gaps
+    key *= top + 1
+    key += points
     del points
     key.sort()
-    return np.split(np.remainder(key, n + 1, out=key), bounds)
+    return np.split(np.remainder(key, top + 1, out=key), bounds)
 
 
-def _draw_jumps(w: np.ndarray, rest: np.ndarray, at: np.ndarray, n: int,
+def _draw_jumps(w: np.ndarray, weight: np.ndarray, gap: np.ndarray,
                 target: np.ndarray) -> np.ndarray:
-    """Per path, the least j with sum_{i <= j} w(i) rest(at + i) >= target.
+    """Per path, the least j with sum_{i <= j} w(i) weight(gap - i + 1) >= target.
 
     Candidate jumps are scanned in shared blocks whose width doubles while
     the cells (unresolved paths x jumps) stay within _BLOCK_CELLS, or one
     jump wide past that, so the cost per path is proportional to its jump,
-    not to n.  A path whose
-    target numerical slack leaves unreached jumps the whole gap n - at.
+    not to its level.  A path whose target numerical slack leaves unreached
+    jumps the whole gap.
     """
-    jump = n - at
-    rows = np.arange(at.size)
+    jump = gap.copy()
+    rows = np.arange(gap.size)
     lo, width = 1, 8
     while True:
-        width = max(1, min(2 * width, _BLOCK_CELLS // rows.size, n - int(at.min()) - lo + 1))
-        cells = np.take(rest, at[:, None] + np.arange(lo, lo + width), mode="clip")
+        width = max(1, min(2 * width, _BLOCK_CELLS // rows.size, int(gap.max()) - lo + 1))
+        cells = np.take(weight, gap[:, None] - np.arange(lo - 1, lo + width - 1), mode="clip")
         cells *= w[lo:lo + width]
         # cells are nonnegative, so each row of csum is nondecreasing
         csum = cells.cumsum(axis=1)
@@ -178,10 +186,10 @@ def _draw_jumps(w: np.ndarray, rest: np.ndarray, at: np.ndarray, n: int,
         found = hit[:, -1]
         jump[rows[found]] = lo + hit[found].argmax(axis=1)
         lo += width
-        keep = ~found & (at <= n - lo)
+        keep = ~found & (gap >= lo)
         if not keep.any():
             return jump
-        rows, at, target = rows[keep], at[keep], target[keep] - csum[keep, -1]
+        rows, gap, target = rows[keep], gap[keep], target[keep] - csum[keep, -1]
 
 
 def sample_conditioned_renewal(law: RenewalLaw, n: int, rng) -> np.ndarray:
@@ -339,6 +347,8 @@ class ConditionedBridgeLaw:
 
     Semigroup weight u(1-y)/u(1-x); realized for sampling as the discrete
     renewal path conditioned to hit an internal resolution, rescaled to [0, 1].
+    The killing per step is sqrt(kappa)/resolution, so the same law conditioned
+    to hit level L * resolution is the bridge over an interval of length L.
     """
 
     base: SubordinatorLaw
@@ -357,13 +367,6 @@ class ConditionedBridgeLaw:
         """Discrete renewal law at resolution n_approx matching this bridge."""
         r = math.sqrt(self.base.kappa) / n_approx
         return RenewalLaw.build(self.base.alpha, r, n_approx)
-
-    def sample_bridge_path(self, n_approx: int, rng,
-                           law: RenewalLaw | None = None) -> np.ndarray:
-        """One sampled path range as scaled points in [0, 1], ending exactly at 1."""
-        if law is None:
-            law = self.renewal_approximation(n_approx)
-        return sample_conditioned_renewal(law, n_approx, rng) / float(n_approx)
 
     def sample_bridge_paths(self, n_approx: int, n_paths: int, rng,
                             law: RenewalLaw | None = None) -> list[np.ndarray]:

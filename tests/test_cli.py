@@ -43,10 +43,11 @@ def test_law_escape_probability(capsys):
 
 
 def test_law_halfline_gap_pgf_near_one(capsys):
-    code, out = run_cli(capsys, "law", "--formula", "halfline-gap-pgf",
-                        "--alpha", "0.5", "--s", "0.9999999")
-    assert code == 0
-    assert 0.0 < json.loads(out)["value"] < 1.0
+    for alpha in ("0.5", "1"):
+        code, out = run_cli(capsys, "law", "--formula", "halfline-gap-pgf",
+                            "--alpha", alpha, "--s", "0.9999999")
+        assert code == 0
+        assert 0.0 < json.loads(out)["value"] < 1.0
 
 
 def test_sample_subcommand(tmp_path, capsys):

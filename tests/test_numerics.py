@@ -49,7 +49,7 @@ def test_beta_accuracy_across_range():
 
 
 def test_polylog_log_series():
-    for s in (0.1, 0.5, 0.9, -0.7):
+    for s in (0.1, 0.5, 0.9, -0.7, 0.9999999):
         assert polylog(1.0, s) == pytest.approx(-math.log(1.0 - s), rel=1e-12, abs=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_polylog_matches_long_partial_sum():
 
 def test_polylog_expansion_near_one_matches_series():
     k = np.arange(1, 200_001, dtype=float)
-    for alpha in (0.3, 0.5, 0.75, 1.5, 2.5):
+    for alpha in (0.3, 0.5, 0.75, 1.5, 2.5, 1.0, 2.0, 3.0, 4.0):
         for s in (0.5, 0.9, 0.99, 0.999):
             series = float(np.sum(np.exp(k * math.log(s) - alpha * np.log(k))))
             assert polylog(alpha, s) == pytest.approx(series, rel=1e-13), (alpha, s)
@@ -71,7 +71,7 @@ def test_polylog_domain():
     with pytest.raises(ValueError):
         polylog(0.5, 1.0)
     with pytest.raises(ValueError):
-        polylog(1.0, 0.9999999)  # the series would need over 10^7 terms
+        polylog(1.0, -0.9999999)  # the series would need over 10^7 terms
 
 
 def test_zeta_values():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import renewal_jumps_by_recursion
 from loopsoup.numerics import (
     QuadratureSpec,
+    chi_square_pvalue,
     integrate,
     ks_distance,
     polylog,
@@ -148,6 +149,40 @@ def test_conditioned_sampler_hits_target_exactly():
         assert path[0] == 0 and path[-1] == 97
         assert np.all(np.diff(path) >= 1)
     assert sample_conditioned_renewals(law, 97, 0, np.random.default_rng(42)) == []
+    # one level per path, 0 and the horizon included
+    levels = np.random.default_rng(1).integers(0, 101, 300)
+    levels[:2] = 0, 100
+    paths = sample_conditioned_renewals(law, levels, 300, np.random.default_rng(43))
+    for path, level in zip(paths, levels, strict=True):
+        assert path[0] == 0 and path[-1] == level
+        assert np.all(np.diff(path) >= 1)
+
+
+def test_conditioned_sampler_first_jump_law_per_level():
+    """In a batch mixing two levels, each level's first jumps follow
+    w(j) C(level-j) / C(level) (chi-square over single jumps 1..10 and the rest)."""
+    law = RenewalLaw.build(0.5, 0.02, 100)
+    levels = np.tile([12, 100], 20_000)
+    paths = sample_conditioned_renewals(law, levels, levels.size, np.random.default_rng(9))
+    firsts = np.array([path[1] for path in paths])
+    for level in (12, 100):
+        counts = np.bincount(firsts[levels == level], minlength=level + 1)[1:]
+        pmf = law.conditioned_jump_pmf(0, level)
+        obs = np.append(counts[:10], counts[10:].sum())
+        exp = np.append(pmf[:10], pmf[10:].sum())
+        assert chi_square_pvalue(obs, exp)[1] > 1e-3, level
+
+
+def test_conditioned_sampler_rejects_bad_levels():
+    law = RenewalLaw.build(0.5, 0.02, 100)
+    rng = np.random.default_rng(0)
+    for levels in (101, -1, np.array([5, 101]), np.array([5, -1])):
+        with pytest.raises(ValueError, match="0..horizon"):
+            sample_conditioned_renewals(law, levels, 2 if np.ndim(levels) else 1, rng)
+    with pytest.raises(ValueError, match="shape"):
+        sample_conditioned_renewals(law, np.array([5, 6, 7]), 2, rng)
+    with pytest.raises(ValueError, match="n_paths"):
+        sample_conditioned_renewals(law, np.array([5, 6]), -1, rng)
 
 
 def test_conditioned_sampler_first_jump_law():
@@ -184,6 +219,9 @@ def test_conditioned_sampler_deterministic_for_seed():
     many_a = sample_conditioned_renewals(law, 200, 50, np.random.default_rng(5))
     many_b = sample_conditioned_renewals(law, 200, 50, np.random.default_rng(5))
     assert all(np.array_equal(x, y) for x, y in zip(many_a, many_b, strict=True))
+    # a constant level array draws the same paths as the scalar level
+    many_c = sample_conditioned_renewals(law, np.full(50, 200), 50, np.random.default_rng(5))
+    assert all(np.array_equal(x, y) for x, y in zip(many_a, many_c, strict=True))
 
 
 # ---------------------------------------------------------------------------
