@@ -334,20 +334,35 @@ def prob_split_given_no_avoiding_limit(kappa: float, epsilon: float,
     """Scaling limit of P[>= 2 clusters | no loop avoids vertex 1].
 
     Equals 2^a * a*sqrt(k) * (cosh sqrt(k) - cosh sqrt(k-2e))^a / sinh(sqrt(k))^(2a+1)
-    times the integral of sinh(a t)^(a-1) sinh((1-t) sqrt(k))^(a+1) dt.
+    times the integral over (0, 1) of sinh(sqrt(k) t)^(a-1) sinh(sqrt(k)(1-t))^(a+1) dt.
     """
     _require_limit_domain(kappa, epsilon)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
 
-    def integrand(t):
-        return (math.sinh(s * t) ** (alpha - 1.0)
-                * math.sinh(s * (1.0 - t)) ** (alpha + 1.0))
-
-    val, _ = integrate(integrand, 0.0, 1.0, QuadratureSpec(tol=1e-12), points=[0.0])
-    log_pref = (alpha * math.log(2.0) + math.log(alpha * s)
+    # u = t^beta, beta = min(alpha, 1), takes the t^(alpha-1) singularity at
+    # t = 0 out of the integrand: dt = t^(1-beta) du / beta.
+    beta = min(alpha, 1.0)
+    log_pref = (alpha * math.log(2.0) + math.log(alpha * s / beta)
                 + alpha * log_cosh_diff(s, s2) - (2.0 * alpha + 1.0) * log_sinh(s))
-    return math.exp(log_pref) * val
+
+    def log_integrand(u):
+        t = u ** (1.0 / beta)
+        if s * t == 0.0:  # underflow (alpha < 1): sinh(s t)^(alpha-1) t^(1-alpha) -> s^(alpha-1)
+            head = (alpha - 1.0) * math.log(s)
+        else:
+            head = (alpha - 1.0) * log_sinh(s * t) + (1.0 - beta) * math.log(t)
+        return head + (alpha + 1.0) * log_sinh(s * (1.0 - t))
+
+    # Scaled by its value where the mass sits (t ~ 1/2 for small kappa,
+    # ~ 1/sqrt(kappa) for large), so the integral stays of order one against
+    # the absolute tolerance and no sinh leaves the log domain.
+    log_scale = log_integrand((2.0 + s) ** -beta)
+    val, _ = integrate(lambda u: math.exp(log_integrand(u) - log_scale), 0.0, 1.0,
+                       QuadratureSpec(tol=1e-12), points=[0.0])
+    return _clip_unit(math.exp(log_pref + log_scale) * val)
 
 
 def prob_not_single_partition_limit(kappa: float, epsilon: float, alpha: float) -> float:
@@ -365,7 +380,7 @@ def prob_not_single_partition_limit(kappa: float, epsilon: float, alpha: float) 
     s2 = math.sqrt(kappa - 2.0 * epsilon)
     log_val = (alpha * math.log(2.0) + log_sinh(s * (1.0 - alpha))
                + alpha * log_cosh_diff(s, s2) - log_sinh(s))
-    return math.exp(log_val)
+    return _clip_unit(math.exp(log_val))
 
 
 def prob_split_given_no_cover_limit(kappa: float, alpha: float) -> float:
@@ -378,8 +393,8 @@ def prob_split_given_no_cover_limit(kappa: float, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = math.sqrt(kappa)
-    return math.exp(alpha * (math.log(2.0) + log_cosh(s))
-                    + log_sinh(s * (1.0 - alpha)) - log_sinh(s))
+    return _clip_unit(math.exp(alpha * (math.log(2.0) + log_cosh(s))
+                               + log_sinh(s * (1.0 - alpha)) - log_sinh(s)))
 
 
 def cluster_extent_limit_density(kappa: float, alpha: float, x: float, y: float) -> float:

@@ -128,8 +128,7 @@ def _cmd_law(args) -> int:
 def _cmd_sample(args) -> int:
     model = build_model(args.n, args.p, args.c, args.alpha)
     ens = conditional_experiment(model, args.seed, args.condition,
-                                 args.replicates, keep_closed_edges=True,
-                                 workers=args.threads)
+                                 args.replicates, keep_closed_edges=True)
     records = experiments.ensemble_records(ens)
     if args.out:
         with open(args.out, "w") as fh:
@@ -181,7 +180,7 @@ def _cmd_experiment(args) -> int:
     if args.out is not None:
         config.out_dir = args.out
     runner = experiments.RUNNERS[config.name]
-    report = runner(config, workers=args.threads)
+    report = runner(config)
     print(json.dumps({k: v for k, v in report.items() if k != "config"},
                      indent=2, sort_keys=True, default=str))
     return 0 if report["passed"] else 1
@@ -213,7 +212,6 @@ def main(argv=None) -> int:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", type=str, default=None, help="JSONL path")
     p_sample.add_argument("--summary", type=str, default=None, help="CSV path")
-    p_sample.add_argument("--threads", type=int, default=1)
     p_sample.set_defaults(func=_cmd_sample)
 
     p_bridge = sub.add_parser("bridge", help="conditioned-path ranges")
@@ -229,13 +227,12 @@ def main(argv=None) -> int:
     p_exp.add_argument("--config", type=str, required=True)
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--out", type=str, default=None)
-    p_exp.add_argument("--threads", type=int, default=1)
     p_exp.set_defaults(func=_cmd_experiment)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"loopsoup {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

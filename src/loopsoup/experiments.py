@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,19 @@ DEFAULT_THRESHOLDS = {
 }
 
 
+def _check_fields(what: str, d, cls) -> None:
+    """ValueError naming the first unknown or missing field of a dataclass's dict."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    names = {f.name: f for f in fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ValueError(f"unknown {what} field {key!r}")
+    for name, f in names.items():
+        if name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} is missing field {name!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative experiment description; JSON(de)serializable."""
@@ -100,8 +113,27 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Config from a parsed JSON object; ValueError names the first bad field.
+
+        Omitted optional fields and omitted thresholds take their defaults.
+        """
+        _check_fields("config", d, ExperimentConfig)
         d = dict(d)
+        if d["name"] not in RUNNERS:
+            raise ValueError(f"unknown experiment name {d['name']!r}, "
+                             f"expected one of {', '.join(sorted(RUNNERS))}")
+        if not isinstance(d["schedule"], list) or not d["schedule"]:
+            raise ValueError("schedule must be a list with at least one entry")
+        for e in d["schedule"]:
+            _check_fields("schedule entry", e, ScheduleEntry)
         d["schedule"] = [ScheduleEntry(**e) for e in d["schedule"]]
+        thresholds = d.get("thresholds", {})
+        if not isinstance(thresholds, dict):
+            raise ValueError("thresholds must be a JSON object")
+        for key in thresholds:
+            if key not in DEFAULT_THRESHOLDS:
+                raise ValueError(f"unknown threshold {key!r}")
+        d["thresholds"] = {**DEFAULT_THRESHOLDS, **thresholds}
         return ExperimentConfig(**d)
 
     def to_json(self) -> str:
@@ -207,13 +239,12 @@ def ensemble_records(ensemble: SoupEnsemble) -> list[dict]:
 # experiment 1: per-edge closure probabilities
 # ---------------------------------------------------------------------------
 
-def run_edge_probability_audit(config: ExperimentConfig, *, workers: int = 1) -> dict:
+def run_edge_probability_audit(config: ExperimentConfig) -> dict:
     """MC vs closed-form closure probability for every edge, gated at z_max."""
     config.validate()
     entry = config.schedule[0]
     model = entry.model(config.alpha)
-    ens = conditional_experiment(model, config.seed, "unconditioned",
-                                 config.replicates, workers=workers)
+    ens = conditional_experiment(model, config.seed, "unconditioned", config.replicates)
     total = analytics.mass_inside(model, range(1, model.n + 1))
     rows = []
     z_max = config.thresholds["z_max"]
@@ -311,7 +342,7 @@ def extent_histogram_pvalue(ensemble: SoupEnsemble, kappa: float, alpha: float,
     return chi_square_pvalue(obs, exp)
 
 
-def run_single_partition_convergence(config: ExperimentConfig, *, workers: int = 1) -> dict:
+def run_single_partition_convergence(config: ExperimentConfig) -> dict:
     """MC split probability per n against the limit law, plus the extent histogram."""
     config.validate()
     if not 0.0 < config.alpha < 1.0:
@@ -322,8 +353,7 @@ def run_single_partition_convergence(config: ExperimentConfig, *, workers: int =
     last_ens = None
     for entry in config.schedule:
         model = entry.model(config.alpha)
-        ens = conditional_experiment(model, config.seed, "unconditioned",
-                                     config.replicates, workers=workers)
+        ens = conditional_experiment(model, config.seed, "unconditioned", config.replicates)
         frac = ens.split_fraction
         se = math.sqrt(max(frac * (1 - frac), 1e-30) / config.replicates)
         rows.append({"n": entry.n, "mc_split": frac, "limit": limit,
@@ -385,7 +415,7 @@ def sample_limit_extents(kappa: float, alpha: float, count: int, rng) -> np.ndar
     return np.column_stack([g, z - g])
 
 
-def run_cluster_scaling(config: ExperimentConfig, *, workers: int = 1) -> dict:
+def run_cluster_scaling(config: ExperimentConfig) -> dict:
     """Scaled cluster-count stability plus law comparisons against the bridge.
 
     Three parts: (1) mean of (closed edges)/n^(1-alpha) across the schedule
@@ -408,8 +438,7 @@ def run_cluster_scaling(config: ExperimentConfig, *, workers: int = 1) -> dict:
     rows = []
     for entry in config.schedule:
         ens = conditional_experiment(entry.model(alpha), config.seed,
-                                     "avoiding-1-only", config.replicates,
-                                     workers=workers)
+                                     "avoiding-1-only", config.replicates)
         k_scaled = ens.closed_edge_count / entry.n ** (1.0 - alpha)
         rows.append({"n": entry.n,
                      "k_scaled_mean": float(np.mean(k_scaled)),
@@ -421,8 +450,7 @@ def run_cluster_scaling(config: ExperimentConfig, *, workers: int = 1) -> dict:
     # part 2: split unconditioned soups vs the extent-mixed bridge
     model_c = entry_by_n[comparison_n].model(alpha)
     ens_u = conditional_experiment(model_c, config.seed + 1, "unconditioned",
-                                   config.comparison_replicates, workers=workers,
-                                   keep_closed_edges=True)
+                                   config.comparison_replicates, keep_closed_edges=True)
     split_idx = np.flatnonzero(ens_u.closed_edge_count >= 1)
     soup_sets = [ens_u.closed_edges[i] / comparison_n for i in split_idx]
     soup_left = np.array([s[0] for s in soup_sets])
@@ -455,7 +483,7 @@ def run_cluster_scaling(config: ExperimentConfig, *, workers: int = 1) -> dict:
 
     # part 3: through-1-only scaled extent cdf against the limit formula
     ens_t = conditional_experiment(model_c, config.seed + 3, "through-1-only",
-                                   config.comparison_replicates, workers=workers)
+                                   config.comparison_replicates)
     grid = [(0.1, 0.1), (0.1, 0.3), (0.3, 0.1), (0.2, 0.2), (0.3, 0.3),
             (0.2, 0.5), (0.5, 0.2), (0.4, 0.4)]
     jk_rows, jk_gap = [], 0.0

@@ -1,7 +1,6 @@
 """Shared numerical substrate: special functions, series, quadrature, distances.
 
-Everything here is a pure function of its inputs and safe to call from
-parallel workers.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations

@@ -394,16 +394,14 @@ def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
 
 
 def conditional_experiment(model: CircleModel, seed: int, condition: str,
-                           replicates: int, *, keep_closed_edges: bool = False,
-                           block_size: int = 1024, workers: int = 1) -> SoupEnsemble:
+                           replicates: int, *, keep_closed_edges: bool = False) -> SoupEnsemble:
     """Summary statistics of many independent (possibly conditioned) soups.
 
     Conditioning keeps only the loops through vertex 1 ("through-1-only") or
     only the loops avoiding it ("avoiding-1-only"): on a Poisson soup that is
     the complementary independent sub-soup, so no rejection is involved.
     Replicates are processed in fixed blocks; block b draws from the Philox
-    stream keyed (seed, b+1), so results are reproducible for a given seed
-    and independent of the worker count.
+    stream keyed (seed, b+1), so results are reproducible for a given seed.
     """
     if model.c <= 0.0:
         raise ValueError("sampling requires c > 0")
@@ -413,17 +411,10 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     tables = _soup_tables(model)
     # a block holds several B x n arrays, so B * n is capped at 2^22 cells
-    B = min(block_size, max(1, 2 ** 22 // model.n))
-    blocks = [(b, min(B, replicates - b * B)) for b in range((replicates + B - 1) // B)]
-    args = [(model, tables, condition, seed, b, size, keep_closed_edges)
-            for b, size in blocks]
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block_star, args))
-    else:
-        results = [_run_block(*a) for a in args]
+    B = min(1024, max(1, 2 ** 22 // model.n))
+    results = [_run_block(model, tables, condition, seed, b,
+                          min(B, replicates - b * B), keep_closed_edges)
+               for b in range((replicates + B - 1) // B)]
 
     def cat(pos):
         return np.concatenate([r[pos] for r in results])
@@ -442,7 +433,3 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
         closed_edge_totals=np.sum([r[9] for r in results], axis=0),
         closed_edges=closed_lists,
     )
-
-
-def _run_block_star(args):
-    return _run_block(*args)

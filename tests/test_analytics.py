@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopsoup.analytics import (
@@ -22,6 +22,7 @@ from loopsoup.analytics import (
     prob_no_winding_or_covering_limit,
     prob_not_single_partition_limit,
     prob_split_given_no_avoiding,
+    prob_split_given_no_cover_limit,
     prob_split_given_no_avoiding_limit,
     through1_extent_cdf,
     through1_extent_cdf_limit,
@@ -286,6 +287,58 @@ def test_extent_cdfs_are_monotone_probabilities(n, p, c, alpha):
     for m in grid:
         for M in grid[grid <= n - 2 - m]:
             assert 0.0 <= through1_extent_cdf(model, int(m), int(M)) <= 1.0
+
+
+def _assert_probabilities(formulas):
+    """Each formula gives a value in [0, 1] or raises ValueError, nothing else."""
+    for name, formula in formulas:
+        try:
+            value = formula()
+        except ValueError:
+            continue
+        assert 0.0 <= value <= 1.0, (name, value)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(3, 300), p=st.floats(0.01, 0.99), c=st.floats(0.0, 10.0),
+       alpha=st.floats(0.0, 3.0), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_finite_n_probabilities_lie_in_unit_interval(n, p, c, alpha, u, v):
+    model = build_model(n, p, c, alpha)
+    m = int(u * (n - 2))
+    big_m = int(v * (n - 2 - m))
+    _assert_probabilities([
+        ("prob_no_winding_or_covering", lambda: prob_no_winding_or_covering(model)),
+        ("through1_extent_cdf", lambda: through1_extent_cdf(model, m, big_m)),
+        ("prob_split_given_no_avoiding", lambda: prob_split_given_no_avoiding(model)),
+    ])
+
+
+@settings(deadline=None, max_examples=200)
+@given(log_kappa=st.floats(-4.0, 7.0), eps_frac=st.floats(0.0, 0.5),
+       alpha=st.floats(0.01, 3.0), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+# kappa = 1e7 and 1e5 came out above 1; kappa >= 1e6 overflowed math.sinh;
+# alpha = 0.01 at kappa = 3.8e4 failed to converge
+@example(log_kappa=7.0, eps_frac=0.1, alpha=0.5, a=0.3, b=0.4)
+@example(log_kappa=5.0, eps_frac=0.25, alpha=0.5, a=0.3, b=0.4)
+@example(log_kappa=6.0, eps_frac=0.25, alpha=0.5, a=0.3, b=0.4)
+@example(log_kappa=4.5773, eps_frac=0.25, alpha=0.01, a=0.3, b=0.4)
+def test_limit_probabilities_lie_in_unit_interval(log_kappa, eps_frac, alpha, a, b):
+    kappa = 10.0 ** log_kappa
+    epsilon = eps_frac * kappa
+    b = min(b, 1.0 - a)
+    _assert_probabilities([
+        ("prob_no_winding_or_covering_limit",
+         lambda: prob_no_winding_or_covering_limit(kappa, epsilon, alpha)),
+        ("prob_not_single_partition_limit",
+         lambda: prob_not_single_partition_limit(kappa, epsilon, alpha)),
+        ("through1_extent_cdf_limit",
+         lambda: through1_extent_cdf_limit(kappa, epsilon, alpha, a, b)),
+        ("covered_extent_cdf_limit", lambda: covered_extent_cdf_limit(kappa, alpha, a, b)),
+        ("prob_split_given_no_avoiding_limit",
+         lambda: prob_split_given_no_avoiding_limit(kappa, epsilon, alpha)),
+        ("prob_split_given_no_cover_limit",
+         lambda: prob_split_given_no_cover_limit(kappa, alpha)),
+    ])
 
 
 def test_through1_extent_cdf_zero_extents():

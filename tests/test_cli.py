@@ -112,8 +112,13 @@ def test_experiment_subcommand(tmp_path, capsys):
       "--m", "2.7"), "--m"),
     (("law", "--formula", "hitting-coefficient", "--alpha", "0.5", "--r", "0.01",
       "--m", "0"), "--m"),
+    (("experiment", "--config", "{tmp}/missing.json"), "No such file or directory"),
+    (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "0.8",
+      "--replicates", "4", "--out", "{tmp}/no_such_dir/reps.jsonl"),
+     "No such file or directory"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
+    argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
     out_path = tmp_path / "out.csv"
     argv = argv + ("--out", str(out_path)) if argv[0] == "bridge" else argv
     code = main(list(argv))
@@ -122,3 +127,27 @@ def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1 and message in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(name="no-such-audit"), "no-such-audit"),
+    (lambda d: d.update(colour="red"), "colour"),
+    (lambda d: d["schedule"][0].update(q=0.5), "'q'"),
+    (lambda d: d.update(schedule=[]), "schedule"),
+    (lambda d: d["thresholds"].update(z_limit=4.0), "z_limit"),
+    (lambda d: d.pop("alpha"), "alpha"),
+    (lambda d: d.update(schedule={"n": 12}), "schedule"),
+    (lambda d: d.update(thresholds=[4.0]), "thresholds"),
+], ids=["unknown-name", "unknown-field", "unknown-schedule-field", "empty-schedule",
+        "unknown-threshold", "missing-field", "schedule-not-list", "thresholds-not-object"])
+def test_bad_experiment_config_exits_with_one_line_message(tmp_path, capsys, edit, message):
+    config = default_edge_audit_config(out_dir=str(tmp_path / "run")).to_dict()
+    edit(config)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["experiment", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and message in captured.err
+    assert not (tmp_path / "run").exists()

@@ -7,6 +7,7 @@ import pytest
 
 from loopsoup.circle import derived_killing
 from loopsoup.experiments import (
+    DEFAULT_THRESHOLDS,
     ExperimentConfig,
     ScheduleEntry,
     asymmetric_schedule,
@@ -43,6 +44,15 @@ def test_config_json_round_trip():
     again = ExperimentConfig.from_json(cfg.to_json())
     assert again == cfg
     assert again.to_json() == cfg.to_json()
+
+
+def test_config_omitted_thresholds_take_defaults():
+    d = default_edge_audit_config().to_dict()
+    d["thresholds"] = {"gap_allowance": 0.05}
+    assert ExperimentConfig.from_dict(d).thresholds == {**DEFAULT_THRESHOLDS,
+                                                        "gap_allowance": 0.05}
+    del d["thresholds"]
+    assert ExperimentConfig.from_dict(d).thresholds == DEFAULT_THRESHOLDS
 
 
 def test_config_validate_rejects_target_miss():

@@ -420,11 +420,3 @@ def test_segment_conditioning_never_opens_boundary_edges():
     for closed in ens.closed_edges:
         assert 0 in closed and n - 1 in closed
     assert np.all(ens.closed_edge_count >= 2)
-
-
-def test_workers_do_not_change_results():
-    e1 = conditional_experiment(MODEL, 11, "unconditioned", 2500, block_size=512)
-    e2 = conditional_experiment(MODEL, 11, "unconditioned", 2500, block_size=512,
-                                workers=2)
-    assert np.array_equal(e1.closed_edge_count, e2.closed_edge_count)
-    assert np.array_equal(e1.origin_left, e2.origin_left)
