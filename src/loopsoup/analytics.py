@@ -383,20 +383,6 @@ def prob_not_single_partition_limit(kappa: float, epsilon: float, alpha: float) 
     return _clip_unit(math.exp(log_val))
 
 
-def prob_split_given_no_cover_limit(kappa: float, alpha: float) -> float:
-    """Limit of P[>= 2 clusters | no winding or circuit-sweeping loop].
-
-    Equals (2 cosh sqrt(k))^alpha sinh(sqrt(k)(1-alpha)) / sinh sqrt(k).
-    """
-    if kappa <= 0.0:
-        raise ValueError("limit formulas require kappa > 0")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    s = math.sqrt(kappa)
-    return _clip_unit(math.exp(alpha * (math.log(2.0) + log_cosh(s))
-                               + log_sinh(s * (1.0 - alpha)) - log_sinh(s)))
-
-
 def cluster_extent_limit_density(kappa: float, alpha: float, x: float, y: float) -> float:
     """Limit density of the scaled extents (G, D) of the cluster of vertex 1,
     conditioned on the partition being nontrivial.
@@ -415,22 +401,6 @@ def cluster_extent_limit_density(kappa: float, alpha: float, x: float, y: float)
     log_val = (math.log(math.sin(alpha * math.pi) / math.pi)
                + math.log((1.0 - alpha) * kappa) + log_sinh(s)
                - log_sinh(s * (1.0 - alpha))
-               - alpha * log_sinh(s * (1.0 - z))
-               - (2.0 - alpha) * log_sinh(s * z))
-    return math.exp(log_val)
-
-
-def cluster_extent_limit_density_unnormalized(kappa: float, alpha: float,
-                                              x: float, y: float) -> float:
-    """Unnormalized extent density whose total mass is
-    (2 cosh sqrt(k))^alpha sinh(sqrt(k)(1-alpha)) / sinh(sqrt(k))."""
-    if x <= 0.0 or y <= 0.0 or x + y >= 1.0:
-        return 0.0
-    s = math.sqrt(kappa)
-    z = x + y
-    log_val = (math.log(math.sin(alpha * math.pi) / math.pi)
-               + alpha * math.log(2.0) + math.log((1.0 - alpha) * kappa)
-               + alpha * log_cosh(s)
                - alpha * log_sinh(s * (1.0 - z))
                - (2.0 - alpha) * log_sinh(s * z))
     return math.exp(log_val)

@@ -154,8 +154,8 @@ def _cmd_bridge(args) -> int:
         raise ValueError("--resolution must be at least 1")
     if args.paths < 0:
         raise ValueError("--paths must be nonnegative")
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
     bridge = scaling.ConditionedBridgeLaw(
         scaling.SubordinatorLaw(kappa=args.kappa, alpha=args.alpha))
     law = bridge.renewal_approximation(args.resolution)
@@ -166,7 +166,7 @@ def _cmd_bridge(args) -> int:
     for start in range(0, args.paths, _BRIDGE_CHUNK):
         count = min(_BRIDGE_CHUNK, args.paths - start)
         for pts in bridge.sample_bridge_paths(args.resolution, count, rng, law=law):
-            writer.writerow([f"{p:.8g}" for p in pts])
+            writer.writerow([f"{p:.8g}" for p in pts.tolist()])
     if args.out:
         out.close()
     return 0

@@ -12,6 +12,8 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,7 +64,12 @@ DEFAULT_THRESHOLDS = {
 
 
 def _check_fields(what: str, d, cls) -> None:
-    """ValueError naming the first unknown or missing field of a dataclass's dict."""
+    """ValueError naming the first unknown, missing or mistyped field of a
+    dataclass's dict.
+
+    A value must match the field's annotation: bool is not an int, and an int
+    stands for a float.
+    """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object")
     names = {f.name: f for f in fields(cls)}
@@ -72,6 +79,19 @@ def _check_fields(what: str, d, cls) -> None:
     for name, f in names.items():
         if name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{what} is missing field {name!r}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        _check_type(f"{what} field {key!r}", value, hints[key])
+
+
+def _check_type(what: str, value, hint) -> None:
+    allowed = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    types = tuple(get_origin(t) or t for t in allowed)
+    if float in types:
+        types += (int,)
+    if isinstance(value, bool) and bool not in types or not isinstance(value, types):
+        names = " or ".join("null" if t is NoneType else t.__name__ for t in allowed)
+        raise ValueError(f"{what} must be {names}, got {json.dumps(value, default=repr)}")
 
 
 @dataclass
@@ -130,9 +150,10 @@ class ExperimentConfig:
         thresholds = d.get("thresholds", {})
         if not isinstance(thresholds, dict):
             raise ValueError("thresholds must be a JSON object")
-        for key in thresholds:
+        for key, value in thresholds.items():
             if key not in DEFAULT_THRESHOLDS:
                 raise ValueError(f"unknown threshold {key!r}")
+            _check_type(f"threshold {key!r}", value, float)
         d["thresholds"] = {**DEFAULT_THRESHOLDS, **thresholds}
         return ExperimentConfig(**d)
 

@@ -11,8 +11,11 @@ escaping to infinity); conditioning on hitting a level renormalizes it.
 `invert_renewal` recovers w as W = 1 - 1/C, the power-series reciprocal
 taken by Newton iteration with FFTs in O(N log N).  Conditioned paths are
 drawn in batches: `sample_conditioned_renewals` advances all paths in
-lockstep to their own levels, one vectorized inverse-cdf draw per round,
-and is the only path sampler; `sample_conditioned_renewal` is its one-path call.
+lockstep to their own levels and is the only path sampler;
+`sample_conditioned_renewal` is its one-path call.  Each round draws a run
+of unit jumps in closed form, by one `searchsorted`, and one longer jump by
+rejection from a dyadic envelope in O(log n), so a path costs rounds in
+proportion to its jumps longer than 1, whatever its level.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .numerics import QuadratureSpec, integrate, log_gamma, log_sinh
 
 def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
     """C(0..N): probability that the renewal set contains m, given it contains 0."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"r must be finite and nonnegative, got {r}")
     if N < 1:
         raise ValueError("N must be at least 1")
     m = np.arange(N + 1, dtype=float)
@@ -109,17 +112,27 @@ class RenewalLaw:
         return probs / self.C[gap]
 
 
-_BLOCK_CELLS = 1 << 14  # paths x candidate jumps scanned per block
-
-
 def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[np.ndarray]:
     """`n_paths` independent increasing renewal paths 0 = s_0 < ... < s_k = n
     conditioned to hit n, one level for all or an int array of one per path.
 
-    All paths advance in lockstep: each round draws one uniform per unfinished
-    path and inverts the cdf of its next jump, which from a remaining gap G is
-    j with probability w(j) C(G-j) / C(G).  The points are kept as (owner,
-    gap) arrays and turned into positions level - gap at the end.
+    From a remaining gap G the next jump is j with probability
+    w(j) C(G-j) / C(G).  All paths advance in lockstep, and each round draws
+    for every unfinished path a run of unit jumps and then one longer jump:
+
+    * the run length L has P(L >= l) = w(1)^l C(G-l) / C(G), a product of
+      per-step chances w(1) C(g-1) / C(g) <= 1, so one uniform and one
+      `searchsorted` on their cumulative logs give where it stops;
+    * the jump j >= 2 from the gap g where the run stopped, if g > 0, is
+      drawn by rejection from a dyadic envelope (Devroye 1986, ch. II): the
+      remaining gap m = g - j falls in a class {0} or [2^k, 2^(k+1)), C is
+      nonincreasing, so C(lower end) times the class's w-mass bounds the
+      class; a class is picked by these bounds, j within it in proportion to
+      w, and j is kept with probability C(m) / C(lower end), at least
+      2^-alpha.  Rejected paths draw again until every path has its jump.
+
+    The points are kept as (owner, lowest gap, count) records of runs of
+    consecutive gaps and turned into positions level - gap at the end.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
@@ -135,27 +148,67 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
         return []
     rng = np.random.default_rng(rng)
     levels = np.broadcast_to(levels, (n_paths,))
-    # weight[G + 1] = C(G), the weight of hitting the level from gap G, and
-    # weight[0] = 0 stands for every overshoot (G < 0, index clipped to 0)
-    weight = np.concatenate(([0.0], law.C[:top + 1]))
+    C, w = law.C[:top + 1], law.w[:top + 1]
+    # run[g] = -log P(g unit jumps from gap g); each step is clipped at 0 and
+    # the step from gap 1 is exactly 0 (that jump is forced), so the cumulative
+    # sum is nondecreasing in floating point too, as searchsorted needs
+    steps = np.zeros(top + 1)
+    steps[2:] = np.maximum(np.log(C[2:] / (law.w[1] * C[1:-1])), 0.0)
+    run = np.cumsum(steps)
+    # down[j] = -sum_{i >= j} w(i), j = 0..top+1, rises by w(j) at each j:
+    # tail sums keep the small masses of long jumps, which a cumulative sum
+    # near 1 would round away
+    down = np.append(-np.cumsum(w[::-1])[::-1], 0.0)
+    # envelope class c holds the remaining gaps [lo[c], hi[c]), under C(lo[c])
+    lo = np.concatenate(([0], 2 ** np.arange(max(top - 2, 0).bit_length())))
+    hi, height = np.maximum(2 * lo, 1), C[lo]
     active, gap = np.arange(n_paths), levels.copy()
-    owners, gaps = [active], [gap]
-    while True:
-        live = gap > 0
-        if not live.any():
-            break
-        active, gap = active[live], gap[live]
-        gap = gap - _draw_jumps(law.w, weight, gap, rng.random(active.size) * law.C[gap])
+    owners, lows, counts = [active], [gap], [np.ones(n_paths, dtype=np.int64)]
+    while active.size:
+        # the run goes on while the uniform stays below its chance, so it
+        # stops at the lowest gap g with run[g] >= run[G] + log(uniform)
+        stop = np.searchsorted(run, run[gap] + np.log(rng.random(gap.size)))
         owners.append(active)
-        gaps.append(gap)
+        lows.append(stop)
+        counts.append(gap - stop)
+        live = stop > 0
+        active, gap = active[live], stop[live]
+        jump = np.zeros_like(gap)
+        todo = np.arange(gap.size)
+        while todo.size:
+            g = gap[todo]
+            # class c spans the jumps first..end-1, none where end == first
+            first = np.maximum(g[:, None] - hi + 1, 2)
+            end = np.maximum(g[:, None] - lo + 1, first)
+            cum = np.cumsum((down[end] - down[first]) * height, axis=1)
+            u = rng.random((3, todo.size))
+            c = np.minimum((cum <= (u[0] * cum[:, -1])[:, None]).sum(axis=1), lo.size - 1)
+            pick = np.arange(todo.size), c
+            first, end = first[pick], end[pick]
+            j = np.searchsorted(down, down[first] + u[1] * (down[end] - down[first]),
+                                side="right") - 1
+            # a jump outside its class comes only from rounding, and is rejected
+            keep = (j < end) & (u[2] * height[c] < np.take(C, g - j, mode="clip"))
+            jump[todo[keep]] = j[keep]
+            todo = todo[~keep]
+        gap -= jump
+        owners.append(active)
+        lows.append(gap)
+        counts.append(np.ones(gap.size, dtype=np.int64))
+        live = gap > 0
+        active, gap = active[live], gap[live]
     # each list is dropped once merged, to keep the peak memory low; one
     # in-place sort of owner * (top + 1) + position orders the points by path
-    key = np.concatenate(owners)
+    count = np.concatenate(counts)
+    del counts
+    key = np.repeat(np.concatenate(owners), count)
     del owners
     bounds = np.cumsum(np.bincount(key, minlength=n_paths))[:-1]
+    # the record of lowest gap b and count k holds the gaps b, b+1, ..., b+k-1
     points = levels[key]
-    points -= np.concatenate(gaps)
-    del gaps
+    points -= np.repeat(np.concatenate(lows) - np.cumsum(count) + count, count)
+    del lows
+    points -= np.arange(points.size)
     key *= top + 1
     key += points
     del points
@@ -163,57 +216,9 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
     return np.split(np.remainder(key, top + 1, out=key), bounds)
 
 
-def _draw_jumps(w: np.ndarray, weight: np.ndarray, gap: np.ndarray,
-                target: np.ndarray) -> np.ndarray:
-    """Per path, the least j with sum_{i <= j} w(i) weight(gap - i + 1) >= target.
-
-    Candidate jumps are scanned in shared blocks whose width doubles while
-    the cells (unresolved paths x jumps) stay within _BLOCK_CELLS, or one
-    jump wide past that, so the cost per path is proportional to its jump,
-    not to its level.  A path whose target numerical slack leaves unreached
-    jumps the whole gap.
-    """
-    jump = gap.copy()
-    rows = np.arange(gap.size)
-    lo, width = 1, 8
-    while True:
-        width = max(1, min(2 * width, _BLOCK_CELLS // rows.size, int(gap.max()) - lo + 1))
-        cells = np.take(weight, gap[:, None] - np.arange(lo - 1, lo + width - 1), mode="clip")
-        cells *= w[lo:lo + width]
-        # cells are nonnegative, so each row of csum is nondecreasing
-        csum = cells.cumsum(axis=1)
-        hit = csum >= target[:, None]
-        found = hit[:, -1]
-        jump[rows[found]] = lo + hit[found].argmax(axis=1)
-        lo += width
-        keep = ~found & (gap >= lo)
-        if not keep.any():
-            return jump
-        rows, gap, target = rows[keep], gap[keep], target[keep] - csum[keep, -1]
-
-
 def sample_conditioned_renewal(law: RenewalLaw, n: int, rng) -> np.ndarray:
     """One increasing renewal path 0 = s_0 < ... < s_k = n conditioned to hit n."""
     return sample_conditioned_renewals(law, n, 1, rng)[0]
-
-
-def sample_renewal_overshoot(law: RenewalLaw, level: int, n_paths: int, rng) -> np.ndarray:
-    """First renewal points strictly above `level` for unconditioned paths.
-
-    Vectorized over paths; jumps are drawn by inverse cdf of w.  Requires a
-    non-defective w (r > 0).
-    """
-    rng = np.random.default_rng(rng)
-    cum = np.cumsum(law.w)
-    if cum[-1] < 1.0 - 1e-4:
-        raise ValueError("defective jump law: overshoot may never happen")
-    pos = np.zeros(n_paths, dtype=np.int64)
-    active = np.arange(n_paths)
-    while active.size:
-        jumps = np.searchsorted(cum, rng.random(active.size) * cum[-1], side="left")
-        pos[active] += jumps
-        active = active[pos[active] <= level]
-    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +237,8 @@ class SubordinatorLaw:
     alpha: float
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 

@@ -6,6 +6,9 @@ no determinants), extended beyond the cutoff by trace power series of the
 one-step matrix.  The tail beyond the final cutoff K is geometrically bounded
 by  size * rho^(K+1) / ((K+1)(1-rho))  with rho = 1/(1+c) an upper bound on
 the spectral radius, so K is chosen to push it below 1e-12.
+
+The module also keeps the limit laws and the renewal overshoot sampler that
+serve only as references in the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
+from loopsoup.numerics import log_cosh, log_sinh
+from loopsoup.scaling import RenewalLaw
 
 
 def enumerate_pointed_loops(n: int, max_len: int, allowed=None):
@@ -238,3 +243,56 @@ def renewal_jumps_by_recursion(C: np.ndarray) -> np.ndarray:
     for m in range(1, C.size):
         w[m] = C[m] - np.einsum("i,i->", w[1:m], C[m - 1:0:-1])
     return w
+
+
+# ---------------------------------------------------------------------------
+# limit laws and renewal overshoots used only as references in the tests
+# ---------------------------------------------------------------------------
+
+def prob_split_given_no_cover_limit(kappa: float, alpha: float) -> float:
+    """Limit of P[>= 2 clusters | no winding or circuit-sweeping loop].
+
+    Equals (2 cosh sqrt(k))^alpha sinh(sqrt(k)(1-alpha)) / sinh sqrt(k).
+    """
+    if kappa <= 0.0:
+        raise ValueError("limit formulas require kappa > 0")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    s = math.sqrt(kappa)
+    return min(1.0, math.exp(alpha * (math.log(2.0) + log_cosh(s))
+                             + log_sinh(s * (1.0 - alpha)) - log_sinh(s)))
+
+
+def cluster_extent_limit_density_unnormalized(kappa: float, alpha: float,
+                                              x: float, y: float) -> float:
+    """Unnormalized extent density whose total mass is
+    (2 cosh sqrt(k))^alpha sinh(sqrt(k)(1-alpha)) / sinh(sqrt(k))."""
+    if x <= 0.0 or y <= 0.0 or x + y >= 1.0:
+        return 0.0
+    s = math.sqrt(kappa)
+    z = x + y
+    log_val = (math.log(math.sin(alpha * math.pi) / math.pi)
+               + alpha * math.log(2.0) + math.log((1.0 - alpha) * kappa)
+               + alpha * log_cosh(s)
+               - alpha * log_sinh(s * (1.0 - z))
+               - (2.0 - alpha) * log_sinh(s * z))
+    return math.exp(log_val)
+
+
+def sample_renewal_overshoot(law: RenewalLaw, level: int, n_paths: int, rng) -> np.ndarray:
+    """First renewal points strictly above `level` for unconditioned paths.
+
+    Vectorized over paths; jumps are drawn by inverse cdf of w.  Requires a
+    non-defective w (r > 0).
+    """
+    rng = np.random.default_rng(rng)
+    cum = np.cumsum(law.w)
+    if cum[-1] < 1.0 - 1e-4:
+        raise ValueError("defective jump law: overshoot may never happen")
+    pos = np.zeros(n_paths, dtype=np.int64)
+    active = np.arange(n_paths)
+    while active.size:
+        jumps = np.searchsorted(cum, rng.random(active.size) * cum[-1], side="left")
+        pos[active] += jumps
+        active = active[pos[active] <= level]
+    return pos

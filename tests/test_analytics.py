@@ -9,7 +9,6 @@ from loopsoup.analytics import (
     DetSpec,
     circulant_det,
     cluster_extent_limit_density,
-    cluster_extent_limit_density_unnormalized,
     covered_extent_cdf,
     covered_extent_cdf_limit,
     covered_extent_limit_density,
@@ -22,7 +21,6 @@ from loopsoup.analytics import (
     prob_no_winding_or_covering_limit,
     prob_not_single_partition_limit,
     prob_split_given_no_avoiding,
-    prob_split_given_no_cover_limit,
     prob_split_given_no_avoiding_limit,
     through1_extent_cdf,
     through1_extent_cdf_limit,
@@ -337,7 +335,7 @@ def test_limit_probabilities_lie_in_unit_interval(log_kappa, eps_frac, alpha, a,
         ("prob_split_given_no_avoiding_limit",
          lambda: prob_split_given_no_avoiding_limit(kappa, epsilon, alpha)),
         ("prob_split_given_no_cover_limit",
-         lambda: prob_split_given_no_cover_limit(kappa, alpha)),
+         lambda: oracles.prob_split_given_no_cover_limit(kappa, alpha)),
     ])
 
 
@@ -430,11 +428,10 @@ def test_prob_not_single_partition_limit():
     assert prob_not_single_partition_limit(1.0, 0.5, 0.999) < 5e-3
     assert prob_not_single_partition_limit(1.0, 0.5, 1.2) == 0.0
     # factorization through the conditional split probability
-    from loopsoup.analytics import prob_split_given_no_cover_limit
     kappa, epsilon, alpha = 0.8, 0.3, 0.4
     assert prob_not_single_partition_limit(kappa, epsilon, alpha) == pytest.approx(
         prob_no_winding_or_covering_limit(kappa, epsilon, alpha)
-        * prob_split_given_no_cover_limit(kappa, alpha), rel=1e-12)
+        * oracles.prob_split_given_no_cover_limit(kappa, alpha), rel=1e-12)
 
 
 def test_cluster_extent_density_normalization():
@@ -454,12 +451,11 @@ def test_cluster_extent_density_depends_on_sum_only():
 
 
 def test_unnormalized_extent_density_total_mass():
-    from loopsoup.analytics import prob_split_given_no_cover_limit
     kappa, alpha = 1.0, 0.4
     val, _ = integrate(
-        lambda z: z * cluster_extent_limit_density_unnormalized(kappa, alpha, z / 2, z / 2),
+        lambda z: z * oracles.cluster_extent_limit_density_unnormalized(kappa, alpha, z / 2, z / 2),
         0.0, 1.0, QuadratureSpec(tol=1e-10), points=[0.0, 1.0])
-    assert val == pytest.approx(prob_split_given_no_cover_limit(kappa, alpha), abs=1e-8)
+    assert val == pytest.approx(oracles.prob_split_given_no_cover_limit(kappa, alpha), abs=1e-8)
 
 
 def test_probabilities_stay_in_unit_interval_on_random_models():

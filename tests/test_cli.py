@@ -1,13 +1,16 @@
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from loopsoup.analytics import mass_through_vertex1, prob_not_single_partition_limit
 from loopsoup.circle import build_model
 from loopsoup.cli import main
 from loopsoup.experiments import default_edge_audit_config
+from loopsoup.scaling import ConditionedBridgeLaw, SubordinatorLaw
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +85,22 @@ def test_bridge_subcommand(tmp_path, capsys):
         assert all(b > a for a, b in zip(pts, pts[1:]))
 
 
+def test_bridge_csv_bytes_match_numpy_scalar_formatting(tmp_path, capsys):
+    """Rows formatted from Python floats are byte-identical to rows formatted
+    from the numpy scalars of the same seeded paths."""
+    out_path = tmp_path / "paths.csv"
+    code, _ = run_cli(capsys, "bridge", "--kappa", "1.0", "--alpha", "0.5",
+                      "--resolution", "3000", "--paths", "20", "--seed", "3",
+                      "--out", str(out_path))
+    assert code == 0
+    bridge = ConditionedBridgeLaw(SubordinatorLaw(kappa=1.0, alpha=0.5))
+    expect = io.StringIO(newline="")
+    writer = csv.writer(expect)
+    for pts in bridge.sample_bridge_paths(3000, 20, np.random.default_rng(3)):
+        writer.writerow([f"{p:.8g}" for p in pts])
+    assert out_path.read_bytes() == expect.getvalue().encode()
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     cfg = default_edge_audit_config()
     cfg.replicates = 2000
@@ -116,6 +135,10 @@ def test_experiment_subcommand(tmp_path, capsys):
     (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "0.8",
       "--replicates", "4", "--out", "{tmp}/no_such_dir/reps.jsonl"),
      "No such file or directory"),
+    (("bridge", "--kappa", "1", "--alpha", "0.5", "--seed", str(2 ** 64)), "--seed"),
+    (("bridge", "--kappa", "nan", "--alpha", "0.5"), "kappa must be finite"),
+    (("law", "--formula", "hitting-coefficient", "--alpha", "0.5", "--r", "nan",
+      "--m", "3"), "r must be finite"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
@@ -138,8 +161,16 @@ def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     (lambda d: d.pop("alpha"), "alpha"),
     (lambda d: d.update(schedule={"n": 12}), "schedule"),
     (lambda d: d.update(thresholds=[4.0]), "thresholds"),
+    (lambda d: d.update(replicates="100"), "'replicates' must be int"),
+    (lambda d: d.update(alpha="0.7"), "'alpha' must be float"),
+    (lambda d: d.update(seed=1.5), "'seed' must be int"),
+    (lambda d: d.update(replicates=True), "'replicates' must be int"),
+    (lambda d: d["schedule"][0].update(n=12.0), "'n' must be int"),
+    (lambda d: d["thresholds"].update(z_max="4"), "'z_max' must be float"),
 ], ids=["unknown-name", "unknown-field", "unknown-schedule-field", "empty-schedule",
-        "unknown-threshold", "missing-field", "schedule-not-list", "thresholds-not-object"])
+        "unknown-threshold", "missing-field", "schedule-not-list", "thresholds-not-object",
+        "replicates-string", "alpha-string", "seed-float", "replicates-bool",
+        "schedule-n-float", "threshold-string"])
 def test_bad_experiment_config_exits_with_one_line_message(tmp_path, capsys, edit, message):
     config = default_edge_audit_config(out_dir=str(tmp_path / "run")).to_dict()
     edit(config)

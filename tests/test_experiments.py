@@ -55,6 +55,23 @@ def test_config_omitted_thresholds_take_defaults():
     assert ExperimentConfig.from_dict(d).thresholds == DEFAULT_THRESHOLDS
 
 
+def test_config_values_match_field_annotations():
+    """An int stands for a float and null for an optional field; a bool is no
+    int, and a string or a fractional number is no number of either kind."""
+    d = default_single_partition_config().to_dict()
+    d.update(alpha=1, kappa=1, out_dir=None, comparison_n=None)
+    d["schedule"][0].update(p=1, c=0)
+    d["thresholds"]["z_max"] = 4
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.alpha == 1 and cfg.schedule[0].p == 1 and cfg.thresholds["z_max"] == 4
+    for key, value in (("replicates", "100"), ("alpha", "0.7"), ("seed", 1.5),
+                       ("replicates", True), ("alpha", False), ("kappa", "1"),
+                       ("out_dir", 3), ("bridge_paths", None), ("name", 1)):
+        bad = {**d, key: value}
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            ExperimentConfig.from_dict(bad)
+
+
 def test_config_validate_rejects_target_miss():
     cfg = default_single_partition_config()
     cfg.schedule = [ScheduleEntry(n=100, p=0.5, c=0.3)]  # way off kappa = 1

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import renewal_jumps_by_recursion
+from oracles import (
+    cluster_extent_limit_density_unnormalized,
+    renewal_jumps_by_recursion,
+    sample_renewal_overshoot,
+)
 from loopsoup.numerics import (
     QuadratureSpec,
     chi_square_pvalue,
@@ -25,7 +29,6 @@ from loopsoup.scaling import (
     invert_renewal,
     sample_conditioned_renewal,
     sample_conditioned_renewals,
-    sample_renewal_overshoot,
 )
 
 
@@ -209,6 +212,71 @@ def test_conditioned_sampler_second_jump_law():
         p = pmf[j - 1]
         se = math.sqrt(p * (1 - p) / seconds.size)
         assert abs(np.mean(seconds == j) - p) < 3.5 * se
+
+
+def _path_pmf(law: RenewalLaw, level: int) -> np.ndarray:
+    """Probability prod w(gaps) / C(level) of every path to `level`, indexed
+    by the bit mask of its inner points (bit s-1 set when s is visited)."""
+    pmf = np.empty(2 ** max(level - 1, 0))
+    for mask in range(pmf.size):
+        pts = [0] + [s for s in range(1, level) if mask >> (s - 1) & 1] + [level] * (level > 0)
+        pmf[mask] = math.prod(law.w[b - a] for a, b in zip(pts, pts[1:])) / law.C[level]
+    return pmf
+
+
+def _assert_path_law(law: RenewalLaw, level: int, paths) -> None:
+    """Chi-square of sampled path frequencies against the enumerated law,
+    cells expected below 5 merged into one."""
+    assert all(path[0] == 0 and path[-1] == level for path in paths)
+    pmf = _path_pmf(law, level)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
+    masks = [int(np.sum(1 << (path[1:-1] - 1))) for path in paths]
+    counts = np.bincount(masks, minlength=pmf.size)
+    if pmf.size == 1:  # levels 0 and 1 have one path each
+        assert counts[0] == len(paths)
+        return
+    small = pmf * len(paths) < 5.0
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(pmf[~small], pmf[small].sum())
+    if not small.any():
+        obs, exp = obs[:-1], exp[:-1]
+    assert chi_square_pvalue(obs, exp)[1] > 1e-3, (law.alpha, law.r, level)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("r", [0.0, 0.1])
+def test_conditioned_sampler_whole_path_law(alpha, r):
+    """Every one of the 512 paths to level 10 appears with probability
+    prod w(gaps) / C(10): pins the unit runs and the envelope draws together."""
+    law = RenewalLaw.build(alpha, r, 10)
+    seed = 1000 + round(100 * alpha) + round(10 * r)
+    paths = sample_conditioned_renewals(law, 10, 40_000, np.random.default_rng(seed))
+    _assert_path_law(law, 10, paths)
+
+
+def test_conditioned_sampler_mixed_levels_at_large_nr():
+    """One batch of the kappa = 400 bridge law at resolution 2000 with levels
+    0, 1, 2, 9 and 2000: whole-path laws at the small levels; at 2000
+    (n r = 20) the visit probabilities C(s) C(n-s) / C(n), and the first and
+    last jumps, which share the law w(j) C(n-j) / C(n) since a path's
+    probability does not change when its gaps are reversed."""
+    n = 2000
+    law = ConditionedBridgeLaw(SubordinatorLaw(kappa=400.0, alpha=0.5)).renewal_approximation(n)
+    levels = np.tile([0, 1, 2, 9, n], 20_000)
+    paths = sample_conditioned_renewals(law, levels, levels.size, np.random.default_rng(4000))
+    for level in (0, 1, 2, 9):
+        _assert_path_law(law, level, [p for p, lv in zip(paths, levels) if lv == level])
+    long = [p for p, lv in zip(paths, levels) if lv == n]
+    visits = np.bincount(np.concatenate(long), minlength=n + 1) / len(long)
+    states = np.array([1, 2, 3, 5, 10, 50, 200, 1000, 1990, 1998, 1999])
+    p = law.C[states] * law.C[n - states] / law.C[n]
+    z = (visits[states] - p) / np.sqrt(p * (1.0 - p) / len(long))
+    assert np.abs(z).max() < 4.0, z
+    pmf = law.conditioned_jump_pmf(0, n)
+    exp = np.append(pmf[:12], pmf[12:].sum())
+    for jumps in (np.array([path[1] for path in long]), n - np.array([path[-2] for path in long])):
+        counts = np.bincount(jumps, minlength=n + 1)[1:]
+        assert chi_square_pvalue(np.append(counts[:12], counts[12:].sum()), exp)[1] > 1e-3
 
 
 def test_conditioned_sampler_deterministic_for_seed():
@@ -417,10 +485,7 @@ def test_crossing_joint_mixture_reproduces_extent_density():
     the unnormalized cluster-extent density."""
     from scipy.integrate import dblquad
 
-    from loopsoup.analytics import (
-        cluster_extent_limit_density_unnormalized,
-        covered_extent_limit_density,
-    )
+    from loopsoup.analytics import covered_extent_limit_density
 
     kappa, alpha = 1.0, 0.4
     for (x0, y0) in [(0.35, 0.3), (0.5, 0.2)]:
