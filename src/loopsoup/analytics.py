@@ -2,7 +2,8 @@
 
 All finite-n quantities reduce to log-determinants of tridiagonal or circulant
 restrictions of the walk generator, evaluated in the log domain so that large
-n*r never overflows.  The r -> 0 degenerate cases go through series limits.
+n*r never overflows; the mass inside any vertex subset is a sum of arc masses.
+The r -> 0 degenerate cases go through series limits.
 """
 
 from __future__ import annotations
@@ -100,47 +101,38 @@ def _log_det_circle(model: CircleModel) -> float:
     """log det(-L on the full circle) = n log s + log 2 + log(cosh nr - cosh nd)."""
     n = model.n
     big, small = n * model.r, n * _half_log_drift(model)
-    if big <= small:
-        return -math.inf  # singular: only at kappa = 0
+    if model.c == 0.0 or big <= small:
+        # singular at c = 0, where constants are harmonic; r equals the half
+        # log-drift there only up to rounding, so big <= small alone misses it
+        return -math.inf
     return n * _log_s(model) + math.log(2.0) + log_cosh_diff(big, small)
 
 
-def _is_arc(idx: np.ndarray, n: int) -> bool:
-    """True when the 0-based sorted vertex set is contiguous modulo n."""
-    gaps = int(np.sum(np.diff(idx) > 1))
-    if (idx[0] + n) - idx[-1] > 1:
-        gaps += 1
-    return gaps == 1
+def _arc_mass(model: CircleModel, k: int) -> float:
+    """Mass of the non-trivial loops inside a k-vertex arc."""
+    return k * math.log(1.0 + model.c) - _log_det_arc(model, k)
 
 
 def mass_inside(model: CircleModel, subset) -> float:
     """Total loop mass of non-trivial loops visiting only vertices in `subset`.
 
-    Arcs and the full circle use the closed-form determinants; arbitrary
-    subsets fall back to a dense LU log-determinant.  Returns +inf when the
-    restricted generator is singular (infinite mass, only at kappa = 0).
+    The restricted generator is block-diagonal over the maximal cyclic runs
+    of the subset, so the mass is the sum of their closed-form arc masses;
+    the full circle uses the circulant determinant.  Returns +inf when the
+    restricted generator is singular (infinite mass, only for the full circle
+    at c = 0).
     """
     verts = sorted(set(int(v) for v in subset))
     if any(not 1 <= v <= model.n for v in verts):
         raise ValueError("subset must consist of vertices 1..n")
-    size = len(verts)
-    if size <= 1:
-        return 0.0
-    log_diag_sum = size * math.log(1.0 + model.c)
-    if size == model.n:
-        log_det = _log_det_circle(model)
-    else:
-        idx = np.asarray(verts, dtype=int) - 1
-        if _is_arc(idx, model.n):
-            log_det = _log_det_arc(model, size)
-        else:
-            L = model.generator()
-            sign, log_det = np.linalg.slogdet(-L[np.ix_(idx, idx)])
-            if sign <= 0:
-                return math.inf
-    if log_det == -math.inf:
-        return math.inf
-    return -log_det + log_diag_sum
+    if len(verts) == model.n:
+        return model.n * math.log(1.0 + model.c) - _log_det_circle(model)
+    idx = np.asarray(verts, dtype=int)
+    cuts = np.flatnonzero(np.diff(idx) > 1) + 1
+    runs = np.diff(np.concatenate(([0], cuts, [idx.size]))).tolist()
+    if len(runs) > 1 and verts[0] == 1 and verts[-1] == model.n:
+        runs[0] += runs.pop()  # the run through vertex n continues at vertex 1
+    return sum((_arc_mass(model, k) for k in runs if k > 1), 0.0)
 
 
 def mass_avoiding_edges(model: CircleModel, edges) -> float:
@@ -166,13 +158,13 @@ def mass_through_vertex1(model: CircleModel) -> float:
     """Mass of non-trivial loops visiting vertex 1.
 
     Closed form log(coth r) + log sinh(nr) - log(cosh nr - cosh(n d)) with
-    d the half log-drift; +inf at kappa = 0.
+    d the half log-drift; +inf at c = 0.
     """
     n, r = model.n, model.r
     if r == 0.0:
         return math.inf
     big, small = n * r, n * _half_log_drift(model)
-    if big <= small:
+    if model.c == 0.0 or big <= small:
         return math.inf
     return (log_cosh(r) - log_sinh(r)) + log_sinh(big) - log_cosh_diff(big, small)
 
@@ -222,11 +214,11 @@ def _clip_unit(x: float) -> float:
 def prob_no_winding_or_covering(model: CircleModel) -> float:
     """P[soup contains no winding and no circuit-sweeping loop].
 
-    Equals (cosh(nr) / (cosh(nr) - cosh(n d)))^(-alpha); 0 at kappa = 0.
+    Equals (cosh(nr) / (cosh(nr) - cosh(n d)))^(-alpha); 0 at c = 0.
     """
     n, r = model.n, model.r
     big, small = n * r, n * _half_log_drift(model)
-    if big <= small:
+    if model.c == 0.0 or big <= small:
         return 0.0
     return _clip_unit(math.exp(model.alpha * (log_cosh_diff(big, small) - log_cosh(big))))
 

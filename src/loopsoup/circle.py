@@ -108,10 +108,10 @@ def build_model(n: int, p: float, c: float, alpha: float) -> CircleModel:
         raise ValueError("n must be at least 3")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"c must be finite and nonnegative, got {c}")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     kappa, r = derived_killing(p, c)
     return CircleModel(n=n, p=p, c=c, alpha=alpha, kappa=kappa, r=r)
 

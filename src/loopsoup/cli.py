@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -113,6 +114,9 @@ def _evaluate(formulas, args) -> int:
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
         raise ValueError(f"formula {args.formula} needs {' '.join(missing)}")
+    for name in needed:
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
     _emit(args.formula, args, fn(args))
     return 0
 

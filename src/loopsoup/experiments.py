@@ -266,21 +266,20 @@ def run_edge_probability_audit(config: ExperimentConfig) -> dict:
     entry = config.schedule[0]
     model = entry.model(config.alpha)
     ens = conditional_experiment(model, config.seed, "unconditioned", config.replicates)
+    # the loops avoiding one undirected edge are the loops of the n-vertex arc
+    # that edge cuts the circle into, so by rotation every edge has one value
     total = analytics.mass_inside(model, range(1, model.n + 1))
+    p_closed = math.exp(-config.alpha * (total - analytics._arc_mass(model, model.n)))
+    se = math.sqrt(max(p_closed * (1 - p_closed), 1e-30) / config.replicates)
     rows = []
     z_max = config.thresholds["z_max"]
     all_pass = True
     for e in range(model.n):
-        u = e + 1
-        v = (e + 1) % model.n + 1
-        avoid = analytics.mass_avoiding_edges(model, [(u, v), (v, u)])
-        p_closed = math.exp(-config.alpha * (total - avoid))
         p_hat = ens.closed_edge_totals[e] / config.replicates
-        se = math.sqrt(max(p_closed * (1 - p_closed), 1e-30) / config.replicates)
-        z = (p_hat - p_closed) / se if se > 0 else 0.0
+        z = (p_hat - p_closed) / se
         ok = abs(z) <= z_max
         all_pass &= ok
-        rows.append({"edge": u, "analytic": p_closed, "mc": p_hat,
+        rows.append({"edge": e + 1, "analytic": p_closed, "mc": p_hat,
                      "z": z, "pass": ok})
     report = _jsonable({
         "experiment": config.name,
@@ -299,34 +298,23 @@ def run_edge_probability_audit(config: ExperimentConfig) -> dict:
 def _simplex_cell_probs(kappa: float, alpha: float, bins: int) -> np.ndarray:
     """Integral of the extent limit density over each cell of a bins x bins grid.
 
-    The density depends on x + y only, so each cell integral reduces to a 1-D
-    integral of density(z) times the overlap width of the anti-diagonal line
-    x + y = z with the cell.
+    The density is f(x + y), so with H(z) = int_z^1 (t - z) f(t) dt, H'' = f
+    and the cell [a1, a2] x [b1, b2] is the second difference
+    H(a2+b2) - H(a1+b2) - H(a2+b1) + H(a1+b1).  H(0) = 1 is the density's
+    normalisation and H vanishes from z = 1 on.
     """
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    probs = np.zeros((bins, bins))
+    def f(t):
+        return analytics.cluster_extent_limit_density(kappa, alpha, t / 2.0, t / 2.0)
 
-    def density_z(z):
-        return analytics.cluster_extent_limit_density(kappa, alpha, z / 2.0, z / 2.0)
-
-    for i in range(bins):
-        for j in range(bins):
-            a1, a2 = edges[i], edges[i + 1]
-            b1, b2 = edges[j], edges[j + 1]
-            z_lo, z_hi = a1 + b1, min(a2 + b2, 1.0)
-            if z_hi <= z_lo:
-                continue
-
-            def integrand(z):
-                width = min(a2, z - b1) - max(a1, z - b2)
-                return density_z(z) * max(width, 0.0)
-
-            breaks = [t for t in (a1 + b2, a2 + b1) if z_lo < t < z_hi]
-            val, _ = integrate(integrand, z_lo, z_hi,
-                               QuadratureSpec(tol=1e-9, limit=300),
-                               points=breaks or None)
-            probs[i, j] = val
-    return probs
+    H = np.zeros(2 * bins + 1)  # H(k / bins)
+    H[0] = 1.0
+    for k in range(1, bins):
+        z = k / bins
+        H[k], _ = integrate(lambda t: (t - z) * f(t), z, 1.0,
+                            QuadratureSpec(tol=1e-12, limit=300))
+    # cell (i, j) has a1 + b1 = (i+j)/bins and a1 + b2 = a2 + b1 = (i+j+1)/bins
+    cell = np.arange(bins)
+    return np.diff(H, 2)[np.add.outer(cell, cell)]
 
 
 def extent_histogram_pvalue(ensemble: SoupEnsemble, kappa: float, alpha: float,

@@ -103,19 +103,11 @@ def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
     return total
 
 
-def riemann_zeta(alpha: float, *, terms: int = 400) -> float:
-    """zeta(alpha) for alpha > 1, by direct series plus Euler-Maclaurin tail."""
-    if alpha <= 1.0:
+def riemann_zeta(alpha: float) -> float:
+    """zeta(alpha) for alpha > 1."""
+    if not alpha > 1.0:
         raise ValueError("riemann_zeta requires alpha > 1")
-    K = terms
-    head = sum(k ** -alpha for k in range(1, K))
-    # Euler-Maclaurin starting at K: integral + K^-a/2 + B2 and B4 corrections
-    a = alpha
-    tail = (K ** (1.0 - a) / (a - 1.0)
-            + 0.5 * K ** -a
-            + a / 12.0 * K ** (-a - 1.0)
-            - a * (a + 1.0) * (a + 2.0) / 720.0 * K ** (-a - 3.0))
-    return head + tail
+    return float(_sci_special.zeta(alpha))
 
 
 # ---------------------------------------------------------------------------

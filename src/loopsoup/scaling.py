@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .numerics import QuadratureSpec, integrate, log_gamma, log_sinh
+from .numerics import QuadratureSpec, integrate, log_gamma, log_sinh, polylog, riemann_zeta
 
 
 def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
     """C(0..N): probability that the renewal set contains m, given it contains 0."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and nonnegative, got {r}")
     if N < 1:
@@ -415,8 +417,6 @@ def halfline_gap_pgf(alpha: float, s: float) -> float:
 
     Equals 1 - s / Li_alpha(s) for 0 < s < 1.
     """
-    from .numerics import polylog
-
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     return 1.0 - s / polylog(alpha, s)
@@ -424,8 +424,6 @@ def halfline_gap_pgf(alpha: float, s: float) -> float:
 
 def escape_probability(alpha: float) -> float:
     """P[the first gap is infinite] = 1 / zeta(alpha), for alpha > 1."""
-    from .numerics import riemann_zeta
-
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError("escape requires alpha > 1")
     return 1.0 / riemann_zeta(alpha)

@@ -8,7 +8,8 @@ by  size * rho^(K+1) / ((K+1)(1-rho))  with rho = 1/(1+c) an upper bound on
 the spectral radius, so K is chosen to push it below 1e-12.
 
 The module also keeps the limit laws and the renewal overshoot sampler that
-serve only as references in the tests.
+serve only as references in the tests, and the dense-determinant masses and
+nested-quadrature cell table that the closed forms replaced.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from itertools import product
 import numpy as np
 from scipy.linalg import solve_banded
 
+from loopsoup.analytics import cluster_extent_limit_density
 from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
-from loopsoup.numerics import log_cosh, log_sinh
+from loopsoup.numerics import QuadratureSpec, integrate, log_cosh, log_sinh
 from loopsoup.scaling import RenewalLaw
 
 
@@ -132,6 +134,18 @@ def series_mass_inside(model: CircleModel, subset, K: int) -> float:
     """Trace-series mass of loops inside subset, lengths 2..K."""
     Q = circle_jump_matrix(model, subset)
     return trace_series(Q, 2, K)
+
+
+def dense_mass_inside(model: CircleModel, subset) -> float:
+    """Mass of loops inside subset from the dense LU log-determinant of the
+    restricted generator; +inf when it is singular."""
+    idx = np.asarray(sorted(set(subset)), dtype=int) - 1
+    if idx.size <= 1:
+        return 0.0
+    sign, log_det = np.linalg.slogdet(-model.generator()[np.ix_(idx, idx)])
+    if sign <= 0:
+        return math.inf
+    return idx.size * math.log1p(model.c) - log_det
 
 
 def series_mass_through_vertex1(model: CircleModel, K: int) -> float:
@@ -277,6 +291,34 @@ def cluster_extent_limit_density_unnormalized(kappa: float, alpha: float,
                - alpha * log_sinh(s * (1.0 - z))
                - (2.0 - alpha) * log_sinh(s * z))
     return math.exp(log_val)
+
+
+def simplex_cell_probs_nested(kappa: float, alpha: float, bins: int) -> np.ndarray:
+    """The extent limit density integrated over each cell of a bins x bins grid.
+
+    The density is f(x + y), so each cell is a 1-D integral of f(z) times the
+    length of the anti-diagonal x + y = z inside the cell, taken cell by cell.
+    """
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    probs = np.zeros((bins, bins))
+    for i in range(bins):
+        for j in range(bins):
+            a1, a2 = edges[i], edges[i + 1]
+            b1, b2 = edges[j], edges[j + 1]
+            z_lo, z_hi = a1 + b1, min(a2 + b2, 1.0)
+            if z_hi <= z_lo:
+                continue
+
+            def integrand(z):
+                width = min(a2, z - b1) - max(a1, z - b2)
+                density = cluster_extent_limit_density(kappa, alpha, z / 2.0, z / 2.0)
+                return density * max(width, 0.0)
+
+            breaks = [t for t in (a1 + b2, a2 + b1) if z_lo < t < z_hi]
+            probs[i, j], _ = integrate(integrand, z_lo, z_hi,
+                                       QuadratureSpec(tol=1e-9, limit=300),
+                                       points=breaks or None)
+    return probs
 
 
 def sample_renewal_overshoot(law: RenewalLaw, level: int, n_paths: int, rng) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopsoup.analytics import (
@@ -117,6 +117,22 @@ def test_mass_inside_series_matches_closed_form_on_arcs():
         assert mass_inside(model, subset) == pytest.approx(series, abs=1e-10)
 
 
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(3, 40), p=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+       c=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+       keep=st.lists(st.booleans(), min_size=40, max_size=40))
+@example(n=9, p=0.5, c=0.0, keep=[True, True, False, True, False, False, True, True, True] + [False] * 31)
+@example(n=12, p=0.8, c=0.0, keep=[True, False] * 5 + [True, True] + [False] * 28)
+def test_mass_inside_arc_sum_matches_dense_determinant(n, p, c, keep):
+    """Any proper subset: the sum of its cyclic-run arc masses equals the
+    dense LU log-determinant mass, wrap-around runs and c = 0 included."""
+    subset = [v for v in range(1, n + 1) if keep[v - 1]]
+    assume(len(subset) < n)
+    model = build_model(n, p, c, 1.0)
+    assert mass_inside(model, subset) == pytest.approx(
+        oracles.dense_mass_inside(model, subset), rel=1e-12, abs=1e-14)
+
+
 def test_mass_avoiding_edges_matches_enumeration():
     edges = [(1, 2), (2, 1)]
     enum = oracles.enum_mass_avoiding_edges(MODEL, edges, 14)
@@ -205,6 +221,18 @@ def test_kappa_zero_masses_are_infinite():
     assert math.isfinite(mass_inside(m0, [1, 2, 3]))
     assert mass_inside(m0, [1, 2, 3]) == pytest.approx(
         oracles.series_mass_inside(m0, [1, 2, 3], 600), abs=1e-8)
+
+
+def test_circle_masses_are_infinite_at_c_zero_with_drift():
+    """At c = 0 the constants are harmonic on the circle for any drift, so the
+    total and through-1 masses are infinite, although kappa > 0 and r equals
+    the half log-drift only up to rounding."""
+    for p in np.linspace(0.01, 0.99, 99):
+        model = build_model(10, float(p), 0.0, 1.0)
+        assert mass_inside(model, range(1, 11)) == math.inf
+        assert mass_through_vertex1(model) == math.inf
+        assert prob_no_winding_or_covering(model) == 0.0
+        assert math.isfinite(mass_inside(model, range(2, 11)))
 
 
 # ---------------------------------------------------------------------------

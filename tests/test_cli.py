@@ -8,7 +8,7 @@ import pytest
 
 from loopsoup.analytics import mass_through_vertex1, prob_not_single_partition_limit
 from loopsoup.circle import build_model
-from loopsoup.cli import main
+from loopsoup.cli import LAW_FORMULAS, main
 from loopsoup.experiments import default_edge_audit_config
 from loopsoup.scaling import ConditionedBridgeLaw, SubordinatorLaw
 
@@ -139,6 +139,21 @@ def test_experiment_subcommand(tmp_path, capsys):
     (("bridge", "--kappa", "nan", "--alpha", "0.5"), "kappa must be finite"),
     (("law", "--formula", "hitting-coefficient", "--alpha", "0.5", "--r", "nan",
       "--m", "3"), "r must be finite"),
+    (("law", "--formula", "escape-probability", "--alpha", "nan"), "--alpha must be finite"),
+    (("law", "--formula", "cluster-extent-limit-density", "--kappa", "nan",
+      "--alpha", "0.5", "--x", "0.2", "--y", "0.3"), "--kappa must be finite"),
+    (("law", "--formula", "hitting-coefficient", "--alpha", "nan", "--r", "0.01",
+      "--m", "3"), "--alpha must be finite"),
+    (("law", "--formula", "levy-tail", "--kappa", "1", "--alpha", "0.5", "--t", "inf"),
+     "--t must be finite"),
+    (("law", "--formula", "hitting-coefficient", "--alpha", "-1", "--r", "0.01",
+      "--m", "3"), "alpha must be finite and nonnegative"),
+    (("analytic", "--formula", "mass-total", "--n", "8", "--p", "0.5", "--c", "nan",
+      "--alpha", "1.0"), "c must be finite"),
+    (("analytic", "--formula", "mass-total", "--n", "8", "--p", "0.5", "--c", "0.3",
+      "--alpha", "inf"), "alpha must be finite"),
+    (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "nan",
+      "--replicates", "4"), "alpha must be finite"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
@@ -150,6 +165,26 @@ def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1 and message in captured.err
     assert not out_path.exists()
+
+
+_FINITE_VALUES = {"kappa": "1", "epsilon": "0.3", "alpha": "0.5", "a": "0.2", "b": "0.3",
+                  "x": "0.4", "y": "0.3", "t": "0.5", "lam": "1", "s": "0.5", "r": "0.01",
+                  "m": "3", "M": "2"}
+
+
+@pytest.mark.parametrize("formula", sorted(LAW_FORMULAS))
+def test_law_rejects_non_finite_parameters(capsys, formula):
+    """Every required parameter of every limit law must be finite."""
+    needed = LAW_FORMULAS[formula][1]
+    for name in needed:
+        for bad in ("nan", "inf", "-inf"):
+            argv = ["law", "--formula", formula]
+            argv += [f"--{q}={bad if q == name else _FINITE_VALUES[q]}" for q in needed]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv
+            assert captured.err.strip() == (
+                f"loopsoup law: error: --{name} must be finite, got {float(bad)}")
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from loopsoup.analytics import mass_avoiding_edges, mass_inside
 from loopsoup.circle import derived_killing
 from loopsoup.experiments import (
     DEFAULT_THRESHOLDS,
     ExperimentConfig,
     ScheduleEntry,
+    _simplex_cell_probs,
     asymmetric_schedule,
     default_cluster_scaling_config,
     default_edge_audit_config,
@@ -21,6 +23,8 @@ from loopsoup.experiments import (
 )
 from loopsoup.sampler import conditional_experiment
 from loopsoup.circle import build_model
+
+import oracles
 
 
 def test_symmetric_schedule_hits_targets():
@@ -108,6 +112,36 @@ def test_edge_audit_default_scale():
     report = run_edge_probability_audit(cfg)
     assert report["passed"]
     assert max(abs(r["z"]) for r in report["edges"]) <= 4.0
+
+
+def test_edge_audit_reference_matches_dense_edge_masses():
+    """Every row's closure probability equals the one computed from the dense
+    mass of the loops avoiding that undirected edge, on the default model and
+    on a drifted one."""
+    drifted = default_edge_audit_config()
+    drifted.schedule = [ScheduleEntry(n=9, p=0.71, c=0.05)]
+    drifted.alpha = 1.3
+    for cfg in (default_edge_audit_config(), drifted):
+        cfg.replicates = 200
+        model = cfg.schedule[0].model(cfg.alpha)
+        total = mass_inside(model, range(1, model.n + 1))
+        for row in run_edge_probability_audit(cfg)["edges"]:
+            u, v = row["edge"], row["edge"] % model.n + 1
+            avoid = mass_avoiding_edges(model, [(u, v), (v, u)])
+            assert row["analytic"] == pytest.approx(
+                math.exp(-cfg.alpha * (total - avoid)), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa, alpha", [(1.0, 0.5), (0.01, 0.2), (4.0, 0.05), (25.0, 0.9)])
+def test_simplex_cells_match_nested_quadrature(kappa, alpha):
+    """The second-difference cell table agrees with cell-by-cell quadrature,
+    has no negative cell and sums to 1."""
+    probs = _simplex_cell_probs(kappa, alpha, 6)
+    assert probs.shape == (6, 6)
+    assert probs.min() >= -1e-15
+    assert probs.sum() == pytest.approx(1.0, abs=1e-8)
+    np.testing.assert_allclose(probs, oracles.simplex_cell_probs_nested(kappa, alpha, 6),
+                               rtol=0, atol=1e-8)
 
 
 def test_report_reproducible():
