@@ -22,6 +22,7 @@ from .numerics import (
     log_cosh_diff,
     log_sinh,
     log_sinh_ratio,
+    require_finite,
 )
 
 
@@ -225,6 +226,7 @@ def prob_no_winding_or_covering(model: CircleModel) -> float:
 
 def prob_no_winding_or_covering_limit(kappa: float, epsilon: float, alpha: float) -> float:
     """Scaling limit ((cosh sqrt(k) - cosh sqrt(k-2e)) / cosh sqrt(k))^alpha."""
+    require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
     _require_limit_domain(kappa, epsilon)
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
@@ -232,7 +234,7 @@ def prob_no_winding_or_covering_limit(kappa: float, epsilon: float, alpha: float
 
 
 def _require_limit_domain(kappa: float, epsilon: float) -> None:
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("limit formulas require kappa > 0")
     if not 0.0 <= epsilon <= kappa / 2.0:
         raise ValueError("epsilon must lie in [0, kappa/2]")
@@ -257,9 +259,10 @@ def covered_extent_cdf(model: CircleModel, m: int, M: int) -> float:
 
 def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> float:
     """Limit law of the scaled swept interval: P[A <= a, B <= b]."""
-    if kappa <= 0.0:
+    require_finite(kappa=kappa, alpha=alpha, a=a, b=b)
+    if not kappa > 0.0:
         raise ValueError("limit formulas require kappa > 0")
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):
         raise ValueError("extents must be nonnegative")
     if a == 0.0 or b == 0.0:
         return 0.0
@@ -271,7 +274,8 @@ def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> 
 
 def covered_extent_limit_density(kappa: float, alpha: float, a: float, b: float) -> float:
     """Joint density of the scaled swept-interval extents (A, B)."""
-    if kappa <= 0.0:
+    require_finite(kappa=kappa, alpha=alpha, a=a, b=b)
+    if not kappa > 0.0:
         raise ValueError("limit formulas require kappa > 0")
     if a <= 0.0 or b <= 0.0:
         return 0.0
@@ -298,8 +302,9 @@ def through1_extent_cdf(model: CircleModel, m: int, M: int) -> float:
 def through1_extent_cdf_limit(kappa: float, epsilon: float, alpha: float,
                               a: float, b: float) -> float:
     """Scaling limit of through1_extent_cdf at scaled extents (a, b), a+b <= 1."""
+    require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha, a=a, b=b)
     _require_limit_domain(kappa, epsilon)
-    if a < 0 or b < 0 or a + b > 1.0:
+    if not (a >= 0 and b >= 0 and a + b <= 1.0):
         raise ValueError("need a, b >= 0 and a + b <= 1")
     return (prob_no_winding_or_covering_limit(kappa, epsilon, alpha)
             * covered_extent_cdf_limit(kappa, alpha, a, b))
@@ -328,8 +333,9 @@ def prob_split_given_no_avoiding_limit(kappa: float, epsilon: float,
     Equals 2^a * a*sqrt(k) * (cosh sqrt(k) - cosh sqrt(k-2e))^a / sinh(sqrt(k))^(2a+1)
     times the integral over (0, 1) of sinh(sqrt(k) t)^(a-1) sinh(sqrt(k)(1-t))^(a+1) dt.
     """
+    require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
     _require_limit_domain(kappa, epsilon)
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
@@ -363,8 +369,9 @@ def prob_not_single_partition_limit(kappa: float, epsilon: float, alpha: float) 
     2^a sinh(sqrt(k)(1-a)) (cosh sqrt(k) - cosh sqrt(k-2e))^a / sinh sqrt(k)
     for 0 < alpha < 1; identically 0 for alpha >= 1 (single cluster a.s.).
     """
+    require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
     _require_limit_domain(kappa, epsilon)
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     if alpha >= 1.0:
         return 0.0
@@ -382,7 +389,8 @@ def cluster_extent_limit_density(kappa: float, alpha: float, x: float, y: float)
     Normalized so the integral over {x, y > 0, x + y < 1} is 1; zero outside.
     Depends on the extents only through x + y.
     """
-    if kappa <= 0.0:
+    require_finite(kappa=kappa, alpha=alpha, x=x, y=y)
+    if not kappa > 0.0:
         raise ValueError("limit formulas require kappa > 0")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

@@ -133,14 +133,12 @@ def _cmd_sample(args) -> int:
     model = build_model(args.n, args.p, args.c, args.alpha)
     ens = conditional_experiment(model, args.seed, args.condition,
                                  args.replicates, keep_closed_edges=True)
-    records = experiments.ensemble_records(ens)
+    lines = experiments.replicate_lines(ens)
     if args.out:
         with open(args.out, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.writelines(lines)
     else:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
+        sys.stdout.writelines(lines)
     if args.summary:
         with open(args.summary, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -165,12 +163,13 @@ def _cmd_bridge(args) -> int:
     law = bridge.renewal_approximation(args.resolution)
     rng = np.random.default_rng(args.seed)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out)
-    # paths are drawn in chunks so memory stays bounded for any --paths
+    # paths are drawn in chunks so memory stays bounded for any --paths; a row
+    # is one template, the bytes csv.writer gives for the same formatted fields
     for start in range(0, args.paths, _BRIDGE_CHUNK):
         count = min(_BRIDGE_CHUNK, args.paths - start)
-        for pts in bridge.sample_bridge_paths(args.resolution, count, rng, law=law):
-            writer.writerow([f"{p:.8g}" for p in pts.tolist()])
+        paths = bridge.sample_bridge_paths(args.resolution, count, rng, law=law)
+        out.writelines(("%.8g," * (pts.size - 1) + "%.8g\r\n") % tuple(pts.tolist())
+                       for pts in paths)
     if args.out:
         out.close()
     return 0

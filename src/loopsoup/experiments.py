@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -113,8 +114,14 @@ class ExperimentConfig:
     histogram_replicates: int = 2000      # power-calibrated histogram subsample
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
-    def validate(self) -> None:
-        """Check the schedule drifts toward the declared limit targets."""
+    def validate(self, seed_offset: int = 0) -> None:
+        """Check the seed leaves room for the runner's streams, seed up to
+        seed + seed_offset, and that the schedule drifts toward the declared
+        limit targets."""
+        if not 0 <= self.seed < 2 ** 64 - seed_offset:
+            bound = f"2^64 - {seed_offset}" if seed_offset else "2^64"
+            raise ValueError(f"seed must lie in [0, {bound}) for {self.name}, "
+                             f"got {self.seed}")
         if self.kappa is None:
             return
         rel = self.thresholds.get("drift_rel", 0.05)
@@ -208,7 +215,9 @@ def _jsonable(obj):
 
 
 def _write_outputs(config: ExperimentConfig, report: dict, rows: list[dict],
-                   replicate_lines: list[dict] | None) -> None:
+                   lines: Iterable[str] | None) -> None:
+    """Write config.json, report.json, summary.csv from `rows` and, when
+    `lines` is given, replicates.jsonl from those lines (see replicate_lines)."""
     if config.out_dir is None:
         return
     os.makedirs(config.out_dir, exist_ok=True)
@@ -221,39 +230,58 @@ def _write_outputs(config: ExperimentConfig, report: dict, rows: list[dict],
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-    if replicate_lines is not None:
+    if lines is not None:
         with open(os.path.join(config.out_dir, "replicates.jsonl"), "w") as fh:
-            for line in replicate_lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+            fh.writelines(lines)
+
+
+_LINE_CHUNK = 4096  # replicates formatted per batch of columns
+
+
+def replicate_lines(ensemble: SoupEnsemble) -> Iterator[str]:
+    """One JSON line per replicate, keys sorted, made lazily from the ensemble's columns.
+
+    Each chunk of replicates is turned into Python lists by `tolist()` and
+    every line is one `%` template over a row of them, so the bytes equal
+    `json.dumps(record, sort_keys=True) + "\n"` without building the record.
+    Extent fields are -1 / null when their defining event does not hold
+    (origin extents need a closed edge; through extents additionally need a
+    replicate free of loops avoiding vertex 1).  `closed_left_endpoints`
+    (1-based) is present when the ensemble kept its closed edges.
+    """
+    keep = ensemble.closed_edges is not None
+    template = ('{"closed_edges": %d, '
+                + ('"closed_left_endpoints": %s, ' if keep else '')
+                + '"clusters": %d, "lift_left": %d, "lift_right": %d, "loops": %d, '
+                  '"origin_left": %d, "origin_right": %d, "replicate": %d, '
+                  '"through_left": %s, "through_right": %s}\n')
+    for lo in range(0, ensemble.replicates, _LINE_CHUNK):
+        part = slice(lo, lo + _LINE_CHUNK)
+        closed = ensemble.closed_edge_count[part]
+        through = (ensemble.avoiding_count[part] == 0) & (closed >= 1)
+        left, right = ensemble.origin_left[part], ensemble.origin_right[part]
+        # %s prints a list of ints as its JSON array and the string null as null
+        cols = [closed.tolist()]
+        if keep:
+            flat = (np.concatenate(ensemble.closed_edges[part]) + 1).tolist()
+            ends = np.cumsum(closed).tolist()
+            cols.append([flat[a:b] for a, b in zip([0] + ends, ends)])
+        cols += [np.maximum(closed, 1).tolist(),
+                 ensemble.lift_left[part].tolist(), ensemble.lift_right[part].tolist(),
+                 ensemble.loop_count[part].tolist(), left.tolist(), right.tolist(),
+                 range(lo, lo + closed.size),
+                 np.where(through, left.astype(object), "null").tolist(),
+                 np.where(through, right.astype(object), "null").tolist()]
+        yield from map(template.__mod__, zip(*cols))
 
 
 def ensemble_records(ensemble: SoupEnsemble) -> list[dict]:
-    """Per-replicate JSON-able records (one line per replicate).
+    """Per-replicate records as dicts: `replicate_lines` parsed back.
 
-    Extent fields are -1 / null when their defining event does not hold
-    (origin extents need a closed edge; through extents additionally need a
-    replicate free of loops avoiding vertex 1).
+    The line format is defined once, in `replicate_lines`; this is for
+    callers that want the records in memory rather than on disk.
     """
-    out = []
-    for i in range(ensemble.replicates):
-        through_defined = (ensemble.avoiding_count[i] == 0
-                           and ensemble.closed_edge_count[i] >= 1)
-        rec = {
-            "replicate": i,
-            "loops": int(ensemble.loop_count[i]),
-            "clusters": max(int(ensemble.closed_edge_count[i]), 1),
-            "closed_edges": int(ensemble.closed_edge_count[i]),
-            "origin_left": int(ensemble.origin_left[i]),
-            "origin_right": int(ensemble.origin_right[i]),
-            "through_left": int(ensemble.origin_left[i]) if through_defined else None,
-            "through_right": int(ensemble.origin_right[i]) if through_defined else None,
-            "lift_left": int(ensemble.lift_left[i]),
-            "lift_right": int(ensemble.lift_right[i]),
-        }
-        if ensemble.closed_edges is not None:
-            rec["closed_left_endpoints"] = [int(e) + 1 for e in ensemble.closed_edges[i]]
-        out.append(rec)
-    return out
+    return [json.loads(line) for line in replicate_lines(ensemble)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +315,7 @@ def run_edge_probability_audit(config: ExperimentConfig) -> dict:
         "edges": rows,
         "passed": bool(all_pass),
     })
-    _write_outputs(config, report, report["edges"], ensemble_records(ens))
+    _write_outputs(config, report, report["edges"], replicate_lines(ens))
     return report
 
 
@@ -387,7 +415,7 @@ def run_single_partition_convergence(config: ExperimentConfig) -> dict:
         "extent_chi2_ok": bool(chi_ok),
         "passed": bool(gap_ok and chi_ok),
     })
-    _write_outputs(config, report, report["per_n"], ensemble_records(last_ens))
+    _write_outputs(config, report, report["per_n"], replicate_lines(last_ens))
     return report
 
 
@@ -436,7 +464,7 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     circle's grid conditioned to hit the far end of the arc 1 - g - d;
     (3) the through-1-only extent cdf against its scaling limit on a grid.
     """
-    config.validate()
+    config.validate(seed_offset=3)  # parts 2 and 3 sample from seed + 1 .. seed + 3
     alpha, kappa = config.alpha, config.kappa
     comparison_n = config.comparison_n or config.schedule[-1].n
     entry_by_n = {entry.n: entry for entry in config.schedule}

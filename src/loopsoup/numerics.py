@@ -35,6 +35,13 @@ class QuadratureSpec:
 # special functions
 # ---------------------------------------------------------------------------
 
+def require_finite(**values: float) -> None:
+    """ValueError naming the first of `values` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def log_gamma(x):
     """log |Gamma(x)| for x > 0."""
     x = np.asarray(x, dtype=float)
@@ -72,6 +79,7 @@ def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
     |s|^(K+1) / ((K+1)^alpha (1-|s|)) drops below tol; a ValueError is
     raised up front when that needs more than 10^7 terms.
     """
+    require_finite(alpha=alpha)
     if not abs(s) < 1.0:
         raise ValueError("polylog requires |s| < 1")
     if s == 0.0:

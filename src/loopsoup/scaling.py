@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .numerics import QuadratureSpec, integrate, log_gamma, log_sinh, polylog, riemann_zeta
+from .numerics import (
+    QuadratureSpec,
+    integrate,
+    log_gamma,
+    log_sinh,
+    polylog,
+    require_finite,
+    riemann_zeta,
+)
 
 
 def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
@@ -250,7 +258,8 @@ class SubordinatorLaw:
 
     def potential_density(self, x: float) -> float:
         """u(x) for x > 0; diverges like x^{-alpha} at 0 (zero drift)."""
-        if x <= 0.0:
+        require_finite(x=x)
+        if not x > 0.0:
             raise ValueError("x must be positive")
         s = self._s
         if s * x < _SERIES_SWITCH:
@@ -260,7 +269,8 @@ class SubordinatorLaw:
 
     def levy_density(self, t: float) -> float:
         """Density of the jump intensity measure at t > 0."""
-        if t <= 0.0:
+        require_finite(t=t)
+        if not t > 0.0:
             raise ValueError("t must be positive")
         a, s = self.alpha, self._s
         pref = (1.0 - a) * math.sin(a * math.pi) / math.pi
@@ -271,7 +281,8 @@ class SubordinatorLaw:
 
     def levy_tail(self, t: float) -> float:
         """Mass of jumps exceeding t > 0."""
-        if t <= 0.0:
+        require_finite(t=t)
+        if not t > 0.0:
             raise ValueError("t must be positive")
         a, s = self.alpha, self._s
         pref = math.sin(a * math.pi) / math.pi
@@ -289,7 +300,8 @@ class SubordinatorLaw:
         The kappa -> 0 regime uses the asymptotic Beta expansion, giving the
         stable limit lambda^{1-alpha} / Gamma(1-alpha).
         """
-        if lam <= 0.0:
+        require_finite(lam=lam)
+        if not lam > 0.0:
             raise ValueError("lambda must be positive")
         a, s = self.alpha, self._s
         b = 1.0 - a
@@ -313,7 +325,8 @@ class SubordinatorLaw:
         (sqrt(k)/pi) sin(alpha pi) e^{alpha sqrt(k) x} sinh(sqrt(k) a)^{1-alpha}
           / (sinh(sqrt(k) x) sinh(sqrt(k)(x-a))^{1-alpha}).
         """
-        if a <= 0.0:
+        require_finite(a=a, x=x)
+        if not a > 0.0:
             raise ValueError("level must be positive")
         if x <= a:
             return 0.0
@@ -391,6 +404,7 @@ def bridge_crossing_joint_density(kappa: float, alpha: float, a: float, b: float
 
     Supported on the chain 0 < a < x < 1-y < 1-b < 1; zero elsewhere.
     """
+    require_finite(kappa=kappa, alpha=alpha, a=a, b=b, x=x, y=y)
     if not (0.0 < a and 0.0 < b and a + b < 1.0):
         raise ValueError("need a, b > 0 with a + b < 1")
     if not (a < x < 1.0 - y < 1.0 - b):
@@ -424,6 +438,6 @@ def halfline_gap_pgf(alpha: float, s: float) -> float:
 
 def escape_probability(alpha: float) -> float:
     """P[the first gap is infinite] = 1 / zeta(alpha), for alpha > 1."""
-    if not alpha > 1.0:
-        raise ValueError("escape requires alpha > 1")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"escape requires finite alpha > 1, got {alpha}")
     return 1.0 / riemann_zeta(alpha)

@@ -338,3 +338,28 @@ def sample_renewal_overshoot(law: RenewalLaw, level: int, n_paths: int, rng) -> 
         pos[active] += jumps
         active = active[pos[active] <= level]
     return pos
+
+
+def ensemble_records_oracle(ensemble) -> list[dict]:
+    """Per-replicate records built as dicts one replicate at a time, the
+    reference for the columnar `experiments.replicate_lines`."""
+    out = []
+    for i in range(ensemble.replicates):
+        through_defined = (ensemble.avoiding_count[i] == 0
+                           and ensemble.closed_edge_count[i] >= 1)
+        rec = {
+            "replicate": i,
+            "loops": int(ensemble.loop_count[i]),
+            "clusters": max(int(ensemble.closed_edge_count[i]), 1),
+            "closed_edges": int(ensemble.closed_edge_count[i]),
+            "origin_left": int(ensemble.origin_left[i]),
+            "origin_right": int(ensemble.origin_right[i]),
+            "through_left": int(ensemble.origin_left[i]) if through_defined else None,
+            "through_right": int(ensemble.origin_right[i]) if through_defined else None,
+            "lift_left": int(ensemble.lift_left[i]),
+            "lift_right": int(ensemble.lift_right[i]),
+        }
+        if ensemble.closed_edges is not None:
+            rec["closed_left_endpoints"] = [int(e) + 1 for e in ensemble.closed_edges[i]]
+        out.append(rec)
+    return out

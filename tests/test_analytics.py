@@ -27,7 +27,14 @@ from loopsoup.analytics import (
     toeplitz_det,
 )
 from loopsoup.circle import LoopType, build_model, derived_killing, equivalent_symmetric_model
-from loopsoup.numerics import QuadratureSpec, integrate
+from loopsoup.numerics import QuadratureSpec, integrate, polylog
+from loopsoup.scaling import (
+    SubordinatorLaw,
+    bridge_crossing_joint_density,
+    escape_probability,
+    halfline_gap_pgf,
+    hitting_coefficients,
+)
 
 import oracles
 
@@ -509,3 +516,56 @@ def test_large_n_no_overflow():
     assert math.isfinite(mass_through_vertex1(model))
     assert 0.0 <= prob_no_winding_or_covering(model) <= 1.0
     assert 0.0 <= covered_extent_cdf(model, n // 3, n // 2) <= 1.0
+
+
+# every limit law of the library with finite arguments at which it is defined
+_LIMIT_LAWS = {
+    "prob_no_winding_or_covering_limit": (
+        prob_no_winding_or_covering_limit, dict(kappa=1.0, epsilon=0.3, alpha=0.5)),
+    "prob_not_single_partition_limit": (
+        prob_not_single_partition_limit, dict(kappa=1.0, epsilon=0.3, alpha=0.5)),
+    "prob_split_given_no_avoiding_limit": (
+        prob_split_given_no_avoiding_limit, dict(kappa=1.0, epsilon=0.3, alpha=0.5)),
+    "through1_extent_cdf_limit": (
+        through1_extent_cdf_limit, dict(kappa=1.0, epsilon=0.3, alpha=0.5, a=0.2, b=0.3)),
+    "covered_extent_cdf_limit": (
+        covered_extent_cdf_limit, dict(kappa=1.0, alpha=0.5, a=0.2, b=0.3)),
+    "covered_extent_limit_density": (
+        covered_extent_limit_density, dict(kappa=1.0, alpha=0.5, a=0.2, b=0.3)),
+    "cluster_extent_limit_density": (
+        cluster_extent_limit_density, dict(kappa=1.0, alpha=0.5, x=0.2, y=0.3)),
+    "SubordinatorLaw.potential_density": (
+        lambda kappa, alpha, x: SubordinatorLaw(kappa, alpha).potential_density(x),
+        dict(kappa=1.0, alpha=0.5, x=0.4)),
+    "SubordinatorLaw.levy_density": (
+        lambda kappa, alpha, t: SubordinatorLaw(kappa, alpha).levy_density(t),
+        dict(kappa=1.0, alpha=0.5, t=0.5)),
+    "SubordinatorLaw.levy_tail": (
+        lambda kappa, alpha, t: SubordinatorLaw(kappa, alpha).levy_tail(t),
+        dict(kappa=1.0, alpha=0.5, t=0.5)),
+    "SubordinatorLaw.laplace_exponent": (
+        lambda kappa, alpha, lam: SubordinatorLaw(kappa, alpha).laplace_exponent(lam),
+        dict(kappa=1.0, alpha=0.5, lam=1.0)),
+    "SubordinatorLaw.hitting_density": (
+        lambda kappa, alpha, a, x: SubordinatorLaw(kappa, alpha).hitting_density(a, x),
+        dict(kappa=1.0, alpha=0.5, a=0.3, x=0.5)),
+    "bridge_crossing_joint_density": (
+        bridge_crossing_joint_density,
+        dict(kappa=1.0, alpha=0.5, a=0.2, b=0.3, x=0.3, y=0.35)),
+    "halfline_gap_pgf": (halfline_gap_pgf, dict(alpha=0.5, s=0.5)),
+    "escape_probability": (escape_probability, dict(alpha=2.0)),
+    "hitting_coefficients": (
+        lambda alpha, r: hitting_coefficients(alpha, r, 5)[5], dict(alpha=0.5, r=0.01)),
+    "polylog": (polylog, dict(alpha=0.5, s=0.5)),
+}
+
+
+@pytest.mark.parametrize("law, param", [(law, param) for law, (_, args) in _LIMIT_LAWS.items()
+                                        for param in args])
+def test_limit_laws_reject_non_finite_parameters(law, param):
+    """A NaN or infinite argument raises ValueError instead of yielding NaN."""
+    fn, args = _LIMIT_LAWS[law]
+    assert math.isfinite(fn(**args))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            fn(**{**args, param: bad})

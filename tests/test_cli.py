@@ -9,7 +9,8 @@ import pytest
 from loopsoup.analytics import mass_through_vertex1, prob_not_single_partition_limit
 from loopsoup.circle import build_model
 from loopsoup.cli import LAW_FORMULAS, main
-from loopsoup.experiments import default_edge_audit_config
+from loopsoup.experiments import default_cluster_scaling_config, default_edge_audit_config
+from loopsoup.sampler import CONDITIONS
 from loopsoup.scaling import ConditionedBridgeLaw, SubordinatorLaw
 
 
@@ -68,6 +69,31 @@ def test_sample_subcommand(tmp_path, capsys):
     with open(summary) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["statistic", "mean"]
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_sample_stdout_matches_out_file(tmp_path, capsys, condition):
+    argv = ["sample", "--n", "8", "--p", "0.5", "--c", "0.3", "--alpha", "0.7",
+            "--replicates", "300", "--seed", "5", "--condition", condition]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "reps.jsonl"
+    code, printed = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and printed == ""
+    assert out.encode() == out_path.read_bytes()
+    assert len(out.splitlines()) == 300
+
+
+def test_bridge_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["bridge", "--kappa", "1.0", "--alpha", "0.5", "--resolution", "2000",
+            "--paths", "30", "--seed", "4"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "paths.csv"
+    code, printed = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and printed == ""
+    assert out.encode() == out_path.read_bytes()
+    assert out.count("\r\n") == 30
 
 
 def test_bridge_subcommand(tmp_path, capsys):
@@ -154,8 +180,21 @@ def test_experiment_subcommand(tmp_path, capsys):
       "--alpha", "inf"), "alpha must be finite"),
     (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "nan",
       "--replicates", "4"), "alpha must be finite"),
+    (("experiment", "--config", "{tmp}/cluster-scaling.json", "--seed", str(2 ** 64 - 3)),
+     f"seed must lie in [0, 2^64 - 3) for cluster-scaling, got {2 ** 64 - 3}"),
+    (("experiment", "--config", "{tmp}/cluster-scaling-top-seed.json"),
+     f"got {2 ** 64 - 1}"),
+    (("experiment", "--config", "{tmp}/edge-audit.json", "--seed", str(2 ** 64)),
+     f"seed must lie in [0, 2^64) for edge-audit, got {2 ** 64}"),
+    (("experiment", "--config", "{tmp}/edge-audit.json", "--seed", "-1"), "got -1"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
+    top_seed = default_cluster_scaling_config()
+    top_seed.seed = 2 ** 64 - 1
+    for name, config in (("edge-audit", default_edge_audit_config()),
+                         ("cluster-scaling", default_cluster_scaling_config()),
+                         ("cluster-scaling-top-seed", top_seed)):
+        (tmp_path / f"{name}.json").write_text(config.to_json())
     argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
     out_path = tmp_path / "out.csv"
     argv = argv + ("--out", str(out_path)) if argv[0] == "bridge" else argv

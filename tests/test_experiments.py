@@ -17,11 +17,12 @@ from loopsoup.experiments import (
     default_edge_audit_config,
     default_single_partition_config,
     ensemble_records,
+    replicate_lines,
     run_edge_probability_audit,
     sample_limit_extents,
     symmetric_schedule,
 )
-from loopsoup.sampler import conditional_experiment
+from loopsoup.sampler import CONDITIONS, conditional_experiment
 from loopsoup.circle import build_model
 
 import oracles
@@ -171,6 +172,25 @@ def test_ensemble_records_fields():
                     "origin_left", "origin_right", "lift_left", "lift_right",
                     "closed_left_endpoints"):
             assert key in rec
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["no-closed-edges", "closed-edges"])
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_replicate_lines_match_dict_oracle(condition, keep):
+    """Each templated line is byte-identical to json.dumps of the dict record."""
+    model = build_model(8, 0.5, 0.3, 0.7)
+    # 5000 replicates span two chunks of columns
+    ens = conditional_experiment(model, 5, condition, 5000, keep_closed_edges=keep)
+    through = (ens.avoiding_count == 0) & (ens.closed_edge_count >= 1)
+    assert through.any() and not through.all()
+    if condition != "avoiding-1-only":
+        assert np.any(ens.closed_edge_count == 0)
+    expect = oracles.ensemble_records_oracle(ens)
+    lines = list(replicate_lines(ens))
+    assert len(lines) == len(expect) == 5000
+    for line, rec in zip(lines, expect):
+        assert line == json.dumps(rec, sort_keys=True) + "\n"
+    assert ensemble_records(ens) == expect
 
 
 def test_sample_limit_extents_statistics():
