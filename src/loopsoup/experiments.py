@@ -26,6 +26,7 @@ from .numerics import (
     hausdorff,
     integrate,
     ks_distance_two_sample,
+    require_finite,
 )
 from .sampler import SoupEnsemble, conditional_experiment
 from .scaling import ConditionedBridgeLaw, SubordinatorLaw, sample_conditioned_renewals
@@ -116,12 +117,22 @@ class ExperimentConfig:
 
     def validate(self, seed_offset: int = 0) -> None:
         """Check the seed leaves room for the runner's streams, seed up to
-        seed + seed_offset, and that the schedule drifts toward the declared
-        limit targets."""
+        seed + seed_offset, that sizes and thresholds are in range, and that
+        the schedule drifts toward the declared limit targets."""
         if not 0 <= self.seed < 2 ** 64 - seed_offset:
             bound = f"2^64 - {seed_offset}" if seed_offset else "2^64"
             raise ValueError(f"seed must lie in [0, {bound}) for {self.name}, "
                              f"got {self.seed}")
+        # bridge_paths >= 2: the Hausdorff reference compares two halves of the mixture
+        for name, least in (("bridge_resolution", 1), ("bridge_paths", 2),
+                            ("comparison_replicates", 1), ("histogram_replicates", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        sizes = [entry.n for entry in self.schedule]
+        if self.comparison_n not in [None, *sizes]:
+            raise ValueError(f"comparison_n must be null or one of the schedule sizes "
+                             f"{sizes}, got {self.comparison_n}")
+        require_finite(**{f"threshold {key!r}": v for key, v in self.thresholds.items()})
         if self.kappa is None:
             return
         rel = self.thresholds.get("drift_rel", 0.05)
@@ -250,6 +261,7 @@ def replicate_lines(ensemble: SoupEnsemble) -> Iterator[str]:
     (1-based) is present when the ensemble kept its closed edges.
     """
     keep = ensemble.closed_edges is not None
+    ends = np.concatenate(([0], np.cumsum(ensemble.closed_edge_count))) if keep else None
     template = ('{"closed_edges": %d, '
                 + ('"closed_left_endpoints": %s, ' if keep else '')
                 + '"clusters": %d, "lift_left": %d, "lift_right": %d, "loops": %d, '
@@ -263,9 +275,9 @@ def replicate_lines(ensemble: SoupEnsemble) -> Iterator[str]:
         # %s prints a list of ints as its JSON array and the string null as null
         cols = [closed.tolist()]
         if keep:
-            flat = (np.concatenate(ensemble.closed_edges[part]) + 1).tolist()
-            ends = np.cumsum(closed).tolist()
-            cols.append([flat[a:b] for a, b in zip([0] + ends, ends)])
+            bounds = (ends[lo:lo + closed.size + 1] - ends[lo]).tolist()
+            flat = (ensemble.closed_edges[ends[lo]:ends[lo + closed.size]] + 1).tolist()
+            cols.append([flat[a:b] for a, b in zip(bounds, bounds[1:])])
         cols += [np.maximum(closed, 1).tolist(),
                  ensemble.lift_left[part].tolist(), ensemble.lift_right[part].tolist(),
                  ensemble.loop_count[part].tolist(), left.tolist(), right.tolist(),
@@ -300,20 +312,16 @@ def run_edge_probability_audit(config: ExperimentConfig) -> dict:
     p_closed = math.exp(-config.alpha * (total - analytics._arc_mass(model, model.n)))
     se = math.sqrt(max(p_closed * (1 - p_closed), 1e-30) / config.replicates)
     rows = []
-    z_max = config.thresholds["z_max"]
-    all_pass = True
     for e in range(model.n):
         p_hat = ens.closed_edge_totals[e] / config.replicates
         z = (p_hat - p_closed) / se
-        ok = abs(z) <= z_max
-        all_pass &= ok
         rows.append({"edge": e + 1, "analytic": p_closed, "mc": p_hat,
-                     "z": z, "pass": ok})
+                     "z": z, "pass": abs(z) <= config.thresholds["z_max"]})
     report = _jsonable({
         "experiment": config.name,
         "config": config.to_dict(),
         "edges": rows,
-        "passed": bool(all_pass),
+        "passed": all(row["pass"] for row in rows),
     })
     _write_outputs(config, report, report["edges"], replicate_lines(ens))
     return report
@@ -346,27 +354,22 @@ def _simplex_cell_probs(kappa: float, alpha: float, bins: int) -> np.ndarray:
 
 
 def extent_histogram_pvalue(ensemble: SoupEnsemble, kappa: float, alpha: float,
-                            bins: int = 6, min_cell_prob: float = 0.005,
-                            max_replicates: int | None = None) -> tuple[float, float]:
+                            max_replicates: int, bins: int = 6,
+                            min_cell_prob: float = 0.005) -> tuple[float, float]:
     """Chi-square p-value of the scaled extent histogram against the limit density.
 
     Cells with tiny expected probability are merged into a single rest bucket.
-    `max_replicates` restricts the test to a deterministic leading subsample:
-    the extent law converges without a proven rate, so the histogram test is
-    run at a declared power below which lattice bias stays within noise.
+    The test uses the leading `max_replicates` (>= 1) replicates only: the
+    extent law converges without a proven rate, so the histogram test is run
+    at a declared power below which lattice bias stays within noise.
     """
     n = int(ensemble.model["n"])
-    upto = ensemble.replicates if max_replicates is None else min(
-        max_replicates, ensemble.replicates)
-    split = ensemble.closed_edge_count[:upto] >= 1
-    gx = ensemble.origin_left[:upto][split] / n
-    gy = ensemble.origin_right[:upto][split] / n
+    split = ensemble.closed_edge_count[:max_replicates] >= 1
+    gx = ensemble.origin_left[:max_replicates][split] / n
+    gy = ensemble.origin_right[:max_replicates][split] / n
     probs = _simplex_cell_probs(kappa, alpha, bins)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    ix = np.clip(np.searchsorted(edges, gx, side="right") - 1, 0, bins - 1)
-    iy = np.clip(np.searchsorted(edges, gy, side="right") - 1, 0, bins - 1)
-    counts = np.zeros((bins, bins))
-    np.add.at(counts, (ix, iy), 1.0)
+    # extents lie in [0, (n-1)/n], inside the grid
+    counts, _, _ = np.histogram2d(gx, gy, bins=np.linspace(0.0, 1.0, bins + 1))
 
     keep = probs >= min_cell_prob
     obs = list(counts[keep])
@@ -387,7 +390,6 @@ def run_single_partition_convergence(config: ExperimentConfig) -> dict:
     limit = analytics.prob_not_single_partition_limit(config.kappa, config.epsilon,
                                                       config.alpha)
     rows = []
-    last_ens = None
     for entry in config.schedule:
         model = entry.model(config.alpha)
         ens = conditional_experiment(model, config.seed, "unconditioned", config.replicates)
@@ -395,14 +397,14 @@ def run_single_partition_convergence(config: ExperimentConfig) -> dict:
         se = math.sqrt(max(frac * (1 - frac), 1e-30) / config.replicates)
         rows.append({"n": entry.n, "mc_split": frac, "limit": limit,
                      "gap": abs(frac - limit), "se": se})
-        last_ens = ens
 
     allowance = config.thresholds["gap_allowance"]
     final = rows[-1]
     gap_ok = final["gap"] < allowance + 3.0 * final["se"]
-    stat, pval = extent_histogram_pvalue(last_ens, config.kappa, config.alpha,
-                                         min_cell_prob=config.thresholds["min_cell_prob"],
-                                         max_replicates=config.histogram_replicates)
+    # the histogram is of the last schedule entry's ensemble
+    stat, pval = extent_histogram_pvalue(ens, config.kappa, config.alpha,
+                                         config.histogram_replicates,
+                                         min_cell_prob=config.thresholds["min_cell_prob"])
     chi_ok = pval > config.thresholds["chi2_min_p"]
     report = _jsonable({
         "experiment": config.name,
@@ -415,7 +417,7 @@ def run_single_partition_convergence(config: ExperimentConfig) -> dict:
         "extent_chi2_ok": bool(chi_ok),
         "passed": bool(gap_ok and chi_ok),
     })
-    _write_outputs(config, report, report["per_n"], replicate_lines(last_ens))
+    _write_outputs(config, report, report["per_n"], replicate_lines(ens))
     return report
 
 
@@ -466,10 +468,7 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     """
     config.validate(seed_offset=3)  # parts 2 and 3 sample from seed + 1 .. seed + 3
     alpha, kappa = config.alpha, config.kappa
-    comparison_n = config.comparison_n or config.schedule[-1].n
-    entry_by_n = {entry.n: entry for entry in config.schedule}
-    if comparison_n not in entry_by_n:
-        raise ValueError("comparison_n must be one of the schedule sizes")
+    comparison_n = config.schedule[-1].n if config.comparison_n is None else config.comparison_n
 
     # part 1: scaled cluster-count stability (conditioned = cut at vertex 1)
     rows = []
@@ -485,13 +484,18 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     stable = spread <= config.thresholds["stability"]
 
     # part 2: split unconditioned soups vs the extent-mixed bridge
-    model_c = entry_by_n[comparison_n].model(alpha)
+    model_c = next(e for e in config.schedule if e.n == comparison_n).model(alpha)
     ens_u = conditional_experiment(model_c, config.seed + 1, "unconditioned",
                                    config.comparison_replicates, keep_closed_edges=True)
-    split_idx = np.flatnonzero(ens_u.closed_edge_count >= 1)
-    soup_sets = [ens_u.closed_edges[i] / comparison_n for i in split_idx]
-    soup_left = np.array([s[0] for s in soup_sets])
-    soup_k = ens_u.closed_edge_count[split_idx] / comparison_n ** (1.0 - alpha)
+    split = ens_u.closed_edge_count >= 1
+    if not split.any():
+        raise ValueError(f"no split soup among the {config.comparison_replicates} "
+                         f"comparison replicates at n={comparison_n}")
+    # only split replicates hold closed edges, and the leftmost is origin_right
+    counts = ens_u.closed_edge_count[split]
+    soup_sets = np.split(ens_u.closed_edges / comparison_n, np.cumsum(counts)[:-1])
+    soup_left = ens_u.origin_right[split] / comparison_n
+    soup_k = counts / comparison_n ** (1.0 - alpha)
 
     rng = np.random.default_rng(config.seed + 2)
     extents = sample_limit_extents(kappa, alpha, config.bridge_paths, rng)
@@ -507,16 +511,15 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     ks_left = ks_distance_two_sample(soup_left, mix_left)
     ks_k = ks_distance_two_sample(soup_k, mix_k)
 
-    soup_sorted = sorted(soup_sets, key=lambda s: s[0])
-    mix_sorted = sorted(mix_sets, key=lambda s: s[0])
-    picks = np.linspace(0.0, 1.0, 101)
-    hd = [hausdorff(soup_sorted[int(q * (len(soup_sorted) - 1))],
-                    mix_sorted[int(q * (len(mix_sorted) - 1))]) for q in picks]
+    def matched_hausdorff(sets_a, sets_b):
+        """Mean Hausdorff distance of the sets at 101 matched leftmost-point quantiles."""
+        a, b = (sorted(sets, key=lambda s: s[0]) for sets in (sets_a, sets_b))
+        return float(np.mean([hausdorff(a[int(q * (len(a) - 1))], b[int(q * (len(b) - 1))])
+                              for q in np.linspace(0.0, 1.0, 101)]))
+
+    hd = matched_hausdorff(soup_sets, mix_sets)
     # reference scale: the same statistic between two halves of the mixture
-    half_a = sorted(mix_sets[0::2], key=lambda s: s[0])
-    half_b = sorted(mix_sets[1::2], key=lambda s: s[0])
-    hd_ref = [hausdorff(half_a[int(q * (len(half_a) - 1))],
-                        half_b[int(q * (len(half_b) - 1))]) for q in picks]
+    hd_ref = matched_hausdorff(mix_sets[0::2], mix_sets[1::2])
 
     # part 3: through-1-only scaled extent cdf against the limit formula
     ens_t = conditional_experiment(model_c, config.seed + 3, "through-1-only",
@@ -534,7 +537,7 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
         jk_gap = max(jk_gap, abs(emp - lim))
     jk_ok = jk_gap < config.thresholds["jk_gap"]
 
-    report = {
+    report = _jsonable({
         "experiment": config.name,
         "config": config.to_dict(),
         "per_n": rows,
@@ -543,14 +546,13 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
         "comparison_n": comparison_n,
         "ks_leftmost": ks_left,
         "ks_cluster_count": ks_k,
-        "mean_hausdorff": float(np.mean(hd)),
-        "mean_hausdorff_reference": float(np.mean(hd_ref)),
+        "mean_hausdorff": hd,
+        "mean_hausdorff_reference": hd_ref,
         "through1_extent_grid": jk_rows,
         "through1_extent_max_gap": jk_gap,
         "through1_extent_ok": bool(jk_ok),
         "passed": bool(stable and jk_ok),
-    }
-    report = _jsonable(report)
+    })
     _write_outputs(config, report, report["per_n"], None)
     return report
 

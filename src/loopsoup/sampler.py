@@ -290,7 +290,12 @@ def extract_clusters(model: CircleModel, sample: SoupSample) -> ClusterStats:
 
 @dataclass
 class SoupEnsemble:
-    """Per-replicate summary statistics of many independent soup draws."""
+    """Per-replicate summary statistics of many independent soup draws, as columns.
+
+    `closed_edges` (None unless drawn with keep_closed_edges) is one flat int
+    column of 0-based closed-edge ids, replicate by replicate, ascending within
+    each: replicate i's edges are the slice ending at cumsum(closed_edge_count)[i].
+    """
 
     model: dict
     condition: str
@@ -305,7 +310,7 @@ class SoupEnsemble:
     lift_left: np.ndarray
     lift_right: np.ndarray
     closed_edge_totals: np.ndarray  # per-edge count of replicates with it closed
-    closed_edges: list | None  # per-replicate 0-based closed edge ids
+    closed_edges: np.ndarray | None = None
 
     @property
     def split_fraction(self) -> float:
@@ -332,7 +337,8 @@ def _smallest_reaching(f, target: np.ndarray, n: int) -> np.ndarray:
 def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
                seed: int, block_index: int, block_reps: int,
                keep_closed: bool):
-    """Simulate one block of replicates; returns per-replicate stat arrays.
+    """Simulate one block of replicates: its columns by `SoupEnsemble` field
+    name, and the per-edge closed totals.
 
     Draw order on the block's stream: avoiding counts, avoiding reaches,
     winding counts, liftable counts, liftable extents.  "through-1-only"
@@ -382,15 +388,14 @@ def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
     closed = ~open_mask
     closed_edge_count = closed.sum(axis=1)
     some = closed_edge_count > 0
-    origin_right = np.where(some, closed.argmax(axis=1), -1)
-    origin_left = np.where(some, closed[:, ::-1].argmax(axis=1), -1)
-    closed_lists = None
+    columns = dict(loop_count=avoiding + winding + liftable, avoiding_count=avoiding,
+                   winding_or_cover_count=winding, closed_edge_count=closed_edge_count,
+                   origin_left=np.where(some, closed[:, ::-1].argmax(axis=1), -1),
+                   origin_right=np.where(some, closed.argmax(axis=1), -1),
+                   lift_left=lift_left, lift_right=lift_right)
     if keep_closed:
-        closed_lists = np.split(np.nonzero(closed)[1], np.cumsum(closed_edge_count)[:-1])
-
-    return (avoiding + winding + liftable, avoiding, winding, closed_edge_count,
-            origin_left, origin_right, lift_left, lift_right, closed_lists,
-            closed.sum(axis=0))
+        columns["closed_edges"] = np.nonzero(closed)[1]
+    return columns, closed.sum(axis=0)
 
 
 def conditional_experiment(model: CircleModel, seed: int, condition: str,
@@ -402,6 +407,8 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
     the complementary independent sub-soup, so no rejection is involved.
     Replicates are processed in fixed blocks; block b draws from the Philox
     stream keyed (seed, b+1), so results are reproducible for a given seed.
+    Blocks return columns by `SoupEnsemble` field name, concatenated here; the
+    closed edges are one flat column, held only with keep_closed_edges.
     """
     if model.c <= 0.0:
         raise ValueError("sampling requires c > 0")
@@ -412,24 +419,12 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
     tables = _soup_tables(model)
     # a block holds several B x n arrays, so B * n is capped at 2^22 cells
     B = min(1024, max(1, 2 ** 22 // model.n))
-    results = [_run_block(model, tables, condition, seed, b,
-                          min(B, replicates - b * B), keep_closed_edges)
-               for b in range((replicates + B - 1) // B)]
-
-    def cat(pos):
-        return np.concatenate([r[pos] for r in results])
-
-    closed_lists = None
-    if keep_closed_edges:
-        closed_lists = [arr for r in results for arr in r[8]]
-
+    blocks = [_run_block(model, tables, condition, seed, b,
+                         min(B, replicates - b * B), keep_closed_edges)
+              for b in range((replicates + B - 1) // B)]
+    columns = {name: np.concatenate([cols[name] for cols, _ in blocks])
+               for name in blocks[0][0]}
     return SoupEnsemble(
         model=model.to_dict(), condition=condition, replicates=replicates,
-        seed=int(seed),
-        loop_count=cat(0), avoiding_count=cat(1), winding_or_cover_count=cat(2),
-        closed_edge_count=cat(3),
-        origin_left=cat(4), origin_right=cat(5),
-        lift_left=cat(6), lift_right=cat(7),
-        closed_edge_totals=np.sum([r[9] for r in results], axis=0),
-        closed_edges=closed_lists,
-    )
+        seed=int(seed), closed_edge_totals=np.sum([totals for _, totals in blocks], axis=0),
+        **columns)

@@ -344,6 +344,8 @@ def ensemble_records_oracle(ensemble) -> list[dict]:
     """Per-replicate records built as dicts one replicate at a time, the
     reference for the columnar `experiments.replicate_lines`."""
     out = []
+    if ensemble.closed_edges is not None:
+        ends = np.cumsum(ensemble.closed_edge_count)
     for i in range(ensemble.replicates):
         through_defined = (ensemble.avoiding_count[i] == 0
                            and ensemble.closed_edge_count[i] >= 1)
@@ -360,6 +362,7 @@ def ensemble_records_oracle(ensemble) -> list[dict]:
             "lift_right": int(ensemble.lift_right[i]),
         }
         if ensemble.closed_edges is not None:
-            rec["closed_left_endpoints"] = [int(e) + 1 for e in ensemble.closed_edges[i]]
+            edges = ensemble.closed_edges[ends[i] - ensemble.closed_edge_count[i]:ends[i]]
+            rec["closed_left_endpoints"] = [int(e) + 1 for e in edges]
         out.append(rec)
     return out

@@ -124,13 +124,13 @@ def test_criterion_2_sampler_exactness():
     probs = oracles.edge_config_probabilities(model, mass_avoiding_edges)
     ens = conditional_experiment(model, 20240701, "unconditioned", reps,
                                  keep_closed_edges=True)
-    counts = {}
-    for closed in ens.closed_edges:
-        key = frozenset(int(e) + 1 for e in closed)
-        counts[key] = counts.get(key, 0) + 1
+    # each replicate's closed-edge set as a bitmask, bit e - 1 for edge e
+    owner = np.repeat(np.arange(reps), ens.closed_edge_count)
+    masks = np.bincount(owner, weights=1 << ens.closed_edges, minlength=reps)
+    counts = np.bincount(masks.astype(np.int64), minlength=1 << model.n)
     worst_z = 0.0
     for config, p in probs.items():
-        emp = counts.get(config, 0) / reps
+        emp = counts[sum(1 << (e - 1) for e in config)] / reps
         se = math.sqrt(p * (1.0 - p) / reps)
         worst_z = max(worst_z, abs(emp - p) / se)
     elapsed = time.time() - t0
@@ -244,7 +244,8 @@ def test_criterion_6_conditioned_model_equivalence():
     model = build_model(n, 0.5, kappa / (2.0 * n * n), alpha)
     ens = conditional_experiment(model, 606, "avoiding-1-only", reps,
                                  keep_closed_edges=True)
-    soup_firsts = np.array([closed[1] for closed in ens.closed_edges])
+    starts = np.cumsum(ens.closed_edge_count) - ens.closed_edge_count
+    soup_firsts = ens.closed_edges[starts + 1]
 
     # the closed-edge left points on the cut circle form the renewal process
     # conditioned to hit n-1, with rate r^(n) from the model parameters

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,11 @@ import pytest
 from loopsoup.analytics import mass_through_vertex1, prob_not_single_partition_limit
 from loopsoup.circle import build_model
 from loopsoup.cli import LAW_FORMULAS, main
-from loopsoup.experiments import default_cluster_scaling_config, default_edge_audit_config
+from loopsoup.experiments import (
+    default_cluster_scaling_config,
+    default_edge_audit_config,
+    default_single_partition_config,
+)
 from loopsoup.sampler import CONDITIONS
 from loopsoup.scaling import ConditionedBridgeLaw, SubordinatorLaw
 
@@ -187,13 +192,42 @@ def test_experiment_subcommand(tmp_path, capsys):
     (("experiment", "--config", "{tmp}/edge-audit.json", "--seed", str(2 ** 64)),
      f"seed must lie in [0, 2^64) for edge-audit, got {2 ** 64}"),
     (("experiment", "--config", "{tmp}/edge-audit.json", "--seed", "-1"), "got -1"),
+    (("experiment", "--config", "{tmp}/bridge-resolution-0.json"),
+     "bridge_resolution must be at least 1, got 0"),
+    (("experiment", "--config", "{tmp}/bridge-paths-0.json"),
+     "bridge_paths must be at least 2, got 0"),
+    (("experiment", "--config", "{tmp}/bridge-paths-1.json"),
+     "bridge_paths must be at least 2, got 1"),
+    (("experiment", "--config", "{tmp}/comparison-n-0.json"),
+     "comparison_n must be null or one of the schedule sizes [100, 400, 1600], got 0"),
+    (("experiment", "--config", "{tmp}/comparison-replicates-0.json"),
+     "comparison_replicates must be at least 1, got 0"),
+    (("experiment", "--config", "{tmp}/histogram-replicates-minus-3.json"),
+     "histogram_replicates must be at least 1, got -3"),
+    (("experiment", "--config", "{tmp}/histogram-replicates-0.json"),
+     "histogram_replicates must be at least 1, got 0"),
+    (("experiment", "--config", "{tmp}/z-max-nan.json"),
+     "threshold 'z_max' must be finite, got nan"),
+    (("experiment", "--config", "{tmp}/one-comparison-replicate.json", "--seed", "3"),
+     "no split soup among the 1 comparison replicates at n=400"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
-    top_seed = default_cluster_scaling_config()
-    top_seed.seed = 2 ** 64 - 1
-    for name, config in (("edge-audit", default_edge_audit_config()),
-                         ("cluster-scaling", default_cluster_scaling_config()),
-                         ("cluster-scaling-top-seed", top_seed)):
+    audit, scaling = default_edge_audit_config(), default_cluster_scaling_config()
+    partition = default_single_partition_config()
+    for name, config in (
+            ("edge-audit", audit), ("cluster-scaling", scaling),
+            ("cluster-scaling-top-seed", dataclasses.replace(scaling, seed=2 ** 64 - 1)),
+            ("bridge-resolution-0", dataclasses.replace(scaling, bridge_resolution=0)),
+            ("bridge-paths-0", dataclasses.replace(scaling, bridge_paths=0)),
+            ("bridge-paths-1", dataclasses.replace(scaling, bridge_paths=1)),
+            ("comparison-n-0", dataclasses.replace(scaling, comparison_n=0)),
+            ("comparison-replicates-0", dataclasses.replace(scaling, comparison_replicates=0)),
+            ("histogram-replicates-minus-3",
+             dataclasses.replace(partition, histogram_replicates=-3)),
+            ("histogram-replicates-0", dataclasses.replace(partition, histogram_replicates=0)),
+            ("z-max-nan", dataclasses.replace(
+                audit, thresholds={**audit.thresholds, "z_max": math.nan})),
+            ("one-comparison-replicate", dataclasses.replace(scaling, comparison_replicates=1))):
         (tmp_path / f"{name}.json").write_text(config.to_json())
     argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
     out_path = tmp_path / "out.csv"

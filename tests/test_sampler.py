@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from loopsoup.analytics import (
 from loopsoup.circle import Loop, LoopType, build_model, classify_loop
 from loopsoup.numerics import chi_square_two_sample
 from loopsoup.sampler import (
+    CONDITIONS,
     ClusterStats,
     SoupSample,
     _soup_tables,
@@ -93,7 +95,32 @@ def test_conditional_experiment_deterministic():
     e1 = conditional_experiment(MODEL, 99, "unconditioned", 300, keep_closed_edges=True)
     e2 = conditional_experiment(MODEL, 99, "unconditioned", 300, keep_closed_edges=True)
     assert np.array_equal(e1.closed_edge_count, e2.closed_edge_count)
-    assert all(np.array_equal(x, y) for x, y in zip(e1.closed_edges, e2.closed_edges))
+    assert np.array_equal(e1.closed_edges, e2.closed_edges)
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_closed_edge_column_invariants(condition):
+    """The flat closed-edge column, over more than one block: kept or not it
+    leaves every other field alone, each replicate's slice rises strictly from
+    origin_right to n - 1 - origin_left, and it sums to the per-edge totals."""
+    n, reps = 8, 2500
+    model = build_model(n, 0.5, 0.3, 0.7)
+    kept = conditional_experiment(model, 17, condition, reps, keep_closed_edges=True)
+    bare = conditional_experiment(model, 17, condition, reps)
+    assert bare.closed_edges is None
+    for f in dataclasses.fields(kept):
+        if f.name != "closed_edges":
+            assert np.array_equal(getattr(kept, f.name), getattr(bare, f.name)), f.name
+    count, flat = kept.closed_edge_count, kept.closed_edges
+    assert flat.size == count.sum()
+    owner = np.repeat(np.arange(reps), count)
+    same = owner[1:] == owner[:-1]
+    assert np.all(np.diff(flat)[same] > 0)
+    ends = np.cumsum(count)
+    some = count >= 1
+    assert np.array_equal(flat[(ends - count)[some]], kept.origin_right[some])
+    assert np.array_equal(flat[ends[some] - 1], n - 1 - kept.origin_left[some])
+    assert np.array_equal(np.bincount(flat, minlength=n), kept.closed_edge_totals)
 
 
 def test_sampled_loops_are_valid_and_respect_condition():
@@ -389,7 +416,8 @@ def test_conditioned_soup_first_jump_ks_n200():
     model = build_model(n, 0.5, 1.0 / (2 * n * n), 0.5)
     ens = conditional_experiment(model, 61, "avoiding-1-only", reps,
                                  keep_closed_edges=True)
-    soup_firsts = np.array([closed[1] for closed in ens.closed_edges])
+    starts = np.cumsum(ens.closed_edge_count) - ens.closed_edge_count
+    soup_firsts = ens.closed_edges[starts + 1]
     law = RenewalLaw.build(0.5, model.r, n - 1)
     rng = np.random.default_rng(62)
     renewal_firsts = np.array([path[1] for path in
@@ -417,6 +445,8 @@ def test_segment_conditioning_never_opens_boundary_edges():
     ens = conditional_experiment(model, 3, "avoiding-1-only", 500,
                                  keep_closed_edges=True)
     assert ens.split_fraction == 1.0
-    for closed in ens.closed_edges:
-        assert 0 in closed and n - 1 in closed
+    ends = np.cumsum(ens.closed_edge_count)
+    # each replicate's slice is ascending, so it holds 0 and n - 1 iff it starts and ends there
+    assert np.all(ens.closed_edges[ends - ens.closed_edge_count] == 0)
+    assert np.all(ens.closed_edges[ends - 1] == n - 1)
     assert np.all(ens.closed_edge_count >= 2)
