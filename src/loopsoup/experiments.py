@@ -115,14 +115,18 @@ class ExperimentConfig:
     histogram_replicates: int = 2000      # power-calibrated histogram subsample
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
-    def validate(self, seed_offset: int = 0) -> None:
+    def validate(self, seed_offset: int = 0, targets: tuple[str, ...] = ()) -> None:
         """Check the seed leaves room for the runner's streams, seed up to
-        seed + seed_offset, that sizes and thresholds are in range, and that
-        the schedule drifts toward the declared limit targets."""
+        seed + seed_offset, that the limit targets the runner compares with
+        are set, that sizes and thresholds are in range, and that the schedule
+        drifts toward the declared limit targets."""
         if not 0 <= self.seed < 2 ** 64 - seed_offset:
             bound = f"2^64 - {seed_offset}" if seed_offset else "2^64"
             raise ValueError(f"seed must lie in [0, {bound}) for {self.name}, "
                              f"got {self.seed}")
+        for name in targets:
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} must be set for {self.name}, got null")
         # bridge_paths >= 2: the Hausdorff reference compares two halves of the mixture
         for name, least in (("bridge_resolution", 1), ("bridge_paths", 2),
                             ("comparison_replicates", 1), ("histogram_replicates", 1)):
@@ -384,7 +388,7 @@ def extent_histogram_pvalue(ensemble: SoupEnsemble, kappa: float, alpha: float,
 
 def run_single_partition_convergence(config: ExperimentConfig) -> dict:
     """MC split probability per n against the limit law, plus the extent histogram."""
-    config.validate()
+    config.validate(targets=("kappa", "epsilon"))
     if not 0.0 < config.alpha < 1.0:
         raise ValueError("needs 0 < alpha < 1")
     limit = analytics.prob_not_single_partition_limit(config.kappa, config.epsilon,
@@ -466,7 +470,8 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     circle's grid conditioned to hit the far end of the arc 1 - g - d;
     (3) the through-1-only extent cdf against its scaling limit on a grid.
     """
-    config.validate(seed_offset=3)  # parts 2 and 3 sample from seed + 1 .. seed + 3
+    # parts 2 and 3 sample from seed + 1 .. seed + 3; part 3 compares with epsilon
+    config.validate(seed_offset=3, targets=("kappa", "epsilon"))
     alpha, kappa = config.alpha, config.kappa
     comparison_n = config.schedule[-1].n if config.comparison_n is None else config.comparison_n
 

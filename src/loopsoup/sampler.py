@@ -23,9 +23,10 @@ property gives the law of each in closed form:
   (D(k) / D(n-x))^j;
 * the loops through vertex 1 are a Poisson number of winding or
   circuit-sweeping loops, each of which opens every edge, and an independent
-  Poisson number of liftable loops, whose lifts through 0 stay inside
-  [-a, b] with probability G(a, b) each; the joint extents of j lifts have
-  cdf G(a, b)^j.
+  Poisson number of liftable loops; the mass of those whose lift through 0
+  stays inside [-a, b] and reaches b is D(a+b) - D(b-1) (D(-1) = 0), so each
+  lift's right end is drawn from the partial sums of that mass at a = n-1,
+  then its left end from D itself.
 
 Exactness is checked against the closed-form edge probabilities and against
 `sample_soup` by the test suite.
@@ -68,7 +69,8 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
 class _SoupTables:
     masses: np.ndarray       # loop mass of the sub-soup at each 0-based minimal vertex 0..n-2
     return_prob: np.ndarray  # excursion return probability at each base
-    reach_mass: np.ndarray   # D(0..n-2), see the module docstring
+    reach_mass: np.ndarray   # D(0..2n-2), see the module docstring
+    lift_right_mass: np.ndarray  # W(b): liftable loops whose lift ends at or below b
     winding_mass: float      # loops through vertex 1 that wind or sweep a circuit
     liftable_mass: float
 
@@ -79,15 +81,19 @@ def _soup_tables(model: CircleModel) -> _SoupTables:
     # D(k) = log(2 cosh r sinh((k+1)r) / sinh((k+2)r)) rises by
     # -log(1 - sinh(r)^2 / sinh((k+1)r)^2) > 0 at each k, so the cumulative
     # sum is nondecreasing in floating point too, as searchsorted needs
-    k = np.arange(1, n - 1)
+    k = np.arange(1, 2 * n - 1)
     ratio = np.exp(-r * k) * math.expm1(-2.0 * r) / np.expm1(-2.0 * r * (k + 1))
     reach_mass = np.concatenate(([0.0], np.cumsum(-np.log1p(-ratio * ratio))))
+    # W(b) = sum over b' <= b of D(n-1+b') - D(b'-1), with D(-1) = 0;
+    # liftable_mass keeps the closed-form total, free of the cumsum's drift
+    reaching = reach_mass[n - 1:] - np.concatenate(([0.0], reach_mass[:n - 1]))
     through = mass_inside(model, range(1, n + 1)) - mass_inside(model, range(2, n + 1))
     liftable = float(mass_liftable_inside(model, n - 1, n - 1))
     masses = np.concatenate(([through], reach_mass[n - 2:0:-1]))
     return _SoupTables(masses=masses,
                        return_prob=-np.expm1(-masses),
                        reach_mass=reach_mass,
+                       lift_right_mass=np.cumsum(reaching),
                        winding_mass=max(through - liftable, 0.0),
                        liftable_mass=liftable)
 
@@ -318,22 +324,6 @@ class SoupEnsemble:
         return float(np.mean(self.closed_edge_count >= 1))
 
 
-def _smallest_reaching(f, target: np.ndarray, n: int) -> np.ndarray:
-    """Elementwise smallest k in 0..n-1 with f(k) >= target, by bisection.
-
-    f must be nondecreasing in k; n-1 is returned where no k < n-1 reaches
-    the target, so the result never depends on f(n-1).
-    """
-    lo = np.full(target.shape, -1)
-    hi = np.full(target.shape, n - 1)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi + 1) // 2  # in 0..n-1, also where the search is done
-        up = f(mid) >= target
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    return hi
-
-
 def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
                seed: int, block_index: int, block_reps: int,
                keep_closed: bool):
@@ -341,8 +331,9 @@ def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
     name, and the per-edge closed totals.
 
     Draw order on the block's stream: avoiding counts, avoiding reaches,
-    winding counts, liftable counts, liftable extents.  "through-1-only"
-    skips the first two and "avoiding-1-only" the last three.
+    winding counts, liftable counts, one right-end uniform per liftable loop,
+    one left-end uniform per liftable loop.  "through-1-only" skips the first
+    two and "avoiding-1-only" the last four.
     """
     n, B = model.n, block_reps
     gen = philox_rng(seed, stream=block_index + 1)
@@ -367,21 +358,19 @@ def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
     if condition != "avoiding-1-only":
         winding = gen.poisson(model.alpha * tables.winding_mass, B)
         liftable = gen.poisson(model.alpha * tables.liftable_mass, B)
-        rows = np.flatnonzero(liftable)
-        j = liftable[rows]
-        u, v = 1.0 - gen.random((2, rows.size))
-
-        def cdf(a, b):
-            """P[all j lifts stay inside [-a, b]], 0 for b < 0."""
-            inside = mass_liftable_inside(model, a, np.maximum(b, 0)) / tables.liftable_mass
-            return np.where(b >= 0, np.clip(inside, 0.0, 1.0) ** j, 0.0)
-
-        right = _smallest_reaching(lambda b: cdf(n - 1, b), u, n)
-        at_right = cdf(n - 1, right) - cdf(n - 1, right - 1)
-        left = _smallest_reaching(lambda a: cdf(a, right) - cdf(a, right - 1),
-                                  v * at_right, n)
+        # each lift's right end b is the smallest with W(b) >= u W(n-1), its
+        # left end a the smallest with D(a+b) >= D(b-1) + v (D(n-1+b) - D(b-1))
+        # (D(-1) = D(0) = 0), clipped to 0..n-1 where roundoff or a saturated D
+        # puts the target at an end; a row's extents are its lifts' maxima
+        D, W = tables.reach_mass, tables.lift_right_mass
+        u, v = 1.0 - gen.random((2, liftable.sum()))
+        right = np.searchsorted(W, u * W[-1])
+        lo, hi = D[np.maximum(right - 1, 0)], D[right + n - 1]
+        left = np.clip(np.searchsorted(D, lo + v * (hi - lo)) - right, 0, n - 1)
+        owner = np.repeat(np.arange(B), liftable)
         lift_left, lift_right = zeros.copy(), zeros.copy()
-        lift_left[rows], lift_right[rows] = left, right
+        np.maximum.at(lift_left, owner, left)
+        np.maximum.at(lift_right, owner, right)
         open_mask |= (edges < lift_right[:, None]) | (edges >= n - lift_left[:, None])
         open_mask[winding > 0] = True
 

@@ -210,6 +210,12 @@ def test_experiment_subcommand(tmp_path, capsys):
      "threshold 'z_max' must be finite, got nan"),
     (("experiment", "--config", "{tmp}/one-comparison-replicate.json", "--seed", "3"),
      "no split soup among the 1 comparison replicates at n=400"),
+    (("experiment", "--config", "{tmp}/single-partition-no-targets.json"),
+     "kappa must be set for single-partition, got null"),
+    (("experiment", "--config", "{tmp}/cluster-scaling-no-kappa.json"),
+     "kappa must be set for cluster-scaling, got null"),
+    (("experiment", "--config", "{tmp}/cluster-scaling-no-epsilon.json"),
+     "epsilon must be set for cluster-scaling, got null"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     audit, scaling = default_edge_audit_config(), default_cluster_scaling_config()
@@ -227,7 +233,11 @@ def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
             ("histogram-replicates-0", dataclasses.replace(partition, histogram_replicates=0)),
             ("z-max-nan", dataclasses.replace(
                 audit, thresholds={**audit.thresholds, "z_max": math.nan})),
-            ("one-comparison-replicate", dataclasses.replace(scaling, comparison_replicates=1))):
+            ("one-comparison-replicate", dataclasses.replace(scaling, comparison_replicates=1)),
+            ("single-partition-no-targets",
+             dataclasses.replace(partition, kappa=None, epsilon=None)),
+            ("cluster-scaling-no-kappa", dataclasses.replace(scaling, kappa=None)),
+            ("cluster-scaling-no-epsilon", dataclasses.replace(scaling, epsilon=None))):
         (tmp_path / f"{name}.json").write_text(config.to_json())
     argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
     out_path = tmp_path / "out.csv"

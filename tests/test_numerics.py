@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
+import loopsoup
 from loopsoup.numerics import (
     QuadratureSpec,
     beta,
     chi_square_pvalue,
+    chi_square_two_sample,
     hausdorff,
     integrate,
     ks_critical,
@@ -141,6 +147,25 @@ def test_chi_square_pvalue_uniform_counts():
     counts = np.bincount(rng.integers(0, 10, size=10000), minlength=10)
     stat, p = chi_square_pvalue(counts, np.full(10, 0.1))
     assert p > 0.001
+
+
+def test_chi_square_tails_match_closed_forms():
+    """Two degrees of freedom have tail exp(-x/2), one has erfc(sqrt(x/2))."""
+    stat, p = chi_square_pvalue([30, 50, 20], [1, 1, 1])
+    assert p == pytest.approx(math.exp(-stat / 2.0), rel=1e-12)
+    stat, p = chi_square_two_sample([40, 60], [55, 45])
+    assert p == pytest.approx(math.erfc(math.sqrt(stat / 2.0)), rel=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """`import loopsoup` does not load scipy.stats, about a third of its
+    start-up time; the chi-square tails come from scipy.special."""
+    src = str(Path(loopsoup.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, loopsoup; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_hausdorff_examples():

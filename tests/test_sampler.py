@@ -11,6 +11,7 @@ from loopsoup.analytics import (
     mass_avoiding_edges,
     mass_inside,
     mass_liftable,
+    mass_liftable_inside,
     mass_through_vertex1,
     prob_no_winding_or_covering,
 )
@@ -49,14 +50,45 @@ def test_min_vertex_masses_match_return_probabilities():
 @settings(deadline=None, max_examples=60)
 @given(n=st.integers(3, 500), p=st.floats(0.05, 0.95), c=st.floats(1e-6, 2.0))
 def test_reach_mass_table_matches_arc_mass_differences(n, p, c):
-    """D(k) starts at 0, never decreases, and is the mass of the loops inside
-    a (k+1)-vertex arc that visit its left end."""
+    """D(k) starts at 0, never decreases over the whole table D(0..2n-2), and
+    for k <= n-2 is the mass of the loops inside a (k+1)-vertex arc that visit
+    its left end."""
     model = build_model(n, p, c, 1.0)
     reach = _soup_tables(model).reach_mass
+    assert reach.size == 2 * n - 1
     assert reach[0] == 0.0
     assert np.all(np.diff(reach) >= 0.0)
     arcs = np.array([mass_inside(model, range(1, k + 1)) for k in range(1, n)])
-    np.testing.assert_allclose(reach[1:], np.diff(arcs), rtol=1e-10)
+    np.testing.assert_allclose(reach[1:n - 1], np.diff(arcs), rtol=1e-10)
+
+
+@pytest.mark.parametrize("n, p, c", [(12, 0.55, 0.4), (50, 0.3, 0.01), (400, 0.5, 1e-5),
+                                     (2000, 0.5, 2.0), (2000, 0.9, 1e-6)])
+def test_lift_tables_match_liftable_mass_differences(n, p, c):
+    """The liftable loops whose lift through 0 stays in [-a, b] and reaches b
+    have mass M(a, b) - M(a, b-1) = D(a+b) - D(b-1) (D(-1) = 0) at every
+    a, b in 0..n-1, and the right-end table W sums that over a = n-1 up to
+    the closed-form liftable mass, also at large n*r."""
+    model = build_model(n, p, c, 1.0)
+    tables = _soup_tables(model)
+    D, a = tables.reach_mass, np.arange(n)
+    for b in range(n):  # one b at a time: the full n x n grid would take 300 MB
+        below = mass_liftable_inside(model, a, b - 1) if b else 0.0
+        gap = D[a + b] - D[max(b - 1, 0)] - (mass_liftable_inside(model, a, b) - below)
+        assert np.max(np.abs(gap)) < 1e-13, b
+    W = tables.lift_right_mass
+    assert W.size == n and np.all(np.diff(W) >= 0.0)
+    assert W[-1] == pytest.approx(mass_liftable(model), rel=1e-12)
+    assert W[-1] == pytest.approx(tables.liftable_mass, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, c", [(2000, 2.0), (60, 30.0)])
+def test_lift_extents_stay_on_the_circle(n, c):
+    """Where D saturates in floating point the left-end target can round onto
+    an end of its range; both lift columns still lie in 0..n-1."""
+    ens = conditional_experiment(build_model(n, 0.5, c, 1.0), 5, "through-1-only", 100_000)
+    for column in (ens.lift_left, ens.lift_right):
+        assert column.min() >= 0 and column.max() <= n - 1
 
 
 def test_sampling_requires_killing():
