@@ -264,9 +264,11 @@ def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> 
         raise ValueError("limit formulas require kappa > 0")
     if not (a >= 0 and b >= 0):
         raise ValueError("extents must be nonnegative")
-    if a == 0.0 or b == 0.0:
-        return 0.0
     s = math.sqrt(kappa)
+    # a * s can underflow to 0 for subnormal a; log_sinh(0) = -inf would then
+    # give -inf - (-inf) = nan below, so treat it as the a = 0 boundary
+    if a * s == 0.0 or b * s == 0.0:
+        return 0.0
     log_val = (math.log(2.0) + log_cosh(s) - log_sinh(s)
                + log_sinh(a * s) + log_sinh(b * s) - log_sinh((a + b) * s))
     return _clip_unit(math.exp(alpha * log_val))

@@ -355,6 +355,8 @@ def test_finite_n_probabilities_lie_in_unit_interval(n, p, c, alpha, u, v):
 @example(log_kappa=5.0, eps_frac=0.25, alpha=0.5, a=0.3, b=0.4)
 @example(log_kappa=6.0, eps_frac=0.25, alpha=0.5, a=0.3, b=0.4)
 @example(log_kappa=4.5773, eps_frac=0.25, alpha=0.01, a=0.3, b=0.4)
+# a * sqrt(kappa) underflowed to 0 and the extent cdf came out nan
+@example(log_kappa=-2.0, eps_frac=0.0, alpha=1.0, a=5e-324, b=5e-324)
 def test_limit_probabilities_lie_in_unit_interval(log_kappa, eps_frac, alpha, a, b):
     kappa = 10.0 ** log_kappa
     epsilon = eps_frac * kappa
