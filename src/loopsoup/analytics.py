@@ -155,6 +155,13 @@ def mass_avoiding_edges(model: CircleModel, edges) -> float:
     return -log_det + n * math.log(1.0 + model.c)
 
 
+def _log_coth(z: float) -> float:
+    """log coth z = log1p(2 / expm1(2z)) for z > 0, with every digit at large z,
+    where log cosh z - log sinh z would cancel two numbers near z; written
+    with e^-2z so that no exponential overflows."""
+    return math.log1p(2.0 * math.exp(-2.0 * z) / -math.expm1(-2.0 * z))
+
+
 def mass_through_vertex1(model: CircleModel) -> float:
     """Mass of non-trivial loops visiting vertex 1.
 
@@ -167,7 +174,7 @@ def mass_through_vertex1(model: CircleModel) -> float:
     big, small = n * r, n * _half_log_drift(model)
     if model.c == 0.0 or big <= small:
         return math.inf
-    return (log_cosh(r) - log_sinh(r)) + log_sinh(big) - log_cosh_diff(big, small)
+    return _log_coth(r) + log_sinh(big) - log_cosh_diff(big, small)
 
 
 def mass_liftable(model: CircleModel) -> float:
@@ -179,7 +186,7 @@ def mass_liftable(model: CircleModel) -> float:
     n, r = model.n, model.r
     if r == 0.0:
         return math.inf
-    return (log_cosh(r) - log_sinh(r)) + log_sinh(n * r) - log_cosh(n * r)
+    return _log_coth(r) - _log_coth(n * r)
 
 
 def mass_liftable_inside(model: CircleModel, m, M):
@@ -274,6 +281,20 @@ def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> 
     return _clip_unit(math.exp(alpha * log_val))
 
 
+def _log_sinh_scaled(s: float, x: float) -> float:
+    """log sinh(s x) for s, x > 0; below s x = 1e-8 it is log s + log x, which
+    stays finite where s x underflows."""
+    return math.log(s) + math.log(x) if s * x < 1e-8 else log_sinh(s * x)
+
+
+def _exp_or_inf(log_val: float) -> float:
+    """exp(log_val), or inf once that passes the float range."""
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        return math.inf
+
+
 def covered_extent_limit_density(kappa: float, alpha: float, a: float, b: float) -> float:
     """Joint density of the scaled swept-interval extents (A, B)."""
     require_finite(kappa=kappa, alpha=alpha, a=a, b=b)
@@ -284,9 +305,9 @@ def covered_extent_limit_density(kappa: float, alpha: float, a: float, b: float)
     s = math.sqrt(kappa)
     log_val = (math.log(kappa * alpha * (alpha + 1.0))
                + alpha * (math.log(2.0) + log_cosh(s) - log_sinh(s))
-               + alpha * (log_sinh(s * a) + log_sinh(s * b))
-               - (alpha + 2.0) * log_sinh(s * (a + b)))
-    return math.exp(log_val)
+               + alpha * (_log_sinh_scaled(s, a) + _log_sinh_scaled(s, b))
+               - (alpha + 2.0) * _log_sinh_scaled(s, a + b))
+    return _exp_or_inf(log_val)
 
 
 def through1_extent_cdf(model: CircleModel, m: int, M: int) -> float:
@@ -403,6 +424,6 @@ def cluster_extent_limit_density(kappa: float, alpha: float, x: float, y: float)
     log_val = (math.log(math.sin(alpha * math.pi) / math.pi)
                + math.log((1.0 - alpha) * kappa) + log_sinh(s)
                - log_sinh(s * (1.0 - alpha))
-               - alpha * log_sinh(s * (1.0 - z))
-               - (2.0 - alpha) * log_sinh(s * z))
-    return math.exp(log_val)
+               - alpha * _log_sinh_scaled(s, 1.0 - z)
+               - (2.0 - alpha) * _log_sinh_scaled(s, z))
+    return _exp_or_inf(log_val)

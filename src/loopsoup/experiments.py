@@ -517,10 +517,13 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     ks_k = ks_distance_two_sample(soup_k, mix_k)
 
     def matched_hausdorff(sets_a, sets_b):
-        """Mean Hausdorff distance of the sets at 101 matched leftmost-point quantiles."""
+        """Mean Hausdorff distance of the sets at 101 matched leftmost-point
+        quantiles; a pair of indices met more than once is measured once."""
         a, b = (sorted(sets, key=lambda s: s[0]) for sets in (sets_a, sets_b))
-        return float(np.mean([hausdorff(a[int(q * (len(a) - 1))], b[int(q * (len(b) - 1))])
-                              for q in np.linspace(0.0, 1.0, 101)]))
+        pairs = [(int(q * (len(a) - 1)), int(q * (len(b) - 1)))
+                 for q in np.linspace(0.0, 1.0, 101)]
+        dist = {(i, j): hausdorff(a[i], b[j]) for i, j in set(pairs)}
+        return float(np.mean([dist[pair] for pair in pairs]))
 
     hd = matched_hausdorff(soup_sets, mix_sets)
     # reference scale: the same statistic between two halves of the mixture

@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy import special as _sci_special
 
 
@@ -174,6 +173,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None,
     extrapolation.  Raises QuadratureError if the error estimate exceeds the
     requested tolerance.
     """
+    # imported here so that `import loopsoup` does not load scipy.integrate
+    from scipy import integrate as _sci_integrate
+
     spec = spec or QuadratureSpec()
     with warnings.catch_warnings():
         # roundoff chatter from QAGS at tight tolerances; we gate on the
@@ -273,8 +275,10 @@ def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
 def hausdorff(set_a, set_b) -> float:
     """Exact Hausdorff distance between finite nonempty subsets of the line.
 
-    Implemented as a merge scan over the sorted points: for each point of one
-    set the nearest point of the other is found by bisection.
+    Both sets are sorted, and for each point of one set the nearest point of
+    the other is found by bisection: it is one of the two neighbours of its
+    insertion index.  The result is the same float as the max-min over all
+    pairs of points.  ValueError if either set is empty.
     """
     a = np.sort(np.asarray(set_a, dtype=float))
     b = np.sort(np.asarray(set_b, dtype=float))
@@ -283,8 +287,9 @@ def hausdorff(set_a, set_b) -> float:
 
     def directed(src, dst):
         idx = np.searchsorted(dst, src)
-        left = dst[np.clip(idx - 1, 0, dst.size - 1)]
-        right = dst[np.clip(idx, 0, dst.size - 1)]
+        # idx lies in 0..dst.size, so each neighbour needs one clamp only
+        left = dst[np.maximum(idx - 1, 0)]
+        right = dst[np.minimum(idx, dst.size - 1)]
         nearest = np.minimum(np.abs(src - left), np.abs(src - right))
         return float(nearest.max())
 

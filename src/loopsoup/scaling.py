@@ -14,8 +14,9 @@ drawn in batches: `sample_conditioned_renewals` advances all paths in
 lockstep to their own levels and is the only path sampler;
 `sample_conditioned_renewal` is its one-path call.  Each round draws a run
 of unit jumps in closed form, by one `searchsorted`, and one longer jump by
-rejection from a dyadic envelope in O(log n), so a path costs rounds in
-proportion to its jumps longer than 1, whatever its level.
+rejection from a dyadic envelope of O(log n) classes, built once per round
+for all live paths, so a path costs rounds in proportion to its jumps longer
+than 1, whatever its level.
 """
 
 from __future__ import annotations
@@ -139,7 +140,9 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
       nonincreasing, so C(lower end) times the class's w-mass bounds the
       class; a class is picked by these bounds, j within it in proportion to
       w, and j is kept with probability C(m) / C(lower end), at least
-      2^-alpha.  Rejected paths draw again until every path has its jump.
+      2^-alpha.  The envelope rows of all live paths are built once per
+      round; rejected paths draw again against their rows until every path
+      has its jump.
 
     The points are kept as (owner, lowest gap, count) records of runs of
     consecutive gaps and turned into positions level - gap at the end.
@@ -169,9 +172,10 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
     # tail sums keep the small masses of long jumps, which a cumulative sum
     # near 1 would round away
     down = np.append(-np.cumsum(w[::-1])[::-1], 0.0)
-    # envelope class c holds the remaining gaps [lo[c], hi[c]), under C(lo[c])
-    lo = np.concatenate(([0], 2 ** np.arange(max(top - 2, 0).bit_length())))
-    hi, height = np.maximum(2 * lo, 1), C[lo]
+    # envelope class c holds the remaining gaps [edges[c], edges[c+1]), under
+    # C(edges[c])
+    edges = np.concatenate(([0], 2 ** np.arange(max(top - 2, 0).bit_length() + 1)))
+    height = C[edges[:-1]]
     active, gap = np.arange(n_paths), levels.copy()
     owners, lows, counts = [active], [gap], [np.ones(n_paths, dtype=np.int64)]
     while active.size:
@@ -183,22 +187,21 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
         counts.append(gap - stop)
         live = stop > 0
         active, gap = active[live], stop[live]
+        # one envelope per round: class c spans the jumps b[c+1] .. b[c]-1,
+        # none where they meet, and rejected paths redraw against their rows
+        b = np.maximum(gap[:, None] + 1 - edges, 2)
+        tail = down[b]
+        cum = np.cumsum((tail[:, :-1] - tail[:, 1:]) * height, axis=1)
         jump = np.zeros_like(gap)
         todo = np.arange(gap.size)
         while todo.size:
-            g = gap[todo]
-            # class c spans the jumps first..end-1, none where end == first
-            first = np.maximum(g[:, None] - hi + 1, 2)
-            end = np.maximum(g[:, None] - lo + 1, first)
-            cum = np.cumsum((down[end] - down[first]) * height, axis=1)
+            row = cum[todo]
             u = rng.random((3, todo.size))
-            c = np.minimum((cum <= (u[0] * cum[:, -1])[:, None]).sum(axis=1), lo.size - 1)
-            pick = np.arange(todo.size), c
-            first, end = first[pick], end[pick]
-            j = np.searchsorted(down, down[first] + u[1] * (down[end] - down[first]),
-                                side="right") - 1
+            c = np.minimum((row <= (u[0] * row[:, -1])[:, None]).sum(axis=1), height.size - 1)
+            low, high = tail[todo, c + 1], tail[todo, c]
+            j = np.searchsorted(down, low + u[1] * (high - low), side="right") - 1
             # a jump outside its class comes only from rounding, and is rejected
-            keep = (j < end) & (u[2] * height[c] < np.take(C, g - j, mode="clip"))
+            keep = (j < b[todo, c]) & (u[2] * height[c] < np.take(C, gap[todo] - j, mode="clip"))
             jump[todo[keep]] = j[keep]
             todo = todo[~keep]
         gap -= jump

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from loopsoup.analytics import (
     mass_avoiding_edges,
     mass_inside,
     mass_liftable,
+    mass_liftable_inside,
     mass_through_vertex1,
     mass_winding_or_covering,
     prob_no_winding_or_covering,
@@ -284,6 +286,25 @@ def test_prob_no_winding_finite_n_converges(schedule):
     assert gaps[2] < 1e-6
 
 
+def test_mass_liftable_keeps_its_digits_at_large_r():
+    """log coth r - log coth(nr) at r = 4.13, where a difference of log cosh
+    and log sinh, two numbers near r, lost 2e-11 relative."""
+    model = build_model(60, 0.5, 30.0, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = Decimal(model.r)
+
+        def log_coth(z):
+            return ((2 * z).exp() + 1).ln() - ((2 * z).exp() - 1).ln()
+
+        exact = float(log_coth(r) - log_coth(60 * r))
+    assert mass_liftable(model) == pytest.approx(exact, rel=1e-15, abs=0.0)
+    # the lift form carries about 1e-13 of its own here, from the log of
+    # -expm1(-2r) near 1
+    assert mass_liftable(model) == pytest.approx(
+        float(mass_liftable_inside(model, 59, 59)), rel=2e-13, abs=0.0)
+
+
 def test_covered_extent_cdf_boundary():
     model = build_model(12, 0.5, 0.3, 0.7)
     # the swept interval always fits inside [-(n-1), n-1]
@@ -374,6 +395,29 @@ def test_limit_probabilities_lie_in_unit_interval(log_kappa, eps_frac, alpha, a,
         ("prob_split_given_no_cover_limit",
          lambda: oracles.prob_split_given_no_cover_limit(kappa, alpha)),
     ])
+
+
+@settings(deadline=None, max_examples=200)
+@given(log_kappa=st.floats(-4.0, 7.0), alpha=st.floats(0.01, 0.99),
+       a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+# a * sqrt(kappa) underflowed to 0 and the density came out nan
+@example(log_kappa=-2.0, alpha=0.99, a=5e-324, b=5e-324)
+# log sinh(1e-300) raised the density past the float range: OverflowError
+@example(log_kappa=0.0, alpha=0.5, a=1e-300, b=1e-300)
+def test_extent_limit_densities_are_never_nan(log_kappa, alpha, a, b):
+    """Both extent densities are nonnegative numbers, +inf where tiny extents
+    take them past the float range, and never nan or an exception."""
+    kappa = 10.0 ** log_kappa
+    for value in (covered_extent_limit_density(kappa, alpha, a, b),
+                  cluster_extent_limit_density(kappa, alpha, a, min(b, 1.0 - a))):
+        assert value >= 0.0
+
+
+def test_extent_limit_densities_at_subnormal_extents():
+    # the density diverges like eps^(alpha-2) as a = b = eps -> 0
+    assert covered_extent_limit_density(0.01, 1.0, 5e-324, 5e-324) == math.inf
+    assert covered_extent_limit_density(1.0, 0.5, 1e-300, 1e-300) == math.inf
+    assert cluster_extent_limit_density(1.0, 0.5, 1e-300, 1e-300) == math.inf
 
 
 def test_through1_extent_cdf_zero_extents():
@@ -516,6 +560,7 @@ def test_large_n_no_overflow():
     model = build_model(n, 0.5, 0.005, 0.5)
     assert model.r * n > 2000
     assert math.isfinite(mass_through_vertex1(model))
+    assert math.isfinite(mass_liftable(model))
     assert 0.0 <= prob_no_winding_or_covering(model) <= 1.0
     assert 0.0 <= covered_extent_cdf(model, n // 3, n // 2) <= 1.0
 

@@ -45,6 +45,15 @@ def test_law_subcommand(capsys):
         prob_not_single_partition_limit(1.0, 0.5, 0.5), rel=1e-12)
 
 
+def test_law_density_past_the_float_range_prints_infinity(capsys):
+    """log sinh(1e-300) takes the extent density past the float range: the
+    value is +inf, not an OverflowError traceback."""
+    code, out = run_cli(capsys, "law", "--formula", "cluster-extent-limit-density",
+                        "--kappa", "1", "--alpha", "0.5", "--x", "1e-300", "--y", "1e-300")
+    assert code == 0
+    assert json.loads(out)["value"] == math.inf
+
+
 def test_law_escape_probability(capsys):
     code, out = run_cli(capsys, "law", "--formula", "escape-probability",
                         "--alpha", "2.0")

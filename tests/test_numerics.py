@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 import loopsoup
@@ -158,14 +160,16 @@ def test_chi_square_tails_match_closed_forms():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """`import loopsoup` does not load scipy.stats, about a third of its
-    start-up time; the chi-square tails come from scipy.special."""
+    """`import loopsoup` loads neither scipy.stats, about a third of its
+    start-up time, nor scipy.integrate: the chi-square tails come from
+    scipy.special, and `integrate` imports quad when first called."""
     src = str(Path(loopsoup.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, loopsoup; print('scipy.stats' in sys.modules)"
+    code = ("import sys, loopsoup; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_hausdorff_examples():
@@ -174,6 +178,29 @@ def test_hausdorff_examples():
     # hand computation: 0.5 sits at distance 0.5 from both points of {0, 1}
     assert hausdorff([0.0, 0.5, 1.0], [0.0, 1.0]) == pytest.approx(0.5)
     assert hausdorff([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]) == pytest.approx(0.25)
+
+
+# small integers make duplicates and points shared by both sets common
+_POINTS = st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0)),
+                   min_size=1, max_size=12)
+
+
+@settings(deadline=None)
+@given(a=_POINTS, b=_POINTS)
+@example(a=[2.0], b=[-1.0])
+@example(a=[1.0, 1.0, 0.0], b=[0.0, 1.0, 1.0, 1.0])
+@example(a=[3.0, -2.0, 0.5], b=[0.5])
+def test_hausdorff_equals_brute_force(a, b):
+    """The bisection scan gives the same float as the max-min over all pairs,
+    for unsorted input, duplicates, shared points and singletons."""
+    dist = np.abs(np.subtract.outer(a, b))
+    assert hausdorff(a, b) == max(dist.min(axis=1).max(), dist.min(axis=0).max())
+
+
+@pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([], [])])
+def test_hausdorff_rejects_empty_sets(a, b):
+    with pytest.raises(ValueError, match="nonempty"):
+        hausdorff(a, b)
 
 
 def test_hausdorff_metric_properties():
