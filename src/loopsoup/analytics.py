@@ -123,14 +123,14 @@ def mass_inside(model: CircleModel, subset) -> float:
     restricted generator is singular (infinite mass, only for the full circle
     at c = 0).
     """
-    verts = sorted(set(int(v) for v in subset))
-    if any(not 1 <= v <= model.n for v in verts):
+    verts = np.sort(np.fromiter(subset, dtype=np.int64))
+    verts = verts[np.diff(verts, prepend=verts[:1] - 1) > 0]  # drop repeats
+    if verts.size and not 1 <= verts[0] <= verts[-1] <= model.n:
         raise ValueError("subset must consist of vertices 1..n")
-    if len(verts) == model.n:
+    if verts.size == model.n:
         return model.n * math.log(1.0 + model.c) - _log_det_circle(model)
-    idx = np.asarray(verts, dtype=int)
-    cuts = np.flatnonzero(np.diff(idx) > 1) + 1
-    runs = np.diff(np.concatenate(([0], cuts, [idx.size]))).tolist()
+    cuts = np.flatnonzero(np.diff(verts) > 1) + 1
+    runs = np.diff(np.concatenate(([0], cuts, [verts.size]))).tolist()
     if len(runs) > 1 and verts[0] == 1 and verts[-1] == model.n:
         runs[0] += runs.pop()  # the run through vertex n continues at vertex 1
     return sum((_arc_mass(model, k) for k in runs if k > 1), 0.0)
@@ -174,7 +174,13 @@ def mass_through_vertex1(model: CircleModel) -> float:
     big, small = n * r, n * _half_log_drift(model)
     if model.c == 0.0 or big <= small:
         return math.inf
-    return _log_coth(r) + log_sinh(big) - log_cosh_diff(big, small)
+    if big - small < 1.0:
+        return _log_coth(r) + log_sinh(big) - log_cosh_diff(big, small)
+    # e^big / 2 factored out of sinh(big) and cosh(big) - cosh(small), so two
+    # logs near big do not cancel; the second log1p's argument is above -0.61
+    e = math.exp(-2.0 * big)
+    return (_log_coth(r) + math.log1p(-e)
+            - math.log1p(e - math.exp(small - big) - math.exp(-small - big)))
 
 
 def mass_liftable(model: CircleModel) -> float:

@@ -14,18 +14,21 @@ drawn in batches: `sample_conditioned_renewals` advances all paths in
 lockstep to their own levels and is the only path sampler;
 `sample_conditioned_renewal` is its one-path call.  Each round draws a run
 of unit jumps in closed form, by one `searchsorted`, and one longer jump by
-rejection from a dyadic envelope of O(log n) classes, built once per round
-for all live paths, so a path costs rounds in proportion to its jumps longer
-than 1, whatever its level.
+rejection from a dyadic envelope of O(log n) classes, so a path costs rounds
+in proportion to its jumps longer than 1, whatever its level.  The envelope
+is built once per round as one class-major table with a column per live
+path: a class is picked by a count down each column and its bounds are read
+by flat gathers, so a rejection try costs a fixed number of numpy calls
+however many paths are live.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .numerics import (
     QuadratureSpec,
@@ -52,6 +55,27 @@ def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
     return (np.expm1(-2.0 * r) / np.expm1(-2.0 * (m + 1.0) * r)) ** alpha
 
 
+def _fast_lengths(limit: int) -> list[int]:
+    """Every 2^a 3^b 5^c <= limit, sorted: the lengths numpy's real FFTs
+    take fastest."""
+    out, p5 = [], 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            out += (p35 << a for a in range((limit // p35).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+_FAST_LENGTHS = _fast_lengths(2 ** 40)  # far past any array that fits in memory
+
+
+def _next_fast_len(n: int) -> int:
+    """Least 5-smooth length >= n, as scipy.fft.next_fast_len(n, real=True)."""
+    return _FAST_LENGTHS[bisect_left(_FAST_LENGTHS, n)]
+
+
 def invert_renewal(C: np.ndarray) -> np.ndarray:
     """Jump pmf w(1..N) from hitting probabilities: W = 1 - 1/C as power series.
 
@@ -72,13 +96,13 @@ def invert_renewal(C: np.ndarray) -> np.ndarray:
     g = np.ones(C.size)  # g[:h] holds 1/C mod z^h
     # transforms reuse three buffers sized for the last step, so the peak
     # memory stays near four arrays of N+1 floats
-    top = next_fast_len(C.size, real=True)
+    top = _next_fast_len(C.size)
     buf = np.empty(top)
     g_spec, spec = np.empty((2, top // 2 + 1), dtype=complex)
     for k, h in zip(reversed(precisions[:-1]), reversed(precisions[1:])):
         # a cyclic length of k or more suffices: C[:k] g[:h] has degree
         # < k + h - 1, so the wrapped terms land below h, where C g is 1
-        size = next_fast_len(k, real=True)
+        size = _next_fast_len(k)
         x, gs, s = buf[:size], g_spec[:size // 2 + 1], spec[:size // 2 + 1]
         x[:h], x[h:] = g[:h], 0.0
         np.fft.rfft(x, out=gs)
@@ -140,9 +164,9 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
       nonincreasing, so C(lower end) times the class's w-mass bounds the
       class; a class is picked by these bounds, j within it in proportion to
       w, and j is kept with probability C(m) / C(lower end), at least
-      2^-alpha.  The envelope rows of all live paths are built once per
-      round; rejected paths draw again against their rows until every path
-      has its jump.
+      2^-alpha.  The envelope columns of all live paths are built once per
+      round; rejected paths draw again against their columns until every
+      path has its jump.
 
     The points are kept as (owner, lowest gap, count) records of runs of
     consecutive gaps and turned into positions level - gap at the end.
@@ -176,38 +200,47 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
     # C(edges[c])
     edges = np.concatenate(([0], 2 ** np.arange(max(top - 2, 0).bit_length() + 1)))
     height = C[edges[:-1]]
-    active, gap = np.arange(n_paths), levels.copy()
-    owners, lows, counts = [active], [gap], [np.ones(n_paths, dtype=np.int64)]
+    lift, weight, above = (1 - edges)[:, None], height[:, None], down[1:]
+    paths, ones = np.arange(n_paths), np.ones(n_paths, dtype=np.int64)
+    active, gap = paths, levels.copy()
+    owners, lows, counts = [active], [gap], [ones]
     while active.size:
         # the run goes on while the uniform stays below its chance, so it
         # stops at the lowest gap g with run[g] >= run[G] + log(uniform)
-        stop = np.searchsorted(run, run[gap] + np.log(rng.random(gap.size)))
+        stop = run.searchsorted(run[gap] + np.log(rng.random(gap.size)))
         owners.append(active)
         lows.append(stop)
         counts.append(gap - stop)
         live = stop > 0
         active, gap = active[live], stop[live]
-        # one envelope per round: class c spans the jumps b[c+1] .. b[c]-1,
-        # none where they meet, and rejected paths redraw against their rows
-        b = np.maximum(gap[:, None] + 1 - edges, 2)
+        # one envelope per round, class-major: in column i, class c spans the
+        # jumps b[c+1, i] .. b[c, i]-1, none where they meet; cum is
+        # nondecreasing down each column, so the class is how many entries
+        # above the last are <= u cum[-1], which caps it at the last class
+        cols = gap.size
+        b = np.maximum(gap + lift, 2)
         tail = down[b]
-        cum = np.cumsum((tail[:, :-1] - tail[:, 1:]) * height, axis=1)
-        jump = np.zeros_like(gap)
-        todo = np.arange(gap.size)
+        width = tail[:-1] - tail[1:]
+        cum = (width * weight).cumsum(axis=0)
+        b, low, width = b.ravel(), tail.ravel()[cols:], width.ravel()
+        # the first try covers every live path; rejected ones redraw against
+        # their own columns, read through flat indices c cols + i
+        after = np.empty_like(gap)
+        todo, part, g = paths[:cols], cum, gap
         while todo.size:
-            row = cum[todo]
             u = rng.random((3, todo.size))
-            c = np.minimum((row <= (u[0] * row[:, -1])[:, None]).sum(axis=1), height.size - 1)
-            low, high = tail[todo, c + 1], tail[todo, c]
-            j = np.searchsorted(down, low + u[1] * (high - low), side="right") - 1
+            c = (part[:-1] <= u[0] * part[-1]).sum(axis=0)
+            at = c * cols + todo
+            # low >= down[0], so the count of down[1:] at or below the point is j
+            j = above.searchsorted(low[at] + u[1] * width[at], side="right")
+            after[todo] = rest = g - j
             # a jump outside its class comes only from rounding, and is rejected
-            keep = (j < b[todo, c]) & (u[2] * height[c] < np.take(C, gap[todo] - j, mode="clip"))
-            jump[todo[keep]] = j[keep]
-            todo = todo[~keep]
-        gap -= jump
+            todo = todo[(j >= b[at]) | (u[2] * height[c] >= C.take(rest, mode="clip"))]
+            part, g = cum.take(todo, axis=1), gap.take(todo)
+        gap = after
         owners.append(active)
         lows.append(gap)
-        counts.append(np.ones(gap.size, dtype=np.int64))
+        counts.append(ones[:cols])
         live = gap > 0
         active, gap = active[live], gap[live]
     # each list is dropped once merged, to keep the peak memory low; one

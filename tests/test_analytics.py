@@ -110,6 +110,19 @@ def test_mass_inside_trivial_cases():
         assert mass_inside(MODEL, subset) < full
 
 
+def test_mass_inside_takes_any_iterable_of_vertices():
+    """Order, repeats and container type do not change the mass; a vertex
+    outside 1..n raises wherever it sits."""
+    model = build_model(9, 0.62, 0.6, 1.0)
+    for subset in ([9, 1, 2], [4, 5, 6, 7], list(range(1, 10)), [1, 3, 5]):
+        mass = mass_inside(model, subset)
+        for form in (subset[::-1], subset + subset[:2], set(subset), np.array(subset)):
+            assert mass_inside(model, form) == mass
+    for subset in ([0, 1, 2], [3, 10], [5, -1, 5], [2, 9, 11, 4]):
+        with pytest.raises(ValueError, match="vertices 1..n"):
+            mass_inside(model, subset)
+
+
 def test_mass_inside_matches_enumeration():
     for subset in ([2, 3], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4], [1, 3], [1, 2, 4]):
         enum = oracles.enum_mass_inside(MODEL, subset, 14)
@@ -303,6 +316,25 @@ def test_mass_liftable_keeps_its_digits_at_large_r():
     # -expm1(-2r) near 1
     assert mass_liftable(model) == pytest.approx(
         float(mass_liftable_inside(model, 59, 59)), rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.45, 0.9])
+def test_mass_through_vertex1_keeps_its_digits_at_large_nr(p):
+    """At n = 60, c = 30 (n r = 248) the through-1 mass is log coth r plus a
+    term below e^-180; log sinh(nr) - log(cosh nr - cosh nd), two numbers
+    near n r, lost 3e-11 relative."""
+    model = build_model(60, p, 30.0, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r, q = Decimal(model.r), Decimal(p)
+        big, small = 60 * r, 30 * abs((q / (1 - q)).ln())
+
+        def log_coth(z):
+            return ((2 * z).exp() + 1).ln() - ((2 * z).exp() - 1).ln()
+
+        exact = float(log_coth(r) + (big.exp() - (-big).exp()).ln()
+                      - (big.exp() + (-big).exp() - small.exp() - (-small).exp()).ln())
+    assert mass_through_vertex1(model) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 def test_covered_extent_cdf_boundary():

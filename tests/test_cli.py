@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -139,6 +140,17 @@ def test_bridge_csv_bytes_match_numpy_scalar_formatting(tmp_path, capsys):
     for pts in bridge.sample_bridge_paths(3000, 20, np.random.default_rng(3)):
         writer.writerow([f"{p:.8g}" for p in pts])
     assert out_path.read_bytes() == expect.getvalue().encode()
+
+
+def test_bridge_csv_bytes_are_pinned(tmp_path, capsys):
+    """1001 paths, past the 1000-path chunk boundary, byte-identical to the
+    CSV recorded when the sampler's rounds were made class-major."""
+    out_path = tmp_path / "paths.csv"
+    code, _ = run_cli(capsys, "bridge", "--kappa", "1", "--alpha", "0.5",
+                      "--resolution", "2000", "--paths", "1001", "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "09ddd2b7cade6479497b6b7dba67befa3beaad079ab252e5cda1cf1164eb4b03")
 
 
 def test_experiment_subcommand(tmp_path, capsys):
