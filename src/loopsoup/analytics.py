@@ -203,8 +203,11 @@ def mass_liftable_inside(model: CircleModel, m, M):
     where the exponentials cancel exactly, so no digits are lost at large
     n*r.  Elementwise over arrays m, M >= 0; requires r > 0.
     """
-    def log_sinh_part(k):  # log sinh(k r) - k r + log 2
-        return np.log(-np.expm1(-2.0 * model.r * k))
+    def log_sinh_part(k):  # log sinh(k r) - k r + log 2 = log(1 - e^(-2kr))
+        # past 2kr = log 2, 1 - e^(-2kr) is near 1 and log1p keeps the digits of its log
+        x, log_2 = 2.0 * model.r * k, math.log(2.0)
+        return np.where(x > log_2, np.log1p(-np.exp(-np.maximum(x, log_2))),
+                        np.log(-np.expm1(-x)))
 
     m, M = np.asarray(m), np.asarray(M)
     return (np.log1p(math.exp(-2.0 * model.r)) - log_sinh_part(1)

@@ -190,47 +190,57 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(prog="loopsoup",
                                      description="Loop-soup simulation and "
                                                  "verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # only the parser of the subcommand argv names is built; --help and a bad
+    # name see all five
+    names = ("analytic", "law", "sample", "bridge", "experiment")
+    wanted = argv[:1] if argv[:1] and argv[0] in names else names
 
-    p_analytic = sub.add_parser("analytic", help="finite-n closed forms")
-    p_analytic.add_argument("--formula", choices=sorted(ANALYTIC_FORMULAS), required=True)
-    _add_model_args(p_analytic)
-    p_analytic.add_argument("--m", type=int, default=None)
-    p_analytic.add_argument("--M", type=int, default=None)
-    p_analytic.set_defaults(func=_cmd_analytic)
+    if "analytic" in wanted:
+        p_analytic = sub.add_parser("analytic", help="finite-n closed forms")
+        p_analytic.add_argument("--formula", choices=sorted(ANALYTIC_FORMULAS), required=True)
+        _add_model_args(p_analytic)
+        p_analytic.add_argument("--m", type=int, default=None)
+        p_analytic.add_argument("--M", type=int, default=None)
+        p_analytic.set_defaults(func=_cmd_analytic)
 
-    p_law = sub.add_parser("law", help="limit-law formulas")
-    p_law.add_argument("--formula", choices=sorted(LAW_FORMULAS), required=True)
-    for name in _PARAM_NAMES:
-        p_law.add_argument(f"--{name}", type=float, default=None)
-    p_law.set_defaults(func=_cmd_law)
+    if "law" in wanted:
+        p_law = sub.add_parser("law", help="limit-law formulas")
+        p_law.add_argument("--formula", choices=sorted(LAW_FORMULAS), required=True)
+        for name in _PARAM_NAMES:
+            p_law.add_argument(f"--{name}", type=float, default=None)
+        p_law.set_defaults(func=_cmd_law)
 
-    p_sample = sub.add_parser("sample", help="soup replicates")
-    _add_model_args(p_sample)
-    p_sample.add_argument("--replicates", type=int, default=1000)
-    p_sample.add_argument("--condition", choices=CONDITIONS, default="unconditioned")
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--out", type=str, default=None, help="JSONL path")
-    p_sample.add_argument("--summary", type=str, default=None, help="CSV path")
-    p_sample.set_defaults(func=_cmd_sample)
+    if "sample" in wanted:
+        p_sample = sub.add_parser("sample", help="soup replicates")
+        _add_model_args(p_sample)
+        p_sample.add_argument("--replicates", type=int, default=1000)
+        p_sample.add_argument("--condition", choices=CONDITIONS, default="unconditioned")
+        p_sample.add_argument("--seed", type=int, default=0)
+        p_sample.add_argument("--out", type=str, default=None, help="JSONL path")
+        p_sample.add_argument("--summary", type=str, default=None, help="CSV path")
+        p_sample.set_defaults(func=_cmd_sample)
 
-    p_bridge = sub.add_parser("bridge", help="conditioned-path ranges")
-    p_bridge.add_argument("--kappa", type=float, required=True)
-    p_bridge.add_argument("--alpha", type=float, required=True)
-    p_bridge.add_argument("--resolution", type=int, default=10000)
-    p_bridge.add_argument("--paths", type=int, default=100)
-    p_bridge.add_argument("--seed", type=int, default=0)
-    p_bridge.add_argument("--out", type=str, default=None)
-    p_bridge.set_defaults(func=_cmd_bridge)
+    if "bridge" in wanted:
+        p_bridge = sub.add_parser("bridge", help="conditioned-path ranges")
+        p_bridge.add_argument("--kappa", type=float, required=True)
+        p_bridge.add_argument("--alpha", type=float, required=True)
+        p_bridge.add_argument("--resolution", type=int, default=10000)
+        p_bridge.add_argument("--paths", type=int, default=100)
+        p_bridge.add_argument("--seed", type=int, default=0)
+        p_bridge.add_argument("--out", type=str, default=None)
+        p_bridge.set_defaults(func=_cmd_bridge)
 
-    p_exp = sub.add_parser("experiment", help="config-driven audits")
-    p_exp.add_argument("--config", type=str, required=True)
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--out", type=str, default=None)
-    p_exp.set_defaults(func=_cmd_experiment)
+    if "experiment" in wanted:
+        p_exp = sub.add_parser("experiment", help="config-driven audits")
+        p_exp.add_argument("--config", type=str, required=True)
+        p_exp.add_argument("--seed", type=int, default=None)
+        p_exp.add_argument("--out", type=str, default=None)
+        p_exp.set_defaults(func=_cmd_experiment)
 
     args = parser.parse_args(argv)
     try:

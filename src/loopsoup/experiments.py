@@ -230,9 +230,10 @@ def _jsonable(obj):
 
 
 def _write_outputs(config: ExperimentConfig, report: dict, rows: list[dict],
-                   lines: Iterable[str] | None) -> None:
+                   blocks: Iterable[str] | None) -> None:
     """Write config.json, report.json, summary.csv from `rows` and, when
-    `lines` is given, replicates.jsonl from those lines (see replicate_lines)."""
+    `blocks` is given, replicates.jsonl from those blocks of lines (see
+    replicate_lines)."""
     if config.out_dir is None:
         return
     os.makedirs(config.out_dir, exist_ok=True)
@@ -245,50 +246,66 @@ def _write_outputs(config: ExperimentConfig, report: dict, rows: list[dict],
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-    if lines is not None:
+    if blocks is not None:
         with open(os.path.join(config.out_dir, "replicates.jsonl"), "w") as fh:
-            fh.writelines(lines)
+            fh.writelines(blocks)
 
 
-_LINE_CHUNK = 4096  # replicates formatted per batch of columns
+_LINE_BLOCK = 512  # replicates formatted per `%` call
+
+
+def _row_template(closed: int | None, through: bool) -> str:
+    """`%` template of one replicate's JSON line: `closed` kept edges
+    (None when the ensemble keeps none), through extents null or not."""
+    edges = "" if closed is None else (
+        '"closed_left_endpoints": [' + ", ".join(["%d"] * closed) + '], ')
+    extent = "%d" if through else "null"
+    return ('{"closed_edges": %d, ' + edges + '"clusters": %d, "lift_left": %d, '
+            '"lift_right": %d, "loops": %d, "origin_left": %d, "origin_right": %d, '
+            f'"replicate": %d, "through_left": {extent}, "through_right": {extent}}}\n')
 
 
 def replicate_lines(ensemble: SoupEnsemble) -> Iterator[str]:
-    """One JSON line per replicate, keys sorted, made lazily from the ensemble's columns.
+    """JSON lines of the replicates, keys sorted, made lazily from the
+    ensemble's columns, a block of whole lines at a time.
 
-    Each chunk of replicates is turned into Python lists by `tolist()` and
-    every line is one `%` template over a row of them, so the bytes equal
-    `json.dumps(record, sort_keys=True) + "\n"` without building the record.
-    Extent fields are -1 / null when their defining event does not hold
-    (origin extents need a closed edge; through extents additionally need a
-    replicate free of loops avoiding vertex 1).  `closed_left_endpoints`
-    (1-based) is present when the ensemble kept its closed edges.
+    A block is one `%` call: its template joins the rows' templates (one per
+    closed-edge count and through-extent nullity), and its values are one
+    flat int column laid out row-major by numpy and converted by one
+    `tolist()`.  So every line is `json.dumps(record, sort_keys=True) + "\n"`
+    without building the record.  Extent fields are -1 / null when their
+    defining event does not hold (origin extents need a closed edge; through
+    extents additionally need a replicate free of loops avoiding vertex 1).
+    `closed_left_endpoints` (1-based) is present when the ensemble kept its
+    closed edges.
     """
     keep = ensemble.closed_edges is not None
-    ends = np.concatenate(([0], np.cumsum(ensemble.closed_edge_count))) if keep else None
-    template = ('{"closed_edges": %d, '
-                + ('"closed_left_endpoints": %s, ' if keep else '')
-                + '"clusters": %d, "lift_left": %d, "lift_right": %d, "loops": %d, '
-                  '"origin_left": %d, "origin_right": %d, "replicate": %d, '
-                  '"through_left": %s, "through_right": %s}\n')
-    for lo in range(0, ensemble.replicates, _LINE_CHUNK):
-        part = slice(lo, lo + _LINE_CHUNK)
-        closed = ensemble.closed_edge_count[part]
+    count = ensemble.closed_edge_count
+    # the template of row key 2k + through, k the kept-edge count (0 without kept edges)
+    ks = np.flatnonzero(np.bincount(count)).tolist() if keep else [0]
+    templates = {2 * k + through: _row_template(k if keep else None, through)
+                 for k in ks for through in (False, True)}
+    edges_before = 0
+    for lo in range(0, ensemble.replicates, _LINE_BLOCK):
+        part = slice(lo, lo + _LINE_BLOCK)
+        closed = count[part]
         through = (ensemble.avoiding_count[part] == 0) & (closed >= 1)
         left, right = ensemble.origin_left[part], ensemble.origin_right[part]
-        # %s prints a list of ints as its JSON array and the string null as null
-        cols = [closed.tolist()]
+        rows = np.stack((closed, np.maximum(closed, 1), ensemble.lift_left[part],
+                         ensemble.lift_right[part], ensemble.loop_count[part], left, right,
+                         np.arange(lo, lo + closed.size), left, right), axis=1)
+        shown = np.ones(rows.shape, dtype=bool)
+        shown[:, 8:] = through[:, None]
+        values, key = rows[shown], through.astype(np.int64)
         if keep:
-            bounds = (ends[lo:lo + closed.size + 1] - ends[lo]).tolist()
-            flat = (ensemble.closed_edges[ends[lo]:ends[lo + closed.size]] + 1).tolist()
-            cols.append([flat[a:b] for a, b in zip(bounds, bounds[1:])])
-        cols += [np.maximum(closed, 1).tolist(),
-                 ensemble.lift_left[part].tolist(), ensemble.lift_right[part].tolist(),
-                 ensemble.loop_count[part].tolist(), left.tolist(), right.tolist(),
-                 range(lo, lo + closed.size),
-                 np.where(through, left.astype(object), "null").tolist(),
-                 np.where(through, right.astype(object), "null").tolist()]
-        yield from map(template.__mod__, zip(*cols))
+            edges = ensemble.closed_edges[edges_before:edges_before + int(closed.sum())]
+            edges_before += edges.size
+            # a row's edges go right after its count, in their order
+            width = 8 + 2 * through
+            values = np.insert(values, np.repeat(np.cumsum(width) - width + 1, closed),
+                               edges + 1)
+            key += 2 * closed
+        yield "".join(map(templates.__getitem__, key.tolist())) % tuple(values.tolist())
 
 
 def ensemble_records(ensemble: SoupEnsemble) -> list[dict]:
@@ -297,7 +314,8 @@ def ensemble_records(ensemble: SoupEnsemble) -> list[dict]:
     The line format is defined once, in `replicate_lines`; this is for
     callers that want the records in memory rather than on disk.
     """
-    return [json.loads(line) for line in replicate_lines(ensemble)]
+    return [json.loads(line) for block in replicate_lines(ensemble)
+            for line in block.splitlines()]
 
 
 # ---------------------------------------------------------------------------

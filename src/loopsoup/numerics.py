@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sci_special
 
 
 class QuadratureError(RuntimeError):
@@ -45,7 +44,10 @@ def log_gamma(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("log_gamma requires positive arguments")
-    out = _sci_special.gammaln(x)
+    # scipy.special is imported where used, so `import loopsoup` does not load it
+    from scipy.special import gammaln
+
+    out = gammaln(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -53,8 +55,9 @@ def log_beta(a: float, b: float) -> float:
     """log Beta(a, b) via log-gamma, for a, b > 0."""
     if a <= 0 or b <= 0:
         raise ValueError("log_beta requires positive arguments")
-    return float(_sci_special.gammaln(a) + _sci_special.gammaln(b)
-                 - _sci_special.gammaln(a + b))
+    from scipy.special import gammaln
+
+    return float(gammaln(a) + gammaln(b) - gammaln(a + b))
 
 
 def beta(a: float, b: float) -> float:
@@ -86,12 +89,14 @@ def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
         mu = math.log(s)
         j = np.arange(_ZETA_EXPANSION_TERMS)
         mu_pow = np.cumprod(np.concatenate(([1.0], mu / j[1:])))  # mu^j / j!
-        coef, head = _sci_special.zeta(alpha - j), 0.0
+        from scipy.special import digamma, gamma, zeta
+
+        coef, head = zeta(alpha - j), 0.0
         if alpha >= 1.0 and float(alpha).is_integer():
             # the log term at j = k - 1; H_(k-1) = digamma(k) + Euler's gamma
-            coef[j == alpha - 1.0] = _sci_special.digamma(alpha) + np.euler_gamma - math.log(-mu)
+            coef[j == alpha - 1.0] = digamma(alpha) + np.euler_gamma - math.log(-mu)
         else:
-            head = _sci_special.gamma(1.0 - alpha) * (-mu) ** (alpha - 1.0)
+            head = gamma(1.0 - alpha) * (-mu) ** (alpha - 1.0)
         return float(head + np.sum(coef * mu_pow))
     a = abs(s)
     cap = _POLYLOG_MAX_TERMS
@@ -113,7 +118,9 @@ def riemann_zeta(alpha: float) -> float:
     """zeta(alpha) for alpha > 1."""
     if not alpha > 1.0:
         raise ValueError("riemann_zeta requires alpha > 1")
-    return float(_sci_special.zeta(alpha))
+    from scipy.special import zeta
+
+    return float(zeta(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,8 @@ def chi_square_pvalue(observed, expected) -> tuple[float, float]:
     Expected counts are rescaled to the observed total, so `expected` may be
     given as probabilities; degrees of freedom are len(observed) - 1.
     """
+    from scipy.special import chdtrc
+
     obs = np.asarray(observed, dtype=float)
     exp = np.asarray(expected, dtype=float)
     if obs.shape != exp.shape:
@@ -255,11 +264,13 @@ def chi_square_pvalue(observed, expected) -> tuple[float, float]:
         raise ValueError("expected counts must be positive")
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    return stat, float(_sci_special.chdtrc(dof, stat))
+    return stat, float(chdtrc(dof, stat))
 
 
 def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
     """Chi-square homogeneity test for two binned samples."""
+    from scipy.special import chdtrc
+
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
     keep = (a + b) > 0
@@ -269,7 +280,7 @@ def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
     stat = float(np.sum((a - na * pooled) ** 2 / (na * pooled))
                  + np.sum((b - nb * pooled) ** 2 / (nb * pooled)))
     dof = a.size - 1
-    return stat, float(_sci_special.chdtrc(dof, stat))
+    return stat, float(chdtrc(dof, stat))
 
 
 def hausdorff(set_a, set_b) -> float:

@@ -312,10 +312,26 @@ def test_mass_liftable_keeps_its_digits_at_large_r():
 
         exact = float(log_coth(r) - log_coth(60 * r))
     assert mass_liftable(model) == pytest.approx(exact, rel=1e-15, abs=0.0)
-    # the lift form carries about 1e-13 of its own here, from the log of
-    # -expm1(-2r) near 1
     assert mass_liftable(model) == pytest.approx(
-        float(mass_liftable_inside(model, 59, 59)), rel=2e-13, abs=0.0)
+        float(mass_liftable_inside(model, 59, 59)), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m, M", [(59, 59), (3, 10), (0, 59)])
+def test_mass_liftable_inside_keeps_its_digits_at_large_r(m, M):
+    """At n = 60, c = 30 (2r = 8.3) the log of -expm1(-2r), a number near 1,
+    lost 1e-13 relative against the 40-digit form
+    log(2 cosh r sinh((m+1)r) sinh((M+1)r) / (sinh r sinh((m+M+2)r)))."""
+    model = build_model(60, 0.5, 30.0, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = Decimal(model.r)
+
+        def sinh(z):
+            return (z.exp() - (-z).exp()) / 2
+
+        exact = float((((r.exp() + (-r).exp()) * sinh((m + 1) * r) * sinh((M + 1) * r))
+                       / (sinh(r) * sinh((m + M + 2) * r))).ln())
+    assert float(mass_liftable_inside(model, m, M)) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.45, 0.9])

@@ -153,6 +153,38 @@ def test_bridge_csv_bytes_are_pinned(tmp_path, capsys):
         "09ddd2b7cade6479497b6b7dba67befa3beaad079ab252e5cda1cf1164eb4b03")
 
 
+def test_sample_jsonl_bytes_are_pinned(tmp_path, capsys):
+    """9000 replicates with kept edges, over many blocks of lines and past two
+    4096-replicate boundaries, byte-identical to the JSONL recorded when each
+    line was its own `%` call; about 1% of these soups have no closed edge and
+    about 10% have through extents."""
+    out_path = tmp_path / "reps.jsonl"
+    code, _ = run_cli(capsys, "sample", "--n", "12", "--p", "0.55", "--c", "0.1",
+                      "--alpha", "0.7", "--replicates", "9000", "--seed", "3",
+                      "--out", str(out_path))
+    assert code == 0
+    data = out_path.read_bytes()
+    assert b'"closed_left_endpoints": []' in data and b'"through_left": null' in data
+    assert hashlib.sha256(data).hexdigest() == (
+        "22df938d48c7486e3779c394928851651f5715a42aa4bea1953dd1fbebe0cc61")
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{analytic,law,sample,bridge,experiment}" in capsys.readouterr().out
+
+
+def test_experiment_without_config_prints_its_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: loopsoup experiment [-h] --config CONFIG")
+    assert "the following arguments are required: --config" in err
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     cfg = default_edge_audit_config()
     cfg.replicates = 2000

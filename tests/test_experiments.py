@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from loopsoup import experiments
 from loopsoup.analytics import mass_avoiding_edges, mass_inside
 from loopsoup.circle import derived_killing
 from loopsoup.experiments import (
@@ -179,18 +181,31 @@ def test_ensemble_records_fields():
 def test_replicate_lines_match_dict_oracle(condition, keep):
     """Each templated line is byte-identical to json.dumps of the dict record."""
     model = build_model(8, 0.5, 0.3, 0.7)
-    # 5000 replicates span two chunks of columns
+    # 5000 replicates span ten blocks of lines, the last one partial
     ens = conditional_experiment(model, 5, condition, 5000, keep_closed_edges=keep)
     through = (ens.avoiding_count == 0) & (ens.closed_edge_count >= 1)
-    assert through.any() and not through.all()
+    # the first block mixes the row templates: null and non-null through
+    # extents and, but for avoiding-1-only, rows without a closed edge
+    first = slice(0, experiments._LINE_BLOCK)
+    assert through[first].any() and not through[first].all()
     if condition != "avoiding-1-only":
-        assert np.any(ens.closed_edge_count == 0)
+        assert np.any(ens.closed_edge_count[first] == 0)
     expect = oracles.ensemble_records_oracle(ens)
-    lines = list(replicate_lines(ens))
+    blocks = list(replicate_lines(ens))
+    assert len(blocks) == 10
+    lines = "".join(blocks).splitlines(keepends=True)
     assert len(lines) == len(expect) == 5000
     for line, rec in zip(lines, expect):
         assert line == json.dumps(rec, sort_keys=True) + "\n"
     assert ensemble_records(ens) == expect
+
+
+def test_edge_audit_replicate_lines_are_pinned(tmp_path):
+    """The default edge audit's replicates.jsonl (1e5 lines) is byte-identical
+    to the file recorded when each line was its own `%` call."""
+    run_edge_probability_audit(default_edge_audit_config(out_dir=str(tmp_path)))
+    digest = hashlib.sha256((tmp_path / "replicates.jsonl").read_bytes()).hexdigest()
+    assert digest == "997eb8134fdb99a2c315b3ddf4cb33215d3236f1e069216fc9d3b867c7378ca7"
 
 
 def test_sample_limit_extents_statistics():

@@ -160,14 +160,13 @@ def test_chi_square_tails_match_closed_forms():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """`import loopsoup` loads neither scipy.stats, about a third of its
-    start-up time, nor scipy.integrate nor scipy.fft: the chi-square tails
-    come from scipy.special, `integrate` imports quad when first called, and
-    the FFT lengths come from a table in `scaling`."""
+    """`import loopsoup` loads none of scipy.special, scipy.stats,
+    scipy.integrate and scipy.fft: numerics imports scipy.special and quad
+    where first called, and the FFT lengths come from a table in `scaling`."""
     src = str(Path(loopsoup.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, loopsoup; print([m for m in ('scipy.stats', 'scipy.integrate', "
-            "'scipy.fft') if m in sys.modules])")
+    code = ("import sys, loopsoup; print([m for m in ('scipy.special', 'scipy.stats', "
+            "'scipy.integrate', 'scipy.fft') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
