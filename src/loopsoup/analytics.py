@@ -16,8 +16,7 @@ import numpy as np
 
 from .circle import CircleModel
 from .numerics import (
-    QuadratureSpec,
-    integrate,
+    log_beta,
     log_cosh,
     log_cosh_diff,
     log_sinh,
@@ -362,37 +361,33 @@ def prob_split_given_no_avoiding_limit(kappa: float, epsilon: float,
                                        alpha: float) -> float:
     """Scaling limit of P[>= 2 clusters | no loop avoids vertex 1].
 
-    Equals 2^a * a*sqrt(k) * (cosh sqrt(k) - cosh sqrt(k-2e))^a / sinh(sqrt(k))^(2a+1)
-    times the integral over (0, 1) of sinh(sqrt(k) t)^(a-1) sinh(sqrt(k)(1-t))^(a+1) dt.
+    With s = sqrt(k), s2 = sqrt(k-2e), the swept-extent law over a + b <= 1 is
+    2^a a s (cosh s - cosh s2)^a / sinh(s)^(2a+1) times the integral over (0, 1)
+    of sinh(st)^(a-1) sinh(s(1-t))^(a+1) dt, which u = (1-e^(-2st)) / (1-e^(-2s))
+    makes Euler's integral of 2F1(a, a+1; 2a+2; 1-e^(-2s)).  Its quadratic
+    transformation gives the law, which tends to 1 as k -> inf, as
+        a B(a, a+2) ((1-e^(-(s+s2))) (1-e^(-(s-s2))))^a (2/(1+e^-s))^(2a)
+        * 2F1(a, -1/2; a+3/2; tanh(s/2)^2),
+    whose terms stay bounded: accurate to 1e-12 up to alpha = 100, beyond which
+    alpha is rejected.
     """
     require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
     _require_limit_domain(kappa, epsilon)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha <= 100.0:
+        raise ValueError("alpha must lie in (0, 100]")
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
+    if s2 == s:  # epsilon is 0 to rounding, so is the no-winding factor
+        return 0.0
+    from scipy.special import hyp2f1
 
-    # u = t^beta, beta = min(alpha, 1), takes the t^(alpha-1) singularity at
-    # t = 0 out of the integrand: dt = t^(1-beta) du / beta.
-    beta = min(alpha, 1.0)
-    log_pref = (alpha * math.log(2.0) + math.log(alpha * s / beta)
-                + alpha * log_cosh_diff(s, s2) - (2.0 * alpha + 1.0) * log_sinh(s))
-
-    def log_integrand(u):
-        t = u ** (1.0 / beta)
-        if s * t == 0.0:  # underflow (alpha < 1): sinh(s t)^(alpha-1) t^(1-alpha) -> s^(alpha-1)
-            head = (alpha - 1.0) * math.log(s)
-        else:
-            head = (alpha - 1.0) * log_sinh(s * t) + (1.0 - beta) * math.log(t)
-        return head + (alpha + 1.0) * log_sinh(s * (1.0 - t))
-
-    # Scaled by its value where the mass sits (t ~ 1/2 for small kappa,
-    # ~ 1/sqrt(kappa) for large), so the integral stays of order one against
-    # the absolute tolerance and no sinh leaves the log domain.
-    log_scale = log_integrand((2.0 + s) ** -beta)
-    val, _ = integrate(lambda u: math.exp(log_integrand(u) - log_scale), 0.0, 1.0,
-                       QuadratureSpec(tol=1e-12), points=[0.0])
-    return _clip_unit(math.exp(log_pref + log_scale) * val)
+    log_pref = (alpha * (math.log(-math.expm1(-(s + s2))) + math.log(-math.expm1(s2 - s))
+                         + 2.0 * (math.log(2.0) - math.log1p(math.exp(-s))))
+                + math.log(alpha) + log_beta(alpha, alpha + 2.0))
+    # c - a - b must come out exactly 2 in floating point: one ulp off, hyp2f1
+    # past z = 0.9 lost 0.5% at alpha = 63.76
+    c = alpha + 1.5
+    return _clip_unit(math.exp(log_pref) * float(hyp2f1(c - 1.5, -0.5, c, math.tanh(s / 2.0) ** 2)))
 
 
 def prob_not_single_partition_limit(kappa: float, epsilon: float, alpha: float) -> float:

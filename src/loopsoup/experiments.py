@@ -21,10 +21,8 @@ import numpy as np
 from . import analytics
 from .circle import CircleModel, build_model, derived_killing
 from .numerics import (
-    QuadratureSpec,
     chi_square_pvalue,
     hausdorff,
-    integrate,
     ks_distance_two_sample,
     require_finite,
 )
@@ -358,18 +356,21 @@ def _simplex_cell_probs(kappa: float, alpha: float, bins: int) -> np.ndarray:
 
     The density is f(x + y), so with H(z) = int_z^1 (t - z) f(t) dt, H'' = f
     and the cell [a1, a2] x [b1, b2] is the second difference
-    H(a2+b2) - H(a1+b2) - H(a2+b1) + H(a1+b1).  H(0) = 1 is the density's
-    normalisation and H vanishes from z = 1 on.
+    H(a2+b2) - H(a1+b2) - H(a2+b1) + H(a1+b1).  With s = sqrt(kappa), the
+    tail int_z^1 f is a multiple of (sinh(s(1-z)) / sinh(sz))^(1-alpha), whose
+    integral in u = e^(-+sz) sinh(s(1-z)) / sinh s is incomplete-beta:
+    H(z) = (I_{u+}(1-alpha, alpha) - q I_{u-}(1-alpha, alpha)) / (1 - q) with
+    q = e^(-2s(1-alpha)), so H(0) = 1 (the normalisation) and H(z >= 1) = 0.
     """
-    def f(t):
-        return analytics.cluster_extent_limit_density(kappa, alpha, t / 2.0, t / 2.0)
+    from scipy.special import betainc
 
-    H = np.zeros(2 * bins + 1)  # H(k / bins)
-    H[0] = 1.0
-    for k in range(1, bins):
-        z = k / bins
-        H[k], _ = integrate(lambda t: (t - z) * f(t), z, 1.0,
-                            QuadratureSpec(tol=1e-12, limit=300))
+    s = math.sqrt(kappa)
+    z = np.minimum(np.arange(2 * bins + 1) / bins, 1.0)
+    u_minus = np.expm1(-2.0 * s * (1.0 - z)) / math.expm1(-2.0 * s)
+    u_plus = np.exp(-2.0 * s * z) * u_minus
+    q = math.exp(-2.0 * s * (1.0 - alpha))
+    H = ((betainc(1.0 - alpha, alpha, u_plus) - q * betainc(1.0 - alpha, alpha, u_minus))
+         / -math.expm1(-2.0 * s * (1.0 - alpha)))
     # cell (i, j) has a1 + b1 = (i+j)/bins and a1 + b2 = a2 + b1 = (i+j+1)/bins
     cell = np.arange(bins)
     return np.diff(H, 2)[np.add.outer(cell, cell)]
@@ -447,6 +448,21 @@ def run_single_partition_convergence(config: ExperimentConfig) -> dict:
 # experiment 3: cluster scaling, Hausdorff comparison with the bridge
 # ---------------------------------------------------------------------------
 
+def _extent_log_ratio(kappa: float, alpha: float):
+    """Log-ratio of the extent-sum density to a Beta(alpha, 1-alpha) proposal,
+    up to a constant, and a bound of it: the log-ratio is concave, so the chords
+    beside its grid argmax, each extended inwards by one step, bound it."""
+    s = math.sqrt(kappa)
+
+    def log_ratio(z):
+        return ((2.0 - alpha) * (np.log(z) - np.log(np.sinh(s * z)))
+                + alpha * (np.log(1.0 - z) - np.log(np.sinh(s * (1.0 - z)))))
+
+    y = log_ratio(np.linspace(1e-9, 1.0 - 1e-9, 20_001))
+    k = min(max(int(np.argmax(y)), 2), y.size - 3)
+    return log_ratio, float(max(2.0 * y[k - 1] - y[k - 2], 2.0 * y[k + 1] - y[k + 2]))
+
+
 def sample_limit_extents(kappa: float, alpha: float, count: int, rng) -> np.ndarray:
     """(G, D) pairs from the extent limit density, by exact rejection.
 
@@ -455,15 +471,7 @@ def sample_limit_extents(kappa: float, alpha: float, count: int, rng) -> np.ndar
     Beta(alpha, 1-alpha) proposal is bounded and smooth, so a constant
     envelope gives exact samples.  Given z, g is uniform on (0, z).
     """
-    s = math.sqrt(kappa)
-
-    def log_ratio(z):
-        # log of target/proposal = (2-alpha) log(z/sinh(sz)) + alpha log((1-z)/sinh(s(1-z)))
-        return ((2.0 - alpha) * (np.log(z) - np.log(np.sinh(s * z)))
-                + alpha * (np.log(1.0 - z) - np.log(np.sinh(s * (1.0 - z)))))
-
-    grid = np.linspace(1e-9, 1.0 - 1e-9, 20_001)
-    log_env = float(np.max(log_ratio(grid))) + 1e-9
+    log_ratio, log_env = _extent_log_ratio(kappa, alpha)
     out = np.empty(0)
     while out.size < count:
         need = count - out.size

@@ -30,15 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    QuadratureSpec,
-    integrate,
-    log_gamma,
-    log_sinh,
-    polylog,
-    require_finite,
-    riemann_zeta,
-)
+from .numerics import log_gamma, log_sinh, polylog, require_finite, riemann_zeta
 
 
 def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
@@ -49,10 +41,12 @@ def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
         raise ValueError(f"r must be finite and nonnegative, got {r}")
     if N < 1:
         raise ValueError("N must be at least 1")
-    m = np.arange(N + 1, dtype=float)
-    if r == 0.0:
-        return (m + 1.0) ** (-alpha)
-    return (np.expm1(-2.0 * r) / np.expm1(-2.0 * (m + 1.0) * r)) ** alpha
+    C = np.arange(1.0, N + 2.0)  # m + 1, turned into C(m) in place: one array of N+1 floats
+    if r > 0.0:
+        C *= -2.0 * r
+        np.divide(np.expm1(-2.0 * r), np.expm1(C, out=C), out=C)
+    C **= alpha if r > 0.0 else -alpha
+    return C
 
 
 def _fast_lengths(limit: int) -> list[int]:
@@ -94,8 +88,9 @@ def invert_renewal(C: np.ndarray) -> np.ndarray:
     while precisions[-1] > 1:
         precisions.append((precisions[-1] + 1) // 2)
     g = np.ones(C.size)  # g[:h] holds 1/C mod z^h
-    # transforms reuse three buffers sized for the last step, so the peak
-    # memory stays near four arrays of N+1 floats
+    # transforms reuse three buffers sized for the last step, but numpy's FFTs
+    # still allocate scratch and cache a plan per length despite out=: at
+    # N = 1e6 the high-water rises by about six arrays of N floats beyond C
     top = _next_fast_len(C.size)
     buf = np.empty(top)
     g_spec, spec = np.empty((2, top // 2 + 1), dtype=complex)
@@ -189,13 +184,15 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
     # run[g] = -log P(g unit jumps from gap g); each step is clipped at 0 and
     # the step from gap 1 is exactly 0 (that jump is forced), so the cumulative
     # sum is nondecreasing in floating point too, as searchsorted needs
-    steps = np.zeros(top + 1)
-    steps[2:] = np.maximum(np.log(C[2:] / (law.w[1] * C[1:-1])), 0.0)
-    run = np.cumsum(steps)
+    run = np.zeros(top + 1)
+    steps = np.multiply(law.w[1], C[1:-1], out=run[2:])
+    np.log(np.divide(C[2:], steps, out=steps), out=steps)
+    np.cumsum(np.maximum(run, 0.0, out=run), out=run)
     # down[j] = -sum_{i >= j} w(i), j = 0..top+1, rises by w(j) at each j:
     # tail sums keep the small masses of long jumps, which a cumulative sum
     # near 1 would round away
-    down = np.append(-np.cumsum(w[::-1])[::-1], 0.0)
+    down = np.zeros(top + 2)
+    np.negative(np.cumsum(w[::-1], out=down[top::-1]), out=down[top::-1])
     # envelope class c holds the remaining gaps [edges[c], edges[c+1]), under
     # C(edges[c])
     edges = np.concatenate(([0], 2 ** np.arange(max(top - 2, 0).bit_length() + 1)))
@@ -375,26 +372,24 @@ class SubordinatorLaw:
         return pref * math.exp(log_val)
 
     def hitting_cdf_grid(self, a: float, xs: np.ndarray) -> np.ndarray:
-        """Cumulative hitting law on an increasing grid starting at a.
+        """Cumulative hitting law P[position when first exceeding a <= x], x >= a.
 
-        The density has an (x - a)^(alpha - 1) singularity at the level, so the
-        integration runs in the variable t = (x - a)^alpha where the
-        transformed integrand is bounded; trapezoid sums are then accurate.
+        u = e^{sa} sinh(s(x-a)) / sinh(sx), s = sqrt(kappa), rising from 0 at
+        x = a to 1, takes the hitting density to the Beta(alpha, 1-alpha)
+        density, so the law is I_u(alpha, 1-alpha), with u = (x-a)/x at
+        kappa = 0.  Past u = 1/2 it is 1 - I_v(1-alpha, alpha), where
+        v = e^{-s(x-a)} sinh(sa) / sinh(sx) is formed directly, not as 1 - u.
         """
-        al = self.alpha
-        ts = (xs - a) ** al
-        # keep x - a above float resolution of a so the t -> 0 limit evaluates
-        t_floor = (1e-12 * max(a, 1.0)) ** al
+        from scipy.special import betainc
 
-        def transformed(t):
-            # the integrand tends to a positive constant as t -> 0
-            t = max(t, t_floor)
-            x = a + t ** (1.0 / al)
-            return self.hitting_density(a, x) * t ** (1.0 / al - 1.0) / al
-
-        vals = np.array([transformed(t) for t in ts])
-        cdf = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2.0 * np.diff(ts))])
-        return np.minimum(cdf, 1.0)
+        al, s = self.alpha, self._s
+        if s == 0.0:
+            u, v = (xs - a) / xs, a / xs
+        else:
+            den = np.expm1(-2.0 * s * xs)
+            u = np.expm1(-2.0 * s * (xs - a)) / den
+            v = np.exp(-2.0 * s * (xs - a)) * math.expm1(-2.0 * s * a) / den
+        return np.where(u <= 0.5, betainc(al, 1.0 - al, u), 1.0 - betainc(1.0 - al, al, v))
 
 
 @dataclass(frozen=True)

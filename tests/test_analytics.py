@@ -29,7 +29,7 @@ from loopsoup.analytics import (
     toeplitz_det,
 )
 from loopsoup.circle import LoopType, build_model, derived_killing, equivalent_symmetric_model
-from loopsoup.numerics import QuadratureSpec, integrate, polylog
+from loopsoup.numerics import QuadratureSpec, integrate, log_cosh_diff, log_sinh, polylog
 from loopsoup.scaling import (
     SubordinatorLaw,
     bridge_crossing_joint_density,
@@ -547,6 +547,45 @@ def test_prob_split_limit_equals_extent_density_integral():
     simplex_mass, _ = integrate(inner, 0.0, 1.0, QuadratureSpec(tol=1e-8))
     expect = prob_no_winding_or_covering_limit(kappa, epsilon, alpha) * simplex_mass
     assert limit == pytest.approx(expect, abs=1e-6)
+
+
+
+@pytest.mark.parametrize("kappa", [1e8, 1e10])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_prob_split_limit_tends_to_one_at_large_kappa(kappa, alpha):
+    """Far from both killings the split law is 1 up to e^(-(s - s2)); a
+    quadrature in t returned 1.6e-17 at kappa = 1e8 and 3e-186 at 1e10."""
+    assert prob_split_given_no_avoiding_limit(kappa, 0.3 * kappa, alpha) == pytest.approx(
+        1.0, abs=1e-9)
+
+
+def test_prob_split_limit_rejects_alpha_beyond_its_accuracy():
+    assert 0.0 < prob_split_given_no_avoiding_limit(100.0, 30.0, 100.0) < 1.0
+    with pytest.raises(ValueError, match="alpha"):
+        prob_split_given_no_avoiding_limit(100.0, 30.0, 100.5)
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 1.0, 2.15, 3.0, 30.0, 63.76, 100.0])
+def test_prob_split_limit_matches_quadrature(alpha):
+    """The 2F1 closed form against quadrature of the integral in t it reduces.
+    scipy's hyp2f1 needs its c - a - b to come out an exact integer: one ulp
+    off, it returned inf near z = 1 at alpha = 0.3, 0.7 and 2.15 for
+    2F1(a, a+1; 2a+2; z), and lost 0.5% at alpha = 63.76 for the transformed
+    2F1(a, -1/2; a+3/2; z).  The untransformed 2F1 lost 1e-5 by alpha = 25."""
+    for kappa in (1e-4, 0.1, 1.0, 10.0, 60.0):
+        epsilon = 0.3 * kappa
+        s, s2 = math.sqrt(kappa), math.sqrt(kappa - 2.0 * epsilon)
+
+        def log_integrand(t):
+            return (alpha - 1.0) * log_sinh(s * t) + (alpha + 1.0) * log_sinh(s * (1.0 - t))
+
+        # scaled by its value near the peak, so the relative tolerance binds
+        log_scale = log_integrand(1.0 / (2.0 + s))
+        val, _ = integrate(lambda t: math.exp(log_integrand(t) - log_scale), 0.0, 1.0,
+                           QuadratureSpec(tol=1e-13), points=[0.0])
+        expect = 2.0 ** alpha * alpha * s * val * math.exp(
+            alpha * log_cosh_diff(s, s2) + log_scale - (2.0 * alpha + 1.0) * log_sinh(s))
+        assert prob_split_given_no_avoiding_limit(kappa, epsilon, alpha) == pytest.approx(
+            expect, rel=1e-9)
 
 
 def test_prob_not_single_partition_limit():

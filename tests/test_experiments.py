@@ -135,7 +135,8 @@ def test_edge_audit_reference_matches_dense_edge_masses():
                 math.exp(-cfg.alpha * (total - avoid)), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("kappa, alpha", [(1.0, 0.5), (0.01, 0.2), (4.0, 0.05), (25.0, 0.9)])
+@pytest.mark.parametrize("kappa, alpha", [(1.0, 0.5), (0.01, 0.2), (4.0, 0.05), (25.0, 0.9),
+                                          (1e-6, 0.5), (1e4, 0.5)])
 def test_simplex_cells_match_nested_quadrature(kappa, alpha):
     """The second-difference cell table agrees with cell-by-cell quadrature,
     has no negative cell and sums to 1."""
@@ -206,6 +207,20 @@ def test_edge_audit_replicate_lines_are_pinned(tmp_path):
     run_edge_probability_audit(default_edge_audit_config(out_dir=str(tmp_path)))
     digest = hashlib.sha256((tmp_path / "replicates.jsonl").read_bytes()).hexdigest()
     assert digest == "997eb8134fdb99a2c315b3ddf4cb33215d3236f1e069216fc9d3b867c7378ca7"
+
+
+
+@pytest.mark.parametrize("kappa, alpha", [(25.0, 0.1), (100.0, 0.5), (2500.0, 0.5)])
+def test_extent_envelope_bounds_the_log_ratio(kappa, alpha):
+    """The rejection envelope is at least the log-ratio's maximum found on a
+    1e-9 mesh around the coarse argmax, and within 1e-5 of it.  The coarse
+    grid's maximum fell short of it by 3.0e-9, 5.9e-9 and 9.4e-8 here, more
+    than the 1e-9 it was once padded by."""
+    log_ratio, log_env = experiments._extent_log_ratio(kappa, alpha)
+    grid = np.linspace(1e-9, 1.0 - 1e-9, 20_001)
+    k = int(np.argmax(log_ratio(grid)))
+    peak = float(log_ratio(np.linspace(grid[k - 1], grid[k + 1], 100_001)).max())
+    assert peak <= log_env < peak + 1e-5
 
 
 def test_sample_limit_extents_statistics():

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -170,6 +171,23 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+
+def test_only_numerics_calls_quadrature():
+    """Every production limit law is a closed form: no module of the package
+    but `numerics` calls `integrate` (or scipy's `quad`), which stays as the
+    tests' independent reference."""
+    calls = []
+    for path in sorted(Path(loopsoup.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("integrate", "quad"):
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_hausdorff_examples():

@@ -405,6 +405,25 @@ def test_hitting_density_closed_form_equals_integral_form():
         assert val == pytest.approx(law.hitting_density(a, x), abs=1e-8)
 
 
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 25.0])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("a", [0.01, 0.5])
+def test_hitting_cdf_grid_matches_density_tail(kappa, alpha, a):
+    """The incomplete-beta hitting cdf on the overshoot tests' grid is 1 minus
+    the quadrature of the density's tail, at x - a = 0.01, 0.3 and 3.  The
+    tail avoids the (x - a)^(alpha - 1) pole: at alpha = 0.1, 2.5% of the
+    mass lies within 1e-16 a of a, out of reach of quadrature from a.  A
+    trapezoid sum in (x - a)^alpha was off by up to 0.057 here."""
+    law = SubordinatorLaw(kappa=kappa, alpha=alpha)
+    xs = np.linspace(a, a + 6.0, 3001)
+    grid = law.hitting_cdf_grid(a, xs)
+    for i in (5, 150, 1500):  # x - a = 0.01, 0.3, 3 on the 0.002 mesh
+        tail, _ = integrate(lambda t: law.hitting_density(a, t), xs[i], math.inf,
+                            QuadratureSpec(tol=1e-13))
+        assert grid[i] == pytest.approx(1.0 - tail, abs=1e-10)
+
+
 def test_overshoot_of_discrete_renewal_converges_to_hitting_law():
     """Renewal overshoot position over level a*n, scaled by 1/n, approaches the
     subordinator hitting density (KS below 0.02 at n = 10^4)."""
