@@ -9,6 +9,7 @@ enabled audits pass).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -129,19 +130,24 @@ def _cmd_law(args) -> int:
     return _evaluate(LAW_FORMULAS, args)
 
 
+def _output(path, default, newline=None):
+    """Context giving `path` opened for writing, or `default` if no path is given.
+
+    `sample` and `bridge` open their outputs before any work, so an unwritable
+    path fails at once rather than after the sampling.
+    """
+    return open(path, "w", newline=newline) if path else contextlib.nullcontext(default)
+
+
 def _cmd_sample(args) -> int:
     model = build_model(args.n, args.p, args.c, args.alpha)
-    ens = conditional_experiment(model, args.seed, args.condition,
-                                 args.replicates, keep_closed_edges=True)
-    lines = experiments.replicate_lines(ens)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
-    if args.summary:
-        with open(args.summary, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    with (_output(args.out, sys.stdout) as out,
+          _output(args.summary, None, newline="") as summary):
+        ens = conditional_experiment(model, args.seed, args.condition,
+                                     args.replicates, keep_closed_edges=True)
+        out.writelines(experiments.replicate_lines(ens))
+        if summary is not None:
+            writer = csv.writer(summary)
             writer.writerow(["statistic", "mean"])
             for name, arr in (("loops", ens.loop_count),
                               ("clusters", np.maximum(ens.closed_edge_count, 1)),
@@ -160,18 +166,16 @@ def _cmd_bridge(args) -> int:
         raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
     bridge = scaling.ConditionedBridgeLaw(
         scaling.SubordinatorLaw(kappa=args.kappa, alpha=args.alpha))
-    law = bridge.renewal_approximation(args.resolution)
-    rng = np.random.default_rng(args.seed)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    # paths are drawn in chunks so memory stays bounded for any --paths; a row
-    # is one template, the bytes csv.writer gives for the same formatted fields
-    for start in range(0, args.paths, _BRIDGE_CHUNK):
-        count = min(_BRIDGE_CHUNK, args.paths - start)
-        paths = bridge.sample_bridge_paths(args.resolution, count, rng, law=law)
-        out.writelines(("%.8g," * (pts.size - 1) + "%.8g\r\n") % tuple(pts.tolist())
-                       for pts in paths)
-    if args.out:
-        out.close()
+    with _output(args.out, sys.stdout, newline="") as out:
+        law = bridge.renewal_approximation(args.resolution)
+        rng = np.random.default_rng(args.seed)
+        # paths are drawn in chunks so memory stays bounded for any --paths; a row
+        # is one template, the bytes csv.writer gives for the same formatted fields
+        for start in range(0, args.paths, _BRIDGE_CHUNK):
+            count = min(_BRIDGE_CHUNK, args.paths - start)
+            paths = bridge.sample_bridge_paths(args.resolution, count, rng, law=law)
+            out.writelines(("%.8g," * (pts.size - 1) + "%.8g\r\n") % tuple(pts.tolist())
+                           for pts in paths)
     return 0
 
 

@@ -454,11 +454,22 @@ def _extent_log_ratio(kappa: float, alpha: float):
     beside its grid argmax, each extended inwards by one step, bound it."""
     s = math.sqrt(kappa)
 
-    def log_ratio(z):
-        return ((2.0 - alpha) * (np.log(z) - np.log(np.sinh(s * z)))
-                + alpha * (np.log(1.0 - z) - np.log(np.sinh(s * (1.0 - z)))))
+    def log_sinh(x):
+        # in the log domain, so it stays finite where sinh overflows (x > 710)
+        return x + np.log(-np.expm1(-2.0 * x)) - math.log(2.0)
 
-    y = log_ratio(np.linspace(1e-9, 1.0 - 1e-9, 20_001))
+    def log_ratio(z):
+        return ((2.0 - alpha) * (np.log(z) - log_sinh(s * z))
+                + alpha * (np.log(1.0 - z) - log_sinh(s * (1.0 - z))))
+
+    z = np.linspace(1e-9, 1.0 - 1e-9, 20_001)
+    y = log_ratio(z)
+    # the peak lies near z = 1.5/s; past kappa ~ 1e9 it can fall left of the
+    # grid's third point, out of the chords' reach, so the grid is refined
+    # there (at most twice: then its spacing is below its first point)
+    while np.argmax(y) < 2 and z[2] - z[0] > z[0]:
+        z = np.linspace(z[0], z[2], 20_001)
+        y = log_ratio(z)
     k = min(max(int(np.argmax(y)), 2), y.size - 3)
     return log_ratio, float(max(2.0 * y[k - 1] - y[k - 2], 2.0 * y[k + 1] - y[k + 2]))
 

@@ -1,31 +1,16 @@
-"""Shared numerical substrate: special functions, series, quadrature, distances.
+"""Shared numerical substrate: special functions, series, stable log-hyperbolic
+helpers, and the distances and chi-square test the experiments report.
 
-Everything here is a pure function of its inputs.
+Everything here is a pure function of its inputs.  Quadrature, the one-sample
+KS statistic and its critical value, and the two-sample chi-square test serve
+only as test references, so they live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for adaptive quadrature.
-
-    tol: absolute tolerance on the integral value.
-    limit: maximum number of subinterval subdivisions.
-    """
-
-    tol: float = 1e-10
-    limit: int = 200
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +43,6 @@ def log_beta(a: float, b: float) -> float:
     from scipy.special import gammaln
 
     return float(gammaln(a) + gammaln(b) - gammaln(a + b))
-
-
-def beta(a: float, b: float) -> float:
-    """Beta(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0."""
-    return math.exp(log_beta(a, b))
 
 
 _POLYLOG_MAX_TERMS = 10_000_000
@@ -168,62 +148,8 @@ def log_cosh_diff(big: float, small: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None,
-              *, points=None) -> tuple[float, float]:
-    """Adaptive quadrature of f over (a, b); returns (value, error_estimate).
-
-    Semi-infinite domains (b = inf) are mapped through x = t/(1-t) onto (a', 1).
-    Integrable endpoint singularities are handled by the underlying QAGS
-    extrapolation.  Raises QuadratureError if the error estimate exceeds the
-    requested tolerance.
-    """
-    # imported here so that `import loopsoup` does not load scipy.integrate
-    from scipy import integrate as _sci_integrate
-
-    spec = spec or QuadratureSpec()
-    with warnings.catch_warnings():
-        # roundoff chatter from QAGS at tight tolerances; we gate on the
-        # returned error estimate ourselves below
-        warnings.simplefilter("ignore", _sci_integrate.IntegrationWarning)
-        if math.isinf(b):
-            if math.isinf(a):
-                raise ValueError("doubly infinite domains are not supported")
-
-            def g(t):
-                x = t / (1.0 - t)
-                return f(a + x) / (1.0 - t) ** 2
-
-            val, err = _sci_integrate.quad(g, 0.0, 1.0, epsabs=spec.tol,
-                                           epsrel=spec.tol, limit=spec.limit)
-        else:
-            kw = {}
-            if points is not None:
-                kw["points"] = points
-            val, err = _sci_integrate.quad(f, a, b, epsabs=spec.tol,
-                                           epsrel=spec.tol, limit=spec.limit, **kw)
-    if not math.isfinite(val) or err > max(spec.tol, 1e-8 * abs(val)) * 100:
-        raise QuadratureError(
-            f"quadrature did not converge: value={val}, err={err}")
-    return val, err
-
-
-# ---------------------------------------------------------------------------
 # statistical distances and tests
 # ---------------------------------------------------------------------------
-
-def ks_distance(sample, cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of a sample against a cdf."""
-    xs = np.sort(np.asarray(sample, dtype=float))
-    m = xs.size
-    if m == 0:
-        raise ValueError("empty sample")
-    fx = np.asarray([cdf(x) for x in xs], dtype=float)
-    grid = np.arange(1, m + 1) / m
-    return float(max(np.max(grid - fx), np.max(fx - (grid - 1.0 / m))))
-
 
 def ks_distance_two_sample(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic."""
@@ -233,18 +159,6 @@ def ks_distance_two_sample(a, b) -> float:
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def ks_critical(n: int, m: int | None = None, level: float = 0.01) -> float:
-    """Asymptotic KS critical value at the given significance level.
-
-    For the two-sample statistic pass both sizes.  Intended for the sample
-    sizes used here (10^4 .. 10^5) where the asymptotic formula is accurate.
-    """
-    coeff = math.sqrt(-0.5 * math.log(level / 2.0))
-    if m is None:
-        return coeff / math.sqrt(n)
-    return coeff * math.sqrt((n + m) / (n * m))
 
 
 def chi_square_pvalue(observed, expected) -> tuple[float, float]:
@@ -264,22 +178,6 @@ def chi_square_pvalue(observed, expected) -> tuple[float, float]:
         raise ValueError("expected counts must be positive")
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    return stat, float(chdtrc(dof, stat))
-
-
-def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
-    """Chi-square homogeneity test for two binned samples."""
-    from scipy.special import chdtrc
-
-    a = np.asarray(counts_a, dtype=float)
-    b = np.asarray(counts_b, dtype=float)
-    keep = (a + b) > 0
-    a, b = a[keep], b[keep]
-    na, nb = a.sum(), b.sum()
-    pooled = (a + b) / (na + nb)
-    stat = float(np.sum((a - na * pooled) ** 2 / (na * pooled))
-                 + np.sum((b - nb * pooled) ** 2 / (nb * pooled)))
-    dof = a.size - 1
     return stat, float(chdtrc(dof, stat))
 
 

@@ -372,7 +372,7 @@ class SubordinatorLaw:
         return pref * math.exp(log_val)
 
     def hitting_cdf_grid(self, a: float, xs: np.ndarray) -> np.ndarray:
-        """Cumulative hitting law P[position when first exceeding a <= x], x >= a.
+        """Cumulative hitting law P[position when first exceeding a <= x], 0 at x <= a.
 
         u = e^{sa} sinh(s(x-a)) / sinh(sx), s = sqrt(kappa), rising from 0 at
         x = a to 1, takes the hitting density to the Beta(alpha, 1-alpha)
@@ -380,9 +380,14 @@ class SubordinatorLaw:
         kappa = 0.  Past u = 1/2 it is 1 - I_v(1-alpha, alpha), where
         v = e^{-s(x-a)} sinh(sa) / sinh(sx) is formed directly, not as 1 - u.
         """
+        require_finite(a=a)
+        if not a > 0.0:
+            raise ValueError("level must be positive")
         from scipy.special import betainc
 
         al, s = self.alpha, self._s
+        # x <= a is taken to x = a, where u = 0 and so the cdf is 0
+        xs = np.maximum(xs, a)
         if s == 0.0:
             u, v = (xs - a) / xs, a / xs
         else:

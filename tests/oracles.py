@@ -8,22 +8,117 @@ by  size * rho^(K+1) / ((K+1)(1-rho))  with rho = 1/(1+c) an upper bound on
 the spectral radius, so K is chosen to push it below 1e-12.
 
 The module also keeps the limit laws and the renewal overshoot sampler that
-serve only as references in the tests, and the dense-determinant masses and
-nested-quadrature cell table that the closed forms replaced.
+serve only as references in the tests, the dense-determinant masses and
+nested-quadrature cell table that the closed forms replaced, and the
+adaptive quadrature, one-sample KS and two-sample chi-square helpers the tests
+check against.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
+from scipy.special import chdtrc
 
 from loopsoup.analytics import cluster_extent_limit_density
 from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
-from loopsoup.numerics import QuadratureSpec, integrate, log_cosh, log_sinh
+from loopsoup.numerics import log_cosh, log_sinh
 from loopsoup.scaling import RenewalLaw
+
+
+class QuadratureError(RuntimeError):
+    """Raised when adaptive quadrature cannot reach the requested tolerance."""
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Controls for adaptive quadrature.
+
+    tol: absolute tolerance on the integral value.
+    limit: maximum number of subinterval subdivisions.
+    """
+
+    tol: float = 1e-10
+    limit: int = 200
+
+
+def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None,
+              *, points=None) -> tuple[float, float]:
+    """Adaptive quadrature of f over (a, b); returns (value, error_estimate).
+
+    Semi-infinite domains (b = inf) are mapped through x = t/(1-t) onto (a', 1).
+    Integrable endpoint singularities are handled by the underlying QAGS
+    extrapolation.  Raises QuadratureError if the error estimate exceeds the
+    requested tolerance.
+    """
+    spec = spec or QuadratureSpec()
+    with warnings.catch_warnings():
+        # roundoff chatter from QAGS at tight tolerances; we gate on the
+        # returned error estimate ourselves below
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if math.isinf(b):
+            if math.isinf(a):
+                raise ValueError("doubly infinite domains are not supported")
+
+            def g(t):
+                x = t / (1.0 - t)
+                return f(a + x) / (1.0 - t) ** 2
+
+            val, err = quad(g, 0.0, 1.0, epsabs=spec.tol, epsrel=spec.tol,
+                            limit=spec.limit)
+        else:
+            kw = {}
+            if points is not None:
+                kw["points"] = points
+            val, err = quad(f, a, b, epsabs=spec.tol, epsrel=spec.tol,
+                            limit=spec.limit, **kw)
+    if not math.isfinite(val) or err > max(spec.tol, 1e-8 * abs(val)) * 100:
+        raise QuadratureError(
+            f"quadrature did not converge: value={val}, err={err}")
+    return val, err
+
+
+def ks_distance(sample, cdf) -> float:
+    """Two-sided Kolmogorov-Smirnov statistic of a sample against a cdf."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    m = xs.size
+    if m == 0:
+        raise ValueError("empty sample")
+    fx = np.asarray([cdf(x) for x in xs], dtype=float)
+    grid = np.arange(1, m + 1) / m
+    return float(max(np.max(grid - fx), np.max(fx - (grid - 1.0 / m))))
+
+
+def ks_critical(n: int, m: int | None = None, level: float = 0.01) -> float:
+    """Asymptotic KS critical value at the given significance level.
+
+    For the two-sample statistic pass both sizes.  Intended for the sample
+    sizes used here (10^4 .. 10^5) where the asymptotic formula is accurate.
+    """
+    coeff = math.sqrt(-0.5 * math.log(level / 2.0))
+    if m is None:
+        return coeff / math.sqrt(n)
+    return coeff * math.sqrt((n + m) / (n * m))
+
+
+def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
+    """Chi-square homogeneity test for two binned samples."""
+    a = np.asarray(counts_a, dtype=float)
+    b = np.asarray(counts_b, dtype=float)
+    keep = (a + b) > 0
+    a, b = a[keep], b[keep]
+    na, nb = a.sum(), b.sum()
+    pooled = (a + b) / (na + nb)
+    stat = float(np.sum((a - na * pooled) ** 2 / (na * pooled))
+                 + np.sum((b - nb * pooled) ** 2 / (nb * pooled)))
+    dof = a.size - 1
+    return stat, float(chdtrc(dof, stat))
 
 
 def enumerate_pointed_loops(n: int, max_len: int, allowed=None):

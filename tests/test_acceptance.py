@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import QuadratureSpec, chi_square_two_sample, integrate
 from loopsoup.analytics import (
     DetSpec,
     circulant_det,
@@ -31,12 +32,7 @@ from loopsoup.experiments import (
     run_cluster_scaling,
     run_single_partition_convergence,
 )
-from loopsoup.numerics import (
-    QuadratureSpec,
-    chi_square_two_sample,
-    integrate,
-    ks_distance_two_sample,
-)
+from loopsoup.numerics import ks_distance_two_sample
 from loopsoup.sampler import conditional_experiment
 from loopsoup.scaling import (
     ConditionedBridgeLaw,

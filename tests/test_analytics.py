@@ -29,7 +29,7 @@ from loopsoup.analytics import (
     toeplitz_det,
 )
 from loopsoup.circle import LoopType, build_model, derived_killing, equivalent_symmetric_model
-from loopsoup.numerics import QuadratureSpec, integrate, log_cosh_diff, log_sinh, polylog
+from loopsoup.numerics import log_cosh_diff, log_sinh, polylog
 from loopsoup.scaling import (
     SubordinatorLaw,
     bridge_crossing_joint_density,
@@ -39,6 +39,7 @@ from loopsoup.scaling import (
 )
 
 import oracles
+from oracles import QuadratureSpec, integrate
 
 
 # ---------------------------------------------------------------------------

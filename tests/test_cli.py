@@ -10,6 +10,7 @@ import pytest
 
 from loopsoup.analytics import mass_through_vertex1, prob_not_single_partition_limit
 from loopsoup.circle import build_model
+from loopsoup import cli
 from loopsoup.cli import LAW_FORMULAS, main
 from loopsoup.experiments import (
     default_cluster_scaling_config,
@@ -109,6 +110,32 @@ def test_bridge_stdout_matches_out_file(tmp_path, capsys):
     assert code == 0 and printed == ""
     assert out.encode() == out_path.read_bytes()
     assert out.count("\r\n") == 30
+
+
+def _unreached(*args, **kwargs):
+    raise AssertionError("the command did its work before opening its outputs")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--summary"])
+def test_sample_unwritable_output_fails_before_sampling(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "conditional_experiment", _unreached)
+    bad = tmp_path / "missing" / "x"
+    code = main(["sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "0.8",
+                 flag, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and str(bad) in captured.err
+
+
+def test_bridge_unwritable_output_fails_before_the_law_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ConditionedBridgeLaw, "renewal_approximation", _unreached)
+    bad = tmp_path / "missing" / "x.csv"
+    code = main(["bridge", "--kappa", "1", "--alpha", "0.5", "--out", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and str(bad) in captured.err
 
 
 def test_bridge_subcommand(tmp_path, capsys):

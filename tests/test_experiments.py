@@ -223,6 +223,48 @@ def test_extent_envelope_bounds_the_log_ratio(kappa, alpha):
     assert peak <= log_env < peak + 1e-5
 
 
+@pytest.mark.parametrize("kappa", [6e5, 1e8])
+def test_extent_log_ratio_is_finite_at_large_kappa(kappa):
+    """Past kappa = 710^2, sinh(sqrt(kappa) (1 - z)) overflows where the law's
+    mass lies (sqrt(kappa) z near 1.4); the log-ratio and its envelope stay
+    finite there."""
+    log_ratio, log_env = experiments._extent_log_ratio(kappa, 0.5)
+    assert math.isfinite(log_env)
+    assert np.isfinite(log_ratio(np.array([1.0 / math.sqrt(kappa)]))).all()
+
+
+@pytest.mark.parametrize("kappa", [1e10, 1e12])
+def test_extent_envelope_bounds_the_log_ratio_at_huge_kappa(kappa):
+    """Past kappa ~ 1e9 the peak, near z = 1.5/sqrt(kappa), lies left of the
+    coarse grid's third point; the envelope is still at least the log-ratio's
+    maximum on a geometric mesh around the peak, and within 1e-3 of it.  From
+    the coarse grid alone it fell short by 3.4 and 86 here."""
+    log_ratio, log_env = experiments._extent_log_ratio(kappa, 0.5)
+    s = math.sqrt(kappa)
+    peak = float(log_ratio(np.geomspace(1e-3 / s, 50.0 / s, 200_001)).max())
+    assert peak <= log_env < peak + 1e-3
+
+
+def test_sample_limit_extents_matches_density_at_large_kappa():
+    """2,000 draws of sqrt(kappa) (g + d) at kappa = 6e5 against the cdf that
+    quadrature gives from the extent-sum density w sinh(w)^(alpha-2)
+    sinh(s-w)^(-alpha), s = sqrt(kappa), taken in the log domain."""
+    kappa, alpha = 6e5, 0.5
+    s = math.sqrt(kappa)
+    gd = sample_limit_extents(kappa, alpha, 2000, np.random.default_rng(12))
+    w = np.sort(s * gd.sum(axis=1))
+
+    def density(x):
+        # shifted by alpha * s so that it is of order one near the mode
+        return math.exp(math.log(x) + (alpha - 2.0) * oracles.log_sinh(x)
+                        - alpha * oracles.log_sinh(s - x) + alpha * (s - math.log(2.0)))
+
+    edges = np.concatenate(([0.0], w, [s]))
+    pieces = [oracles.integrate(density, lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:])]
+    cdf = dict(zip(w, np.cumsum(pieces)[:-1] / sum(pieces)))
+    assert oracles.ks_distance(w, cdf.__getitem__) < oracles.ks_critical(2000, level=1e-3)
+
+
 def test_sample_limit_extents_statistics():
     rng = np.random.default_rng(8)
     gd = sample_limit_extents(1.0, 0.5, 50_000, rng)

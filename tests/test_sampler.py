@@ -16,7 +16,6 @@ from loopsoup.analytics import (
     prob_no_winding_or_covering,
 )
 from loopsoup.circle import Loop, LoopType, build_model, classify_loop
-from loopsoup.numerics import chi_square_two_sample
 from loopsoup.sampler import (
     CONDITIONS,
     ClusterStats,
@@ -29,6 +28,7 @@ from loopsoup.sampler import (
 )
 
 import oracles
+from oracles import chi_square_two_sample
 
 MODEL = build_model(6, 0.55, 0.5, 0.8)
 
@@ -441,7 +441,8 @@ def test_lift_extent_law_matches_covered_extent_cdf():
 def test_conditioned_soup_first_jump_ks_n200():
     """First closed-edge gap of the conditioned soup at n=200 against the
     conditioned renewal sampler: two-sample KS below the 1% critical value."""
-    from loopsoup.numerics import ks_critical, ks_distance_two_sample
+    from loopsoup.numerics import ks_distance_two_sample
+    from oracles import ks_critical
     from loopsoup.scaling import RenewalLaw, sample_conditioned_renewals
 
     n, reps = 200, 10_000

@@ -8,18 +8,14 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from oracles import (
+    QuadratureSpec,
     cluster_extent_limit_density_unnormalized,
+    integrate,
+    ks_distance,
     renewal_jumps_by_recursion,
     sample_renewal_overshoot,
 )
-from loopsoup.numerics import (
-    QuadratureSpec,
-    chi_square_pvalue,
-    integrate,
-    ks_distance,
-    polylog,
-    riemann_zeta,
-)
+from loopsoup.numerics import chi_square_pvalue, polylog, riemann_zeta
 from loopsoup.scaling import (
     ConditionedBridgeLaw,
     RenewalLaw,
@@ -422,6 +418,19 @@ def test_hitting_cdf_grid_matches_density_tail(kappa, alpha, a):
         tail, _ = integrate(lambda t: law.hitting_density(a, t), xs[i], math.inf,
                             QuadratureSpec(tol=1e-13))
         assert grid[i] == pytest.approx(1.0 - tail, abs=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_hitting_cdf_grid_domain(kappa):
+    """The hitting cdf is 0 at and below the level, and a level that is not
+    positive is rejected, as `hitting_density` rejects it."""
+    law = SubordinatorLaw(kappa=kappa, alpha=0.5)
+    grid = law.hitting_cdf_grid(0.5, np.array([0.0, 0.3, 0.4, 0.5, 0.6]))
+    assert np.array_equal(grid[:4], np.zeros(4))
+    assert 0.0 < grid[4] < 1.0
+    for a in (0.0, -0.5):
+        with pytest.raises(ValueError, match="level must be positive"):
+            law.hitting_cdf_grid(a, np.array([0.3, 0.5]))
 
 
 def test_overshoot_of_discrete_renewal_converges_to_hitting_law():
