@@ -113,6 +113,11 @@ def _arc_mass(model: CircleModel, k: int) -> float:
     return k * math.log(1.0 + model.c) - _log_det_arc(model, k)
 
 
+def _circle_mass(model: CircleModel) -> float:
+    """Mass of the non-trivial loops on the full circle; +inf at c = 0."""
+    return model.n * math.log(1.0 + model.c) - _log_det_circle(model)
+
+
 def mass_inside(model: CircleModel, subset) -> float:
     """Total loop mass of non-trivial loops visiting only vertices in `subset`.
 
@@ -127,7 +132,7 @@ def mass_inside(model: CircleModel, subset) -> float:
     if verts.size and not 1 <= verts[0] <= verts[-1] <= model.n:
         raise ValueError("subset must consist of vertices 1..n")
     if verts.size == model.n:
-        return model.n * math.log(1.0 + model.c) - _log_det_circle(model)
+        return _circle_mass(model)
     cuts = np.flatnonzero(np.diff(verts) > 1) + 1
     runs = np.diff(np.concatenate(([0], cuts, [verts.size]))).tolist()
     if len(runs) > 1 and verts[0] == 1 and verts[-1] == model.n:
@@ -255,21 +260,23 @@ def _require_limit_domain(kappa: float, epsilon: float) -> None:
         raise ValueError("epsilon must lie in [0, kappa/2]")
 
 
-def covered_extent_cdf(model: CircleModel, m: int, M: int) -> float:
+def covered_extent_cdf(model: CircleModel, m, M):
     """P[interval swept by the liftable loops fits inside [-m, M]].
 
     The liftable loops jointly cover a lift interval containing 0; this is
     the probability it stays within [-m, M], for 0 <= m, M <= n-1.
+    Elementwise over arrays m, M; a float for scalar m, M.
     """
-    n, r = model.n, model.r
-    if not (0 <= m <= n - 1 and 0 <= M <= n - 1):
+    n, a = model.n, model.alpha
+    m, M = np.asarray(m), np.asarray(M)
+    if not np.all((0 <= m) & (m <= n - 1) & (0 <= M) & (M <= n - 1)):
         raise ValueError("extents must lie in [0, n-1]")
-    a = model.alpha
-    if r == 0.0:
-        return (2.0 * (m + 1.0) * (M + 1.0) / (n * (m + M + 2.0))) ** a
-    # exp(-alpha * mass of the liftable loops leaving [-m, M])
-    log_val = mass_liftable_inside(model, m, M) - mass_liftable_inside(model, n - 1, n - 1)
-    return _clip_unit(math.exp(a * float(log_val)))
+    if model.r == 0.0:
+        F = (2.0 * (m + 1.0) * (M + 1.0) / (n * (m + M + 2.0))) ** a
+    else:  # exp(-alpha * mass of the liftable loops leaving [-m, M]), clamped to 1
+        log_val = mass_liftable_inside(model, m, M) - mass_liftable_inside(model, n - 1, n - 1)
+        F = np.minimum(np.exp(a * log_val), 1.0)
+    return F if F.ndim else float(F)
 
 
 def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> float:
@@ -344,17 +351,14 @@ def through1_extent_cdf_limit(kappa: float, epsilon: float, alpha: float,
 def prob_split_given_no_avoiding(model: CircleModel) -> float:
     """P[>= 2 clusters | no loop avoids vertex 1].
 
-    Summed from the joint extent cdf along the anti-diagonal m + M = n - 2.
+    The sum over the anti-diagonal m + M = n - 2 of F(m, M) - F(m - 1, M),
+    F = covered_extent_cdf taken elementwise and F(-1, M) = 0.
     """
-    n = model.n
-    pnw = prob_no_winding_or_covering(model)
-    total = 0.0
-    for m in range(0, n - 1):
-        M = n - 2 - m
-        upper = covered_extent_cdf(model, m, M)
-        lower = covered_extent_cdf(model, m - 1, M) if m >= 1 else 0.0
-        total += upper - lower
-    return _clip_unit(pnw * total)
+    m, M = np.arange(model.n - 1), np.arange(model.n - 2, -1, -1)
+    # F(m - 1, M) is taken for m >= 1 only: its log at m - 1 = -1 would be -inf
+    lower = np.concatenate(([0.0], covered_extent_cdf(model, m[1:] - 1, M[1:])))
+    return _clip_unit(prob_no_winding_or_covering(model)
+                      * float(np.sum(covered_extent_cdf(model, m, M) - lower)))
 
 
 def prob_split_given_no_avoiding_limit(kappa: float, epsilon: float,

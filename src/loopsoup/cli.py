@@ -22,10 +22,10 @@ from .circle import build_model
 from .sampler import CONDITIONS, conditional_experiment
 
 
-def _hitting_coefficient(alpha: float, r: float, m: float) -> float:
+def _integer_m(m: float) -> float:
     if not (float(m).is_integer() and m >= 1):
         raise ValueError(f"--m must be an integer >= 1, got {m:g}")
-    return float(scaling.hitting_coefficients(alpha, r, int(m))[int(m)])
+    return m
 
 
 def _model_formula(fn, *param_names):
@@ -39,8 +39,7 @@ def _model_formula(fn, *param_names):
 ANALYTIC_FORMULAS = {
     "mass-through-vertex1": (_model_formula(analytics.mass_through_vertex1), ()),
     "mass-liftable": (_model_formula(analytics.mass_liftable), ()),
-    "mass-total": (
-        _model_formula(lambda m: analytics.mass_inside(m, range(1, m.n + 1))), ()),
+    "mass-total": (_model_formula(analytics._circle_mass), ()),
     "prob-no-winding-or-covering": (
         _model_formula(analytics.prob_no_winding_or_covering), ()),
     "through1-extent-cdf": (
@@ -87,7 +86,8 @@ LAW_FORMULAS = {
     "escape-probability": (
         lambda a: scaling.escape_probability(a.alpha), ("alpha",)),
     "hitting-coefficient": (
-        lambda a: _hitting_coefficient(a.alpha, a.r, a.m), ("alpha", "r", "m")),
+        lambda a: float(scaling._hitting_coefficient(a.alpha, a.r, _integer_m(a.m))),
+        ("alpha", "r", "m")),
 }
 
 _BRIDGE_CHUNK = 1000

@@ -448,49 +448,35 @@ def run_single_partition_convergence(config: ExperimentConfig) -> dict:
 # experiment 3: cluster scaling, Hausdorff comparison with the bridge
 # ---------------------------------------------------------------------------
 
-def _extent_log_ratio(kappa: float, alpha: float):
-    """Log-ratio of the extent-sum density to a Beta(alpha, 1-alpha) proposal,
-    up to a constant, and a bound of it: the log-ratio is concave, so the chords
-    beside its grid argmax, each extended inwards by one step, bound it."""
-    s = math.sqrt(kappa)
-
-    def log_sinh(x):
-        # in the log domain, so it stays finite where sinh overflows (x > 710)
-        return x + np.log(-np.expm1(-2.0 * x)) - math.log(2.0)
-
-    def log_ratio(z):
-        return ((2.0 - alpha) * (np.log(z) - log_sinh(s * z))
-                + alpha * (np.log(1.0 - z) - log_sinh(s * (1.0 - z))))
-
-    z = np.linspace(1e-9, 1.0 - 1e-9, 20_001)
-    y = log_ratio(z)
-    # the peak lies near z = 1.5/s; past kappa ~ 1e9 it can fall left of the
-    # grid's third point, out of the chords' reach, so the grid is refined
-    # there (at most twice: then its spacing is below its first point)
-    while np.argmax(y) < 2 and z[2] - z[0] > z[0]:
-        z = np.linspace(z[0], z[2], 20_001)
-        y = log_ratio(z)
-    k = min(max(int(np.argmax(y)), 2), y.size - 3)
-    return log_ratio, float(max(2.0 * y[k - 1] - y[k - 2], 2.0 * y[k + 1] - y[k + 2]))
+def _require_extent_domain(kappa: float, alpha: float) -> None:
+    if not (0.0 < kappa < math.inf and 0.0 < alpha < 1.0):
+        raise ValueError("the cluster-extent limit law needs finite kappa > 0 and "
+                         f"0 < alpha < 1, got kappa={kappa}, alpha={alpha}")
 
 
 def sample_limit_extents(kappa: float, alpha: float, count: int, rng) -> np.ndarray:
-    """(G, D) pairs from the extent limit density, by exact rejection.
+    """(G, D) pairs from the extent limit density, drawn exactly with no rejection.
 
-    The density depends on g + d only; the sum z has density proportional to
-    z sinh(s z)^(alpha-2) sinh(s(1-z))^(-alpha), whose ratio against a
-    Beta(alpha, 1-alpha) proposal is bounded and smooth, so a constant
-    envelope gives exact samples.  Given z, g is uniform on (0, z).
+    The density is f(g + d), f(z) proportional to sinh(sz)^(alpha-2)
+    sinh(s(1-z))^(-alpha), s = sqrt(kappa), so Z = G + D has density z f(z)
+    and G given Z is uniform on (0, Z).  With eps = e^(-2s), the change of
+    variables t = e^(-s) sinh(s(1-z)) / sinh(sz) turns f(z) dz into t^(-alpha) dt
+    and 2s z into log((t+1) / (t+eps)), the integral of dy / (t+y) over (eps, 1).
+    So Z's law in t is the t-marginal of t^(-alpha) / (t+y) on (0, inf) x (eps, 1),
+    under which Y has density proportional to y^(-alpha) (drawn by inversion) and
+    T/Y given Y is beta-prime(1-alpha, alpha), a ratio of gamma draws.  T is drawn
+    in logs: for alpha near 1, Y and a Gamma(1-alpha) draw, taken as
+    Gamma(2-alpha) V^(1/(1-alpha)) with V uniform, underflow.
     """
-    log_ratio, log_env = _extent_log_ratio(kappa, alpha)
-    out = np.empty(0)
-    while out.size < count:
-        need = count - out.size
-        z = rng.beta(alpha, 1.0 - alpha, size=2 * need + 64)
-        z = z[(z > 0.0) & (z < 1.0)]
-        accept = np.log(rng.random(z.size)) < log_ratio(z) - log_env
-        out = np.concatenate([out, z[accept]])
-    z = out[:count]
+    _require_extent_domain(kappa, alpha)
+    s, a = math.sqrt(kappa), 1.0 - alpha
+    log_t = np.log1p(rng.random(count) * math.expm1(-2.0 * s * a)) / a  # log Y
+    log_t += np.log(rng.standard_gamma(a + 1.0, count)) + np.log1p(-rng.random(count)) / a
+    with np.errstate(divide="ignore"):  # a gamma draw of small shape alpha can be 0: z = 0
+        log_t -= np.log(rng.standard_gamma(alpha, count))
+    # 2s z = log1p((1-eps) / (t+eps)), exact in relative terms near z = 0
+    log_u = math.log(-math.expm1(-2.0 * s)) - np.logaddexp(log_t, -2.0 * s)
+    z = np.minimum(np.logaddexp(0.0, log_u) / (2.0 * s), 1.0)  # 2s z rounds past 2s near 1
     g = rng.random(count) * z
     return np.column_stack([g, z - g])
 
@@ -510,6 +496,7 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     # parts 2 and 3 sample from seed + 1 .. seed + 3; part 3 compares with epsilon
     config.validate(seed_offset=3, targets=("kappa", "epsilon"))
     alpha, kappa = config.alpha, config.kappa
+    _require_extent_domain(kappa, alpha)  # before part 1, so bad parameters cost nothing
     comparison_n = config.schedule[-1].n if config.comparison_n is None else config.comparison_n
 
     # part 1: scaled cluster-count stability (conditioned = cut at vertex 1)

@@ -33,20 +33,28 @@ import numpy as np
 from .numerics import log_gamma, log_sinh, polylog, require_finite, riemann_zeta
 
 
-def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
-    """C(0..N): probability that the renewal set contains m, given it contains 0."""
+def _hitting_coefficient(alpha: float, r: float, m, out=None):
+    """C(m) for m >= 0, a float for scalar m and elementwise over an array;
+    `out` may be m itself, so a table of N+1 values is one array."""
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and nonnegative, got {r}")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    C = np.arange(1.0, N + 2.0)  # m + 1, turned into C(m) in place: one array of N+1 floats
+    # an array even for scalar m: numpy's scalar math rounds some powers differently
+    C = np.add(m, 1.0, out=np.empty(np.shape(m)) if out is None else out)
     if r > 0.0:
         C *= -2.0 * r
         np.divide(np.expm1(-2.0 * r), np.expm1(C, out=C), out=C)
     C **= alpha if r > 0.0 else -alpha
-    return C
+    return C if C.ndim else float(C)
+
+
+def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
+    """C(0..N): probability that the renewal set contains m, given it contains 0."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    m = np.arange(N + 1.0)
+    return _hitting_coefficient(alpha, r, m, out=m)
 
 
 def _fast_lengths(limit: int) -> list[int]:

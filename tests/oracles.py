@@ -9,7 +9,8 @@ the spectral radius, so K is chosen to push it below 1e-12.
 
 The module also keeps the limit laws and the renewal overshoot sampler that
 serve only as references in the tests, the dense-determinant masses and
-nested-quadrature cell table that the closed forms replaced, and the
+nested-quadrature cell table that the closed forms replaced, the scalar
+anti-diagonal loop that the vectorized split probability replaced, and the
 adaptive quadrature, one-sample KS and two-sample chi-square helpers the tests
 check against.
 """
@@ -26,7 +27,11 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
 from scipy.special import chdtrc
 
-from loopsoup.analytics import cluster_extent_limit_density
+from loopsoup.analytics import (
+    cluster_extent_limit_density,
+    covered_extent_cdf,
+    prob_no_winding_or_covering,
+)
 from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
 from loopsoup.numerics import log_cosh, log_sinh
 from loopsoup.scaling import RenewalLaw
@@ -335,6 +340,18 @@ def edge_config_probabilities(model: CircleModel, mass_avoiding_fn) -> dict:
                 p += (-1.0) ** k * superset_prob[C | frozenset(extra)]
         exact[C] = p
     return exact
+
+
+def prob_split_given_no_avoiding_loop(model: CircleModel) -> float:
+    """P[>= 2 clusters | no loop avoids vertex 1] by 2(n-1) scalar calls of
+    the joint extent cdf along the anti-diagonal m + M = n - 2."""
+    total = 0.0
+    for m in range(0, model.n - 1):
+        M = model.n - 2 - m
+        upper = covered_extent_cdf(model, m, M)
+        lower = covered_extent_cdf(model, m - 1, M) if m >= 1 else 0.0
+        total += upper - lower
+    return min(max(prob_no_winding_or_covering(model) * total, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

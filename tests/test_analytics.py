@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from loopsoup.analytics import (
     DetSpec,
+    _circle_mass,
     circulant_det,
     cluster_extent_limit_density,
     covered_extent_cdf,
@@ -523,6 +524,17 @@ def test_prob_split_given_no_avoiding_matches_anti_diagonal_sum():
     assert total == pytest.approx(acc, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, p, c, alpha", [(3, 0.5, 0.3, 0.5), (10, 0.5, 0.002, 0.5),
+                                            (30, 0.7, 0.2, 0.8), (41, 0.35, 0.05, 1.7),
+                                            (12, 0.5, 0.0, 0.7), (300, 0.6, 0.01, 2.5),
+                                            (1000, 0.5, 1e-6, 0.3)])
+def test_prob_split_given_no_avoiding_matches_scalar_loop(n, p, c, alpha):
+    """The numpy pass equals the scalar anti-diagonal loop it replaced."""
+    model = build_model(n, p, c, alpha)
+    assert prob_split_given_no_avoiding(model) == pytest.approx(
+        oracles.prob_split_given_no_avoiding_loop(model), rel=1e-13, abs=1e-15)
+
+
 def test_prob_split_given_no_avoiding_converges_to_limit():
     kappa, epsilon, alpha = 1.0, 0.5, 0.5
     limit = prob_split_given_no_avoiding_limit(kappa, epsilon, alpha)
@@ -704,3 +716,13 @@ def test_limit_laws_reject_non_finite_parameters(law, param):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             fn(**{**args, param: bad})
+
+
+@pytest.mark.parametrize("n, p, c", [(8, 0.5, 0.3), (30, 0.7, 0.2), (9, 0.4, 0.0),
+                                     (60, 0.5, 30.0)])
+def test_circle_mass_is_the_full_circle_mass_inside(n, p, c):
+    """The closed form equals mass_inside over vertices 1..n exactly, and at
+    n = 1e12 it is finite without building the vertex array."""
+    model = build_model(n, p, c, 0.7)
+    assert _circle_mass(model) == mass_inside(model, range(1, n + 1))
+    assert math.isfinite(_circle_mass(build_model(10 ** 12, p, c + 0.1, 0.7)))

@@ -8,17 +8,22 @@ import math
 import numpy as np
 import pytest
 
-from loopsoup.analytics import mass_through_vertex1, prob_not_single_partition_limit
+from loopsoup.analytics import (
+    mass_inside,
+    mass_through_vertex1,
+    prob_not_single_partition_limit,
+)
 from loopsoup.circle import build_model
 from loopsoup import cli
 from loopsoup.cli import LAW_FORMULAS, main
 from loopsoup.experiments import (
+    ScheduleEntry,
     default_cluster_scaling_config,
     default_edge_audit_config,
     default_single_partition_config,
 )
 from loopsoup.sampler import CONDITIONS
-from loopsoup.scaling import ConditionedBridgeLaw, SubordinatorLaw
+from loopsoup.scaling import ConditionedBridgeLaw, SubordinatorLaw, hitting_coefficients
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +59,27 @@ def test_law_density_past_the_float_range_prints_infinity(capsys):
                         "--kappa", "1", "--alpha", "0.5", "--x", "1e-300", "--y", "1e-300")
     assert code == 0
     assert json.loads(out)["value"] == math.inf
+
+
+def test_closed_forms_of_one_value_build_no_table(capsys):
+    """hitting-coefficient is the table's entry, mass-total the full-circle
+    mass_inside; at m = 1e15 and n = 1e12 both answer at once, finite."""
+    code, out = run_cli(capsys, "law", "--formula", "hitting-coefficient",
+                        "--alpha", "0.7", "--r", "0.05", "--m", "2000")
+    assert code == 0
+    assert json.loads(out)["value"] == hitting_coefficients(0.7, 0.05, 2000)[2000]
+    code, out = run_cli(capsys, "analytic", "--formula", "mass-total",
+                        "--n", "8", "--p", "0.5", "--c", "0.3", "--alpha", "1.0")
+    assert code == 0
+    model = build_model(8, 0.5, 0.3, 1.0)
+    assert json.loads(out)["value"] == mass_inside(model, range(1, 9))
+    for argv in (("law", "--formula", "hitting-coefficient", "--alpha", "0.5",
+                  "--r", "0.01", "--m", "1e15"),
+                 ("analytic", "--formula", "mass-total", "--n", str(10 ** 12),
+                  "--p", "0.5", "--c", "0.3", "--alpha", "1.0")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["value"])
 
 
 def test_law_escape_probability(capsys):
@@ -296,6 +322,12 @@ def test_experiment_subcommand(tmp_path, capsys):
      "kappa must be set for cluster-scaling, got null"),
     (("experiment", "--config", "{tmp}/cluster-scaling-no-epsilon.json"),
      "epsilon must be set for cluster-scaling, got null"),
+    (("experiment", "--config", "{tmp}/cluster-scaling-alpha-1.2.json"),
+     "needs finite kappa > 0 and 0 < alpha < 1, got kappa=1.0, alpha=1.2"),
+    (("experiment", "--config", "{tmp}/cluster-scaling-kappa-0.json"),
+     "needs finite kappa > 0 and 0 < alpha < 1, got kappa=0.0, alpha=0.5"),
+    (("experiment", "--config", "{tmp}/cluster-scaling-kappa-inf.json"),
+     "needs finite kappa > 0 and 0 < alpha < 1, got kappa=inf, alpha=0.5"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     audit, scaling = default_edge_audit_config(), default_cluster_scaling_config()
@@ -317,7 +349,14 @@ def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
             ("single-partition-no-targets",
              dataclasses.replace(partition, kappa=None, epsilon=None)),
             ("cluster-scaling-no-kappa", dataclasses.replace(scaling, kappa=None)),
-            ("cluster-scaling-no-epsilon", dataclasses.replace(scaling, epsilon=None))):
+            ("cluster-scaling-no-epsilon", dataclasses.replace(scaling, epsilon=None)),
+            ("cluster-scaling-alpha-1.2", dataclasses.replace(scaling, alpha=1.2)),
+            # every schedule entry meets an infinite target: |x - inf| > rel * inf is false
+            ("cluster-scaling-kappa-inf", dataclasses.replace(scaling, kappa=math.inf)),
+            # 1 + c rounds to 1, so the schedule's kappa_n is 0 and meets the target
+            ("cluster-scaling-kappa-0", dataclasses.replace(
+                scaling, kappa=0.0, epsilon=0.0,
+                schedule=[ScheduleEntry(n=n, p=0.5, c=1e-20) for n in (100, 400, 1600)]))):
         (tmp_path / f"{name}.json").write_text(config.to_json())
     argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
     out_path = tmp_path / "out.csv"

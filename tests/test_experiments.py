@@ -24,6 +24,7 @@ from loopsoup.experiments import (
     sample_limit_extents,
     symmetric_schedule,
 )
+from loopsoup.numerics import chi_square_pvalue
 from loopsoup.sampler import CONDITIONS, conditional_experiment
 from loopsoup.circle import build_model
 
@@ -210,46 +211,40 @@ def test_edge_audit_replicate_lines_are_pinned(tmp_path):
 
 
 
-@pytest.mark.parametrize("kappa, alpha", [(25.0, 0.1), (100.0, 0.5), (2500.0, 0.5)])
-def test_extent_envelope_bounds_the_log_ratio(kappa, alpha):
-    """The rejection envelope is at least the log-ratio's maximum found on a
-    1e-9 mesh around the coarse argmax, and within 1e-5 of it.  The coarse
-    grid's maximum fell short of it by 3.0e-9, 5.9e-9 and 9.4e-8 here, more
-    than the 1e-9 it was once padded by."""
-    log_ratio, log_env = experiments._extent_log_ratio(kappa, alpha)
-    grid = np.linspace(1e-9, 1.0 - 1e-9, 20_001)
-    k = int(np.argmax(log_ratio(grid)))
-    peak = float(log_ratio(np.linspace(grid[k - 1], grid[k + 1], 100_001)).max())
-    assert peak <= log_env < peak + 1e-5
+@pytest.mark.parametrize("kappa, alpha", [(1.0, 0.5), (1.0, 0.9), (25.0, 0.1), (0.01, 0.3),
+                                          (0.01, 0.95), (100.0, 0.7)])
+def test_sample_limit_extents_matches_cell_law(kappa, alpha):
+    """2e5 draws binned on the 6 x 6 grid against the closed-form cell law,
+    over the cells of positive probability.  At alpha = 0.9 and 0.95 much of
+    the mass lies within an ulp of g + d = 1 (2.2% at kappa = 1, 15.7% at
+    kappa = 0.01); a sampler that drops those draws fails here."""
+    gd = sample_limit_extents(kappa, alpha, 200_000, np.random.default_rng(5))
+    probs = _simplex_cell_probs(kappa, alpha, 6)
+    counts, _, _ = np.histogram2d(gd[:, 0], gd[:, 1], bins=np.linspace(0.0, 1.0, 7))
+    positive = probs > 0.0
+    assert counts[positive].sum() == gd.shape[0]
+    _, pval = chi_square_pvalue(counts[positive], probs[positive])
+    assert pval > 1e-6
 
 
-@pytest.mark.parametrize("kappa", [6e5, 1e8])
-def test_extent_log_ratio_is_finite_at_large_kappa(kappa):
-    """Past kappa = 710^2, sinh(sqrt(kappa) (1 - z)) overflows where the law's
-    mass lies (sqrt(kappa) z near 1.4); the log-ratio and its envelope stay
-    finite there."""
-    log_ratio, log_env = experiments._extent_log_ratio(kappa, 0.5)
-    assert math.isfinite(log_env)
-    assert np.isfinite(log_ratio(np.array([1.0 / math.sqrt(kappa)]))).all()
+@pytest.mark.parametrize("kappa, alpha", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
+                                          (math.inf, 0.5), (1.0, 0.0), (1.0, 1.0),
+                                          (1.0, 1.2), (1.0, math.nan)])
+def test_sample_limit_extents_rejects_out_of_domain_parameters(kappa, alpha):
+    with pytest.raises(ValueError, match="needs finite kappa > 0 and 0 < alpha < 1"):
+        sample_limit_extents(kappa, alpha, 10, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("kappa", [1e10, 1e12])
-def test_extent_envelope_bounds_the_log_ratio_at_huge_kappa(kappa):
-    """Past kappa ~ 1e9 the peak, near z = 1.5/sqrt(kappa), lies left of the
-    coarse grid's third point; the envelope is still at least the log-ratio's
-    maximum on a geometric mesh around the peak, and within 1e-3 of it.  From
-    the coarse grid alone it fell short by 3.4 and 86 here."""
-    log_ratio, log_env = experiments._extent_log_ratio(kappa, 0.5)
-    s = math.sqrt(kappa)
-    peak = float(log_ratio(np.geomspace(1e-3 / s, 50.0 / s, 200_001)).max())
-    assert peak <= log_env < peak + 1e-3
-
-
-def test_sample_limit_extents_matches_density_at_large_kappa():
-    """2,000 draws of sqrt(kappa) (g + d) at kappa = 6e5 against the cdf that
-    quadrature gives from the extent-sum density w sinh(w)^(alpha-2)
-    sinh(s-w)^(-alpha), s = sqrt(kappa), taken in the log domain."""
-    kappa, alpha = 6e5, 0.5
+@pytest.mark.parametrize("kappa, alpha", [(6e5, 0.5), (6e5, 0.9), (1e12, 0.5), (1e12, 0.9),
+                                          (1e12, 0.99), (1e12, 0.999)])
+def test_sample_limit_extents_matches_density_at_large_kappa(kappa, alpha):
+    """2,000 draws of sqrt(kappa) (g + d) against the cdf that quadrature
+    gives from the extent-sum density w sinh(w)^(alpha-2) sinh(s-w)^(-alpha),
+    s = sqrt(kappa), taken in the log domain.  Past kappa = 710^2 sinh(s(1-z))
+    overflows where the law's mass lies (s z near 1.5).  At alpha = 0.99 and
+    0.999, 0.7% and 84% of the law lies where t = e^(-s) sinh(s(1-z)) / sinh(sz)
+    is below the smallest float: a draw of t that underflows there sends
+    those draws to z = 1."""
     s = math.sqrt(kappa)
     gd = sample_limit_extents(kappa, alpha, 2000, np.random.default_rng(12))
     w = np.sort(s * gd.sum(axis=1))

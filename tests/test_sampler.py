@@ -16,6 +16,7 @@ from loopsoup.analytics import (
     prob_no_winding_or_covering,
 )
 from loopsoup.circle import Loop, LoopType, build_model, classify_loop
+from loopsoup.scaling import hitting_coefficients
 from loopsoup.sampler import (
     CONDITIONS,
     ClusterStats,
@@ -423,6 +424,26 @@ def test_engine_split_fraction_matches_analytic_small_n():
     ens = conditional_experiment(model, 71, "unconditioned", 40_000)
     se = math.sqrt(p_some_closed * (1 - p_some_closed) / 40_000)
     assert ens.split_fraction == pytest.approx(p_some_closed, abs=4 * se)
+
+
+@pytest.mark.parametrize("n, p, c, alpha", [(12, 0.5, 0.1, 0.5), (30, 0.7, 0.2, 0.8),
+                                            (9, 0.4, 0.3, 1.3)])
+def test_avoiding_1_only_edge_closure_matches_renewal_one_point_law(n, p, c, alpha):
+    """Under avoiding-1-only the closed edges are a renewal set from vertex 1
+    round to it, so edge k (0-based) is closed with probability
+    C(k) C(n-1-k) / C(n-1), C the hitting coefficients; every edge of 2e5
+    replicates is within |z| <= 5 of it, and the two edges at vertex 1 are
+    always closed."""
+    model = build_model(n, p, c, alpha)
+    reps = 200_000
+    C = hitting_coefficients(alpha, model.r, n - 1)
+    k = np.arange(n)
+    prob = C[k] * C[n - 1 - k] / C[n - 1]
+    totals = conditional_experiment(model, 11, "avoiding-1-only", reps).closed_edge_totals
+    assert prob[0] == prob[-1] == 1.0 and totals[0] == totals[-1] == reps
+    inner = slice(1, n - 1)
+    z = (totals[inner] / reps - prob[inner]) / np.sqrt(prob[inner] * (1 - prob[inner]) / reps)
+    assert np.abs(z).max() <= 5.0
 
 
 def test_lift_extent_law_matches_covered_extent_cdf():

@@ -20,6 +20,7 @@ from loopsoup.scaling import (
     ConditionedBridgeLaw,
     RenewalLaw,
     SubordinatorLaw,
+    _hitting_coefficient,
     _next_fast_len,
     bridge_crossing_joint_density,
     escape_probability,
@@ -46,6 +47,16 @@ def test_hitting_coefficients_basics():
     r, a, m = 0.05, 0.7, 7
     expect = ((1 - math.exp(-2 * r)) / (1 - math.exp(-2 * (m + 1) * r))) ** a
     assert C2[m] == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha, r", [(0.5, 0.0), (0.7, 0.05), (1.3, 1e-5), (0.0, 0.2)])
+def test_hitting_coefficient_of_one_m_matches_the_table(alpha, r):
+    """C(m) of a scalar m is the table's entry, bit for bit, and
+    m = 1e15 gives a finite value without building a table."""
+    C = hitting_coefficients(alpha, r, 3000)
+    for m in (0, 1, 2, 17, *range(999, 3001, 7)):
+        assert _hitting_coefficient(alpha, r, float(m)) == C[m]
+    assert 0.0 < _hitting_coefficient(alpha, r, 1e15) <= 1.0
 
 
 def test_next_fast_len_matches_scipy():
