@@ -141,6 +141,18 @@ def _output(path, default, newline=None):
 
 def _cmd_sample(args) -> int:
     model = build_model(args.n, args.p, args.c, args.alpha)
+    # the engine's own checks, made before any output is touched
+    if model.c <= 0.0:
+        raise ValueError("sampling requires c > 0")
+    if args.replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {args.replicates}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
+    # both paths are opened for appending, which empties neither, before
+    # either is truncated: an unwritable one leaves the other as it was
+    for path in (args.out, args.summary):
+        if path:
+            open(path, "a").close()
     with (_output(args.out, sys.stdout) as out,
           _output(args.summary, None, newline="") as summary):
         ens = conditional_experiment(model, args.seed, args.condition,

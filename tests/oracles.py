@@ -13,27 +13,37 @@ nested-quadrature cell table that the closed forms replaced, the scalar
 anti-diagonal loop that the vectorized split probability replaced, and the
 adaptive quadrature, one-sample KS and two-sample chi-square helpers the tests
 check against.
+
+It ends with the exact-law battery: `exact_law_checks` runs the exact laws
+against any soup engine's ensembles, and `object_ensemble` turns one draw of
+the loop-object sampler into such ensembles.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
-from scipy.special import chdtrc
+from scipy.special import bdtr, bdtrc, chdtrc, ndtr
 
 from loopsoup.analytics import (
-    cluster_extent_limit_density,
-    covered_extent_cdf,
-    prob_no_winding_or_covering,
+    cluster_extent_limit_density, covered_extent_cdf, mass_avoiding_edges, mass_inside,
+    mass_liftable, mass_through_vertex1, prob_no_winding_or_covering, through1_extent_cdf,
 )
 from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
 from loopsoup.numerics import log_cosh, log_sinh
+from loopsoup.sampler import (
+    CONDITIONS, SoupEnsemble, SoupSample, extract_clusters, philox_rng, sample_soup,
+)
 from loopsoup.scaling import RenewalLaw
 
 
@@ -310,36 +320,26 @@ def return_probability(model: CircleModel, base0: int) -> float:
 # closed-edge configuration law by inclusion-exclusion
 # ---------------------------------------------------------------------------
 
-def edge_config_probabilities(model: CircleModel, mass_avoiding_fn) -> dict:
-    """Exact probability of every closed-edge configuration.
+def edge_config_probabilities(model: CircleModel) -> np.ndarray:
+    """Exact probability of every closed-edge set, indexed by its bit mask
+    (bit e - 1 for the edge from e to e + 1).
 
     P[edges of T all closed] = exp(-alpha (total - mass avoiding T)); the
-    probability of an exact configuration follows by Moebius inversion over
-    supersets.  Edges are named by 1-based left endpoints.
+    probability of an exact set follows by Moebius inversion over supersets,
+    taken one edge at a time.
     """
-    from itertools import combinations
-
     n = model.n
-    all_edges = list(range(1, n + 1))
-    total = mass_avoiding_fn(model, [])
-    superset_prob = {}
-    for k in range(n + 1):
-        for T in combinations(all_edges, k):
-            directed = []
-            for e in T:
-                u, v = e, e % n + 1
-                directed += [(u, v), (v, u)]
-            superset_prob[frozenset(T)] = math.exp(
-                -model.alpha * (total - mass_avoiding_fn(model, directed)))
-    exact = {}
-    for C in superset_prob:
-        rest = [e for e in all_edges if e not in C]
-        p = 0.0
-        for k in range(len(rest) + 1):
-            for extra in combinations(rest, k):
-                p += (-1.0) ** k * superset_prob[C | frozenset(extra)]
-        exact[C] = p
-    return exact
+    total = mass_avoiding_edges(model, [])
+    probs = np.empty(1 << n)
+    for mask in range(1 << n):
+        edges = [(e, e % n + 1) for e in range(1, n + 1) if mask >> (e - 1) & 1]
+        probs[mask] = math.exp(-model.alpha * (
+            total - mass_avoiding_edges(model, edges + [(v, u) for u, v in edges])))
+    for bit in range(n):
+        for mask in range(1 << n):
+            if not mask >> bit & 1:
+                probs[mask] -= probs[mask | 1 << bit]
+    return probs
 
 
 def prob_split_given_no_avoiding_loop(model: CircleModel) -> float:
@@ -452,6 +452,11 @@ def sample_renewal_overshoot(law: RenewalLaw, level: int, n_paths: int, rng) -> 
     return pos
 
 
+def report_digest(report: dict) -> str:
+    """sha256 of the report.json bytes `experiments._write_outputs` writes."""
+    return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
+
+
 def ensemble_records_oracle(ensemble) -> list[dict]:
     """Per-replicate records built as dicts one replicate at a time, the
     reference for the columnar `experiments.replicate_lines`."""
@@ -478,3 +483,153 @@ def ensemble_records_oracle(ensemble) -> list[dict]:
             rec["closed_left_endpoints"] = [int(e) + 1 for e in edges]
         out.append(rec)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exact-law battery
+# ---------------------------------------------------------------------------
+
+_KEEPS = {"unconditioned": lambda kind: True,
+          "through-1-only": lambda kind: kind is not LoopType.AVOIDING,
+          "avoiding-1-only": lambda kind: kind is LoopType.AVOIDING}
+
+
+@lru_cache(maxsize=None)
+def object_ensemble(model: CircleModel, seed: int, reps: int) -> dict[str, SoupEnsemble]:
+    """`reps` loop-object soups drawn in turn off philox_rng(seed), reduced by
+    `extract_clusters` to a `SoupEnsemble` per condition, and cached.  The
+    conditioned ensembles keep the loops through vertex 1, or those avoiding
+    it, of the same soups: by Poisson restriction, exact conditioned draws."""
+    rng, stats = philox_rng(seed), {}
+    rows = {condition: [] for condition in CONDITIONS}
+    for _ in range(reps):
+        loops = sample_soup(model, rng).loops
+        kinds = [classify_loop(model, loop) for loop in loops]
+        for condition, keep in _KEEPS.items():
+            soup = tuple(loop for loop, kind in zip(loops, kinds) if keep(kind))
+            if soup not in stats:  # most kept soups are empty or repeat
+                stats[soup] = extract_clusters(model, SoupSample(loops=soup, seed=None))
+            rows[condition].append(([kind for kind in kinds if keep(kind)], stats[soup]))
+    out = {}
+    for condition, pairs in rows.items():
+        flat = np.array([e - 1 for _, st in pairs for e in st.closed_left_endpoints], np.int64)
+        columns = np.array([(
+            len(kept), kept.count(LoopType.AVOIDING),
+            kept.count(LoopType.WINDING) + kept.count(LoopType.NON_LIFTABLE),
+            len(st.closed_left_endpoints),
+            -1 if st.origin_left is None else st.origin_left,
+            -1 if st.origin_right is None else st.origin_right,
+            st.lift_left, st.lift_right) for kept, st in pairs], dtype=np.int64)
+        out[condition] = SoupEnsemble(model.to_dict(), condition, reps, seed, *columns.T,
+                                      np.bincount(flat, minlength=model.n), flat)
+    return out
+
+
+# one exact law's verdict: the worst |z| of its cells, its p-value and whether
+# that p-value clears 1e-3
+LawCheck = namedtuple("LawCheck", "law worst_z p ok")
+
+
+def _bonferroni(law: str, z, p) -> LawCheck:
+    """The law's p-value is k times the smallest of its k cells' two-sided
+    p-values; by Bonferroni it is below 1e-3 at most 1e-3 of the time,
+    however the cells correlate."""
+    p = min(1.0, len(p) * float(np.min(p)))
+    return LawCheck(law, float(np.max(np.abs(z))), p, p >= 1e-3)
+
+
+def cell_check(law: str, hits, probs, reps: int, pool: bool = False) -> LawCheck:
+    """`_bonferroni` over cells, each a count of hits in `reps` replicates
+    against its exact binomial law, p = 2 min(P[X <= hits], P[X >= hits]),
+    so the false-alarm rate holds at every count.  With pool, the cells of a
+    partition expected fewer than 20 times merge into one.  z is the normal
+    approximation (hits / reps - prob) / se, inf on a missed sure cell."""
+    hits, probs = np.asarray(hits), np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
+    if pool and (rare := reps * probs < 20.0).any():
+        hits = np.append(hits[~rare], hits[rare].sum())
+        probs = np.append(probs[~rare], probs[rare].sum())
+    se = np.sqrt(probs * (1.0 - probs) / reps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0.0, (hits / reps - probs) / se,
+                     np.where(hits == probs * reps, 0.0, np.inf))
+    return _bonferroni(law, z, 2.0 * np.minimum(bdtr(hits, reps, probs),
+                                                bdtrc(hits - 1, reps, probs)))
+
+
+def _laws(ens: SoupEnsemble, model: CircleModel, through1_grid):
+    n, alpha, reps = model.n, model.alpha, ens.replicates
+    if ens.condition == "unconditioned":
+        if n <= 7:
+            owner = np.repeat(np.arange(reps), ens.closed_edge_count)
+            masks = np.bincount(owner, weights=1 << ens.closed_edges, minlength=reps)
+            yield cell_check("configuration", np.bincount(masks.astype(int), minlength=1 << n),
+                             edge_config_probabilities(model), reps, pool=True)
+        total = mass_inside(model, range(1, n + 1))
+        yield cell_check("edge closure", ens.closed_edge_totals, [math.exp(-alpha * (
+            total - mass_avoiding_edges(model, [(e, e % n + 1), (e % n + 1, e)])))
+            for e in range(1, n + 1)], reps)
+        lam, count = alpha * total, ens.loop_count
+        z = np.array([(count.mean() - lam) / math.sqrt(lam / reps),
+                      (count.var() - lam) / math.sqrt((lam + 2.0 * lam * lam) / reps)])
+        yield _bonferroni("loop count", z, 2.0 * ndtr(-np.abs(z)))
+        through1 = ens.loop_count - ens.avoiding_count
+        yield cell_check("no loop through 1", [np.sum(through1 == 0)],
+                         [math.exp(-alpha * mass_through_vertex1(model))], reps)
+        yield cell_check("no liftable loop", [np.sum(through1 == ens.winding_or_cover_count)],
+                         [math.exp(-alpha * mass_liftable(model))], reps)
+    if ens.condition != "avoiding-1-only":
+        yield cell_check("no winding loop", [np.sum(ens.winding_or_cover_count == 0)],
+                         [prob_no_winding_or_covering(model)], reps)
+    if ens.condition == "through-1-only":
+        inner, outer = (np.unique(np.linspace(0, top, 5).astype(int)) for top in (n - 2, n - 1))
+        grid = through1_grid or [(m, M) for m, M in product(inner, inner) if m + M <= n - 2]
+        split = ens.closed_edge_count >= 1
+        yield cell_check("through-1 extent", [
+            np.sum(split & (ens.origin_left <= m) & (ens.origin_right <= M)) for m, M in grid],
+            [through1_extent_cdf(model, m, M) for m, M in grid], reps)
+        grid = list(product(outer, outer))
+        yield cell_check("covered extent", [
+            np.sum((ens.lift_left <= m) & (ens.lift_right <= M)) for m, M in grid],
+            covered_extent_cdf(model, *np.array(grid).T), reps)
+    if ens.condition == "avoiding-1-only":
+        law = RenewalLaw.build(alpha, model.r, n - 1)
+        yield cell_check("one-point", ens.closed_edge_totals, law.C * law.C[::-1] / law.C[-1],
+                         reps)
+        starts = np.cumsum(ens.closed_edge_count) - ens.closed_edge_count
+        jumps = np.bincount(ens.closed_edges[starts + 1], minlength=n)
+        yield cell_check("first jump", np.cumsum(jumps[1:n - 1]),
+                         np.cumsum(law.conditioned_jump_pmf(0, n - 1))[:-1], reps)
+        pmf, power = np.zeros(n + 1), np.eye(1, n)[0]  # power = w^{*0}, a unit mass at 0
+        for j in range(1, n):
+            power = np.convolve(power, law.w)[:n]
+            pmf[j + 1] = power[n - 1] / law.C[-1]
+        yield cell_check("closed-edge count", np.bincount(ens.closed_edge_count, minlength=n + 1),
+                         pmf, reps, pool=True)
+
+
+def exact_law_checks(ensemble: SoupEnsemble, model: CircleModel,
+                     through1_grid=None) -> dict[str, LawCheck]:
+    """Every exact law defined at the ensemble's condition and n, checked
+    against it, by name.  The ensemble must hold its closed edges.
+
+    Unconditioned: "configuration" (n <= 7), the closed-edge set, one cell
+    per set, against `edge_config_probabilities`; "edge closure", edge e
+    closed with probability exp(-alpha (total mass - mass avoiding e));
+    "loop count", Poisson of mean lam = alpha * total mass, by the sample
+    mean (variance lam / R) and variance (variance (lam + 2 lam^2) / R);
+    "no loop through 1" and "no liftable loop", exp(-alpha * their mass).
+    Unconditioned or through-1-only: "no winding loop",
+    `prob_no_winding_or_covering`.  Through-1-only: "through-1 extent",
+    `through1_extent_cdf` on `through1_grid` (by default five points from 0
+    to n-2 each way, m + M <= n-2); "covered extent", `covered_extent_cdf` of
+    the liftable loops' lifts on five points from 0 to n-1 each way.
+    Avoiding-1-only, where the closed edges are the renewal points from 0 to
+    n-1: "one-point", edge k closed with probability C(k) C(n-1-k) / C(n-1);
+    "first jump", the cdf of the first closed edge after 0 against
+    `RenewalLaw.conditioned_jump_pmf(0, n-1)`; "closed-edge count",
+    P[K = j+1] = w^{*j}(n-1) / C(n-1), j jumps of w landing on n-1.
+
+    Each law passes when its Bonferroni p-value (`cell_check`) is at least
+    1e-3, so it raises a false alarm at most 1e-3 of the time; the loop
+    count's p-values are normal tails."""
+    return {check.law: check for check in _laws(ensemble, model, through1_grid)}

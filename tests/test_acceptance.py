@@ -21,8 +21,6 @@ from loopsoup.analytics import (
     mass_liftable,
     mass_through_vertex1,
     mass_winding_or_covering,
-    prob_no_winding_or_covering,
-    through1_extent_cdf,
     toeplitz_det,
 )
 from loopsoup.circle import LoopType, build_model
@@ -117,22 +115,13 @@ def test_criterion_2_sampler_exactness():
     t0 = time.time()
     model = build_model(4, 0.5, 0.8, 0.6)
     reps = 1_000_000
-    probs = oracles.edge_config_probabilities(model, mass_avoiding_edges)
     ens = conditional_experiment(model, 20240701, "unconditioned", reps,
                                  keep_closed_edges=True)
-    # each replicate's closed-edge set as a bitmask, bit e - 1 for edge e
-    owner = np.repeat(np.arange(reps), ens.closed_edge_count)
-    masks = np.bincount(owner, weights=1 << ens.closed_edges, minlength=reps)
-    counts = np.bincount(masks.astype(np.int64), minlength=1 << model.n)
-    worst_z = 0.0
-    for config, p in probs.items():
-        emp = counts[sum(1 << (e - 1) for e in config)] / reps
-        se = math.sqrt(p * (1.0 - p) / reps)
-        worst_z = max(worst_z, abs(emp - p) / se)
+    worst_z = oracles.exact_law_checks(ens, model)["configuration"].worst_z
     elapsed = time.time() - t0
     ok = worst_z <= 4.0 and elapsed < 300.0
     _verdict(2, "sampler exactness (16 edge configurations, 1e6 replicates)",
-             ok, f"worst |z| = {worst_z:.2f} over {len(probs)} configs, {elapsed:.0f}s")
+             ok, f"worst |z| = {worst_z:.2f} over {1 << model.n} configs, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +170,9 @@ def test_criterion_4_renewal_inversion_and_sampler():
     rng = np.random.default_rng(404)
     sampled = sample_conditioned_renewals(law, n, paths, rng)
     terminated = all(path[-1] == n for path in sampled)
-    firsts = np.array([path[1] for path in sampled])
-    pmf = law.conditioned_jump_pmf(0, n)
-    worst_z = 0.0
-    for j in range(1, 13):
-        p = pmf[j - 1]
-        se = math.sqrt(p * (1.0 - p) / paths)
-        worst_z = max(worst_z, abs(np.mean(firsts == j) - p) / se)
+    firsts = np.bincount([path[1] for path in sampled], minlength=13)
+    worst_z = oracles.cell_check("first jump", firsts[1:13],
+                                 law.conditioned_jump_pmf(0, n)[:12], paths).worst_z
     ok = round_trip_ok and terminated and worst_z <= 3.0
     _verdict(4, "renewal C->w->C round trip and conditioned sampler",
              ok, f"round-trip error {worst:.2e}, all {paths} paths hit n: "
@@ -271,18 +256,10 @@ def test_criterion_7_through1_laws():
     model = build_model(n, p, epsilon / (n * n), alpha)
     ens = conditional_experiment(model, 707, "through-1-only", reps)
 
-    worst_z = 0.0
     grid = [(m, M) for m in (2, 5, 9, 14, 20) for M in (2, 5, 9, 14, 20)]
-    for m, M in grid:
-        prob = through1_extent_cdf(model, m, M)
-        emp = float(np.mean((ens.closed_edge_count >= 1)
-                            & (ens.origin_left <= m) & (ens.origin_right <= M)))
-        se = math.sqrt(prob * (1.0 - prob) / reps)
-        worst_z = max(worst_z, abs(emp - prob) / se)
-
-    p_nw = prob_no_winding_or_covering(model)
-    emp_nw = float(np.mean(ens.winding_or_cover_count == 0))
-    z_nw = abs(emp_nw - p_nw) / math.sqrt(p_nw * (1.0 - p_nw) / reps)
+    checks = oracles.exact_law_checks(ens, model, through1_grid=grid)
+    worst_z = checks["through-1 extent"].worst_z
+    z_nw = checks["no winding loop"].worst_z
     ok = worst_z <= 3.0 and z_nw <= 3.0
     _verdict(7, "through-1 extent cdf (5x5 grid) and no-winding probability",
              ok, f"worst grid |z| = {worst_z:.2f}, no-winding |z| = {z_nw:.2f}")
@@ -312,6 +289,8 @@ def test_criterion_8_limit_theorem():
                  f"{abs(val - 1.0):.1e}, escape gap "
                  f"{abs(escape_probability(2.0) - 6 / math.pi ** 2):.1e}, "
                  f"{time.time() - t0:.0f}s")
+    assert oracles.report_digest(report) == (
+        "96dfbb51c7a7b4f07d06ee20596fbb12a0d6561783e724a9f0b59a33ddcc29e4")
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +324,5 @@ def test_criterion_9_bridge_properties():
                  f"k/n^(1-a) spread = {scaling['k_scaled_spread']:.3f} "
                  f"(means {[round(r['k_scaled_mean'], 3) for r in scaling['per_n']]}), "
                  f"{time.time() - t0:.0f}s")
+    assert oracles.report_digest(scaling) == (
+        "a0bcc2ead7ab54fc1534dde78d8aa13835655c09590e05de623c91d96a421fe6")

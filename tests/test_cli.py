@@ -154,6 +154,25 @@ def test_sample_unwritable_output_fails_before_sampling(tmp_path, capsys, monkey
     assert len(captured.err.strip().splitlines()) == 1 and str(bad) in captured.err
 
 
+@pytest.mark.parametrize("kept, flag, value, message", [
+    ("--out", "--replicates", "0", "replicates must be at least 1, got 0"),
+    ("--out", "--seed", "-1", "seed must lie in [0, 2^64), got -1"),
+    ("--summary", "--c", "0", "sampling requires c > 0"),
+    ("--out", "--summary", "{tmp}/missing/x.csv", "missing/x.csv"),
+    ("--summary", "--out", "{tmp}/missing/x.jsonl", "missing/x.jsonl"),
+], ids=["replicates-0", "seed-minus-1", "c-0", "summary-unwritable", "out-unwritable"])
+def test_sample_rejected_call_keeps_existing_output(tmp_path, capsys, kept, flag, value, message):
+    """A rejected `sample` call leaves the bytes of an existing output file alone."""
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"old\r\nbytes")
+    args = {"--n": "8", "--p": "0.5", "--c": "0.4", "--alpha": "0.8", kept: str(existing),
+            flag: value.format(tmp=tmp_path)}
+    assert main(["sample", *(arg for pair in args.items() for arg in pair)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert existing.read_bytes() == b"old\r\nbytes"
+
+
 def test_bridge_unwritable_output_fails_before_the_law_is_built(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ConditionedBridgeLaw, "renewal_approximation", _unreached)
     bad = tmp_path / "missing" / "x.csv"

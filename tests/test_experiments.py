@@ -116,6 +116,8 @@ def test_edge_audit_default_scale():
     report = run_edge_probability_audit(cfg)
     assert report["passed"]
     assert max(abs(r["z"]) for r in report["edges"]) <= 4.0
+    assert oracles.report_digest(report) == (
+        "942ccc0cac61ef42fc84a6038c380d849e68d44d7214044aff48842cf9fc5606")
 
 
 def test_edge_audit_reference_matches_dense_edge_masses():

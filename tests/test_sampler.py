@@ -6,30 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup.analytics import (
-    covered_extent_cdf,
-    mass_avoiding_edges,
-    mass_inside,
-    mass_liftable,
-    mass_liftable_inside,
-    mass_through_vertex1,
-    prob_no_winding_or_covering,
-)
-from loopsoup.circle import Loop, LoopType, build_model, classify_loop
-from loopsoup.scaling import hitting_coefficients
+from loopsoup.analytics import mass_inside, mass_liftable, mass_liftable_inside
+from loopsoup.circle import Loop, build_model
 from loopsoup.sampler import (
-    CONDITIONS,
-    ClusterStats,
-    SoupSample,
-    _soup_tables,
-    conditional_experiment,
-    extract_clusters,
-    philox_rng,
+    CONDITIONS, SoupSample, _soup_tables, conditional_experiment, extract_clusters, philox_rng,
     sample_soup,
 )
 
 import oracles
-from oracles import chi_square_two_sample
 
 MODEL = build_model(6, 0.55, 0.5, 0.8)
 
@@ -249,87 +233,47 @@ def test_cluster_count_equals_closed_edges_when_any():
 
 
 # ---------------------------------------------------------------------------
-# distributional correctness, object sampler
+# the exact-law battery, on the range-law engine and the loop-object sampler
 # ---------------------------------------------------------------------------
 
-def test_loop_count_distribution():
-    """Total loop count is Poisson with mean alpha * total mass."""
-    reps = 4000
-    rng = philox_rng(2024)
-    counts = np.array([len(sample_soup(MODEL, rng).loops) for _ in range(reps)])
-    lam = MODEL.alpha * mass_inside(MODEL, range(1, MODEL.n + 1))
-    assert counts.mean() == pytest.approx(lam, abs=4 * math.sqrt(lam / reps))
-    assert counts.var() == pytest.approx(lam, rel=0.15)
+# name: draw(model, seed, condition, replicates) -> SoupEnsemble with its closed edges
+ENGINES = {
+    "range-law": lambda model, seed, condition, reps: conditional_experiment(
+        model, seed, condition, reps, keep_closed_edges=True),
+    "object": lambda model, seed, condition, reps: oracles.object_ensemble(
+        model, seed, reps)[condition],
+}
+
+# (n, p, c, alpha), seed, conditions, replicates by engine; an engine runs on the
+# rows giving it replicates.  At n = 100 and 200 the killing is 1/(2n^2), so the
+# one-point law's sure cells check that escaped walkers never re-enter their arc.
+KEEPING_1 = ("unconditioned", "through-1-only")
+BATTERY = [
+    ((6, 0.55, 0.5, 0.8), 2024, CONDITIONS, {"range-law": 20_000, "object": 6000}),
+    ((7, 0.65, 0.2, 0.5), 701, KEEPING_1, {"range-law": 200_000, "object": 2000}),
+    ((5, 0.6, 0.5, 1.3), 501, KEEPING_1, {"range-law": 200_000, "object": 2000}),
+    ((6, 0.55, 0.3, 0.7), 601, KEEPING_1, {"range-law": 200_000, "object": 2000}),
+    ((12, 0.5, 0.1, 0.5), 11, ("avoiding-1-only",), {"range-law": 200_000}),
+    ((30, 0.7, 0.2, 0.8), 11, ("avoiding-1-only",), {"range-law": 200_000}),
+    ((9, 0.4, 0.3, 1.3), 11, ("avoiding-1-only",), {"range-law": 200_000}),
+    ((100, 0.5, 1.0 / 20_000, 0.5), 3, ("avoiding-1-only",), {"range-law": 5000}),
+    ((200, 0.5, 1.0 / 80_000, 0.5), 61, ("avoiding-1-only",), {"range-law": 10_000}),
+    ((20, 0.5, 0.02, 0.7), 83, ("through-1-only",), {"range-law": 30_000}),
+]
 
 
-def test_no_loop_through_vertex1_probability():
-    reps = 4000
-    rng = philox_rng(31)
-    hits = 0
-    for _ in range(reps):
-        sample = sample_soup(MODEL, rng)
-        if not any(1 in loop.vertices for loop in sample.loops):
-            hits += 1
-    p = math.exp(-MODEL.alpha * mass_through_vertex1(MODEL))
-    se = math.sqrt(p * (1 - p) / reps)
-    assert hits / reps == pytest.approx(p, abs=3.5 * se)
-
-
-def test_no_winding_or_covering_probability():
-    reps = 4000
-    rng = philox_rng(37)
-    hits = 0
-    for _ in range(reps):
-        sample = sample_soup(MODEL, rng)
-        kinds = [classify_loop(MODEL, loop) for loop in sample.loops]
-        if not any(k in (LoopType.WINDING, LoopType.NON_LIFTABLE) for k in kinds):
-            hits += 1
-    p = prob_no_winding_or_covering(MODEL)
-    se = math.sqrt(p * (1 - p) / reps)
-    assert hits / reps == pytest.approx(p, abs=3.5 * se)
-
-
-def test_no_liftable_probability():
-    reps = 4000
-    rng = philox_rng(41)
-    hits = 0
-    for _ in range(reps):
-        if not any(classify_loop(MODEL, loop) is LoopType.LIFTABLE
-                   for loop in sample_soup(MODEL, rng).loops):
-            hits += 1
-    p = math.exp(-MODEL.alpha * mass_liftable(MODEL))
-    se = math.sqrt(p * (1 - p) / reps)
-    assert hits / reps == pytest.approx(p, abs=3.5 * se)
-
-
-def test_type_counts_independent():
-    """Counts of avoiding and liftable loops are uncorrelated (independent
-    Poisson restrictions)."""
-    reps = 6000
-    rng = philox_rng(43)
-    a_counts, l_counts = [], []
-    for _ in range(reps):
-        kinds = [classify_loop(MODEL, loop) for loop in sample_soup(MODEL, rng).loops]
-        a_counts.append(sum(k is LoopType.AVOIDING for k in kinds))
-        l_counts.append(sum(k is LoopType.LIFTABLE for k in kinds))
-    corr = np.corrcoef(a_counts, l_counts)[0, 1]
-    assert abs(corr) < 4.0 / math.sqrt(reps)
-
-
-def test_edge_closure_probability_object_sampler():
-    reps = 4000
-    rng = philox_rng(47)
-    closed_counts = np.zeros(MODEL.n)
-    for _ in range(reps):
-        stats = extract_clusters(MODEL, sample_soup(MODEL, rng))
-        for e in stats.closed_left_endpoints:
-            closed_counts[e - 1] += 1
-    total = mass_inside(MODEL, range(1, MODEL.n + 1))
-    for e in range(1, MODEL.n + 1):
-        u, v = e, e % MODEL.n + 1
-        p = math.exp(-MODEL.alpha * (total - mass_avoiding_edges(MODEL, [(u, v), (v, u)])))
-        se = math.sqrt(p * (1 - p) / reps)
-        assert closed_counts[e - 1] / reps == pytest.approx(p, abs=4 * se)
+@pytest.mark.parametrize("engine, params, seed, condition, reps", [
+    pytest.param(engine, params, seed, condition, reps[engine],
+                 id=f"{engine}-{params}-{condition}")
+    for params, seed, conditions, reps in BATTERY
+    for engine in ENGINES if engine in reps
+    for condition in conditions])
+def test_exact_laws(engine, params, seed, condition, reps):
+    """Every exact law defined at the condition and n holds for the engine's
+    draw (`oracles.exact_law_checks`; each law's false-alarm rate is 1e-3)."""
+    model = build_model(*params)
+    checks = oracles.exact_law_checks(ENGINES[engine](model, seed, condition, reps), model)
+    assert checks and all(check.ok for check in checks.values()), checks
 
 
 # ---------------------------------------------------------------------------
@@ -349,135 +293,45 @@ def test_conditions_restrict_bases():
         conditional_experiment(MODEL, 7, "no-such-condition", 10)
 
 
-def test_block_engine_matches_object_sampler_distribution():
-    """The vectorized engine and the loop-object sampler draw from the same
-    law: chi-square homogeneity on the closed-edge count distribution."""
-    reps = 3000
-    rng = philox_rng(53)
-    counts_obj = np.zeros(MODEL.n + 1)
-    for _ in range(reps):
-        stats = extract_clusters(MODEL, sample_soup(MODEL, rng))
-        counts_obj[len(stats.closed_left_endpoints)] += 1
-    ens = conditional_experiment(MODEL, 54, "unconditioned", reps)
-    counts_eng = np.bincount(ens.closed_edge_count, minlength=MODEL.n + 1)
-    _, p = chi_square_two_sample(counts_obj, counts_eng)
+# two-sample checks of the engine against the object sampler where no exact law
+# is at hand, on MODEL's battery draws
+def _model_draws():
+    """MODEL's unconditioned draws of its battery row: (object sampler, range-law)."""
+    _, seed, _, reps = BATTERY[0]
+    return [ENGINES[e](MODEL, seed, "unconditioned", reps[e]) for e in ("object", "range-law")]
+
+
+def _liftable(ens):
+    return ens.loop_count - ens.avoiding_count - ens.winding_or_cover_count
+
+
+def test_type_counts_independent():
+    """Counts of avoiding and liftable loops are uncorrelated (independent
+    Poisson restrictions)."""
+    obj, _ = _model_draws()
+    corr = np.corrcoef(obj.avoiding_count, _liftable(obj))[0, 1]
+    assert abs(corr) < 4.0 / math.sqrt(obj.replicates)
+
+
+@pytest.mark.parametrize("columns", [
+    lambda ens: (ens.closed_edge_count,),
+    lambda ens: (ens.origin_left,),
+    lambda ens: (_liftable(ens), ens.lift_right),
+    lambda ens: (ens.avoiding_count, ens.closed_edge_count),
+], ids=["closed-edge-count", "origin-left", "liftable-and-lift-right",
+        "avoiding-and-closed-edge-count"])
+def test_block_engine_matches_object_sampler(columns):
+    """Chi-square homogeneity, p > 1e-3, of the engine and the loop-object
+    sampler on the closed-edge count, origin_left and two joint laws (counts
+    and extents must be drawn jointly, not just with the right marginals);
+    cells seen fewer than 20 times in both draws together share one bin."""
+    draws = [np.stack(columns(ens), axis=1) for ens in _model_draws()]
+    cells, inverse = np.unique(np.concatenate(draws), axis=0, return_inverse=True)
+    counts = [np.bincount(part, minlength=len(cells))
+              for part in np.split(inverse.ravel(), [len(draws[0])])]
+    rare = counts[0] + counts[1] < 20
+    _, p = oracles.chi_square_two_sample(*(np.append(c[~rare], c[rare].sum()) for c in counts))
     assert p > 1e-3
-
-
-def test_block_engine_matches_object_sampler_extents():
-    reps = 3000
-    rng = philox_rng(59)
-    lefts = []
-    for _ in range(reps):
-        stats = extract_clusters(MODEL, sample_soup(MODEL, rng))
-        lefts.append(-1 if stats.origin_left is None else stats.origin_left)
-    ens = conditional_experiment(MODEL, 60, "unconditioned", reps)
-    bins = np.arange(-1, MODEL.n + 1)
-    c1, _ = np.histogram(lefts, bins=bins)
-    c2, _ = np.histogram(ens.origin_left, bins=bins)
-    _, p = chi_square_two_sample(c1, c2)
-    assert p > 1e-3
-
-
-def _joint_counts(a_obj, b_obj, a_eng, b_eng):
-    """Paired contingency counts of two samples of (a, b) pairs; cells seen
-    fewer than 20 times in both samples together share one bin."""
-    obj = np.stack([a_obj, b_obj], axis=1)
-    eng = np.stack([a_eng, b_eng], axis=1)
-    cells, inverse = np.unique(np.concatenate([obj, eng]), axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    c_obj = np.bincount(inverse[:len(obj)], minlength=len(cells))
-    c_eng = np.bincount(inverse[len(obj):], minlength=len(cells))
-    rare = c_obj + c_eng < 20
-    return (np.append(c_obj[~rare], c_obj[rare].sum()),
-            np.append(c_eng[~rare], c_eng[rare].sum()))
-
-
-def test_block_engine_matches_object_sampler_joint_laws():
-    """Chi-square homogeneity of the engine and the loop-object sampler on
-    (liftable count, lift_right) and on (avoiding count, closed-edge count):
-    counts and extents must be drawn jointly, not just with the right
-    marginals."""
-    reps = 4000
-    rng = philox_rng(67)
-    obj = np.zeros((reps, 4), dtype=np.int64)
-    for i in range(reps):
-        sample = sample_soup(MODEL, rng)
-        stats = extract_clusters(MODEL, sample)
-        kinds = [classify_loop(MODEL, loop) for loop in sample.loops]
-        obj[i] = (kinds.count(LoopType.LIFTABLE), stats.lift_right,
-                  kinds.count(LoopType.AVOIDING), len(stats.closed_left_endpoints))
-    ens = conditional_experiment(MODEL, 68, "unconditioned", reps)
-    liftable = ens.loop_count - ens.avoiding_count - ens.winding_or_cover_count
-    for a_eng, b_eng, cols in ((liftable, ens.lift_right, (0, 1)),
-                               (ens.avoiding_count, ens.closed_edge_count, (2, 3))):
-        c1, c2 = _joint_counts(obj[:, cols[0]], obj[:, cols[1]], a_eng, b_eng)
-        _, p = chi_square_two_sample(c1, c2)
-        assert p > 1e-3, cols
-
-
-def test_engine_split_fraction_matches_analytic_small_n():
-    """P[some edge closed] has an inclusion-exclusion closed form at n = 4."""
-    model = build_model(4, 0.5, 0.8, 0.6)
-    config_probs = oracles.edge_config_probabilities(model, mass_avoiding_edges)
-    p_some_closed = 1.0 - config_probs[frozenset()]
-    ens = conditional_experiment(model, 71, "unconditioned", 40_000)
-    se = math.sqrt(p_some_closed * (1 - p_some_closed) / 40_000)
-    assert ens.split_fraction == pytest.approx(p_some_closed, abs=4 * se)
-
-
-@pytest.mark.parametrize("n, p, c, alpha", [(12, 0.5, 0.1, 0.5), (30, 0.7, 0.2, 0.8),
-                                            (9, 0.4, 0.3, 1.3)])
-def test_avoiding_1_only_edge_closure_matches_renewal_one_point_law(n, p, c, alpha):
-    """Under avoiding-1-only the closed edges are a renewal set from vertex 1
-    round to it, so edge k (0-based) is closed with probability
-    C(k) C(n-1-k) / C(n-1), C the hitting coefficients; every edge of 2e5
-    replicates is within |z| <= 5 of it, and the two edges at vertex 1 are
-    always closed."""
-    model = build_model(n, p, c, alpha)
-    reps = 200_000
-    C = hitting_coefficients(alpha, model.r, n - 1)
-    k = np.arange(n)
-    prob = C[k] * C[n - 1 - k] / C[n - 1]
-    totals = conditional_experiment(model, 11, "avoiding-1-only", reps).closed_edge_totals
-    assert prob[0] == prob[-1] == 1.0 and totals[0] == totals[-1] == reps
-    inner = slice(1, n - 1)
-    z = (totals[inner] / reps - prob[inner]) / np.sqrt(prob[inner] * (1 - prob[inner]) / reps)
-    assert np.abs(z).max() <= 5.0
-
-
-def test_lift_extent_law_matches_covered_extent_cdf():
-    """Empirical P[swept lift interval within [-m, M]] against the closed form
-    (3 standard errors on a grid)."""
-    model = build_model(20, 0.5, 0.02, 0.7)
-    reps = 20_000
-    ens = conditional_experiment(model, 83, "through-1-only", reps)
-    for (m, M) in [(0, 0), (1, 2), (3, 3), (5, 8), (10, 10)]:
-        p = covered_extent_cdf(model, m, M)
-        emp = float(np.mean((ens.lift_left <= m) & (ens.lift_right <= M)))
-        se = math.sqrt(p * (1 - p) / reps)
-        assert emp == pytest.approx(p, abs=3.5 * se), (m, M)
-
-
-def test_conditioned_soup_first_jump_ks_n200():
-    """First closed-edge gap of the conditioned soup at n=200 against the
-    conditioned renewal sampler: two-sample KS below the 1% critical value."""
-    from loopsoup.numerics import ks_distance_two_sample
-    from oracles import ks_critical
-    from loopsoup.scaling import RenewalLaw, sample_conditioned_renewals
-
-    n, reps = 200, 10_000
-    model = build_model(n, 0.5, 1.0 / (2 * n * n), 0.5)
-    ens = conditional_experiment(model, 61, "avoiding-1-only", reps,
-                                 keep_closed_edges=True)
-    starts = np.cumsum(ens.closed_edge_count) - ens.closed_edge_count
-    soup_firsts = ens.closed_edges[starts + 1]
-    law = RenewalLaw.build(0.5, model.r, n - 1)
-    rng = np.random.default_rng(62)
-    renewal_firsts = np.array([path[1] for path in
-                               sample_conditioned_renewals(law, n - 1, reps, rng)])
-    d = ks_distance_two_sample(soup_firsts, renewal_firsts)
-    assert d < ks_critical(reps, reps, level=0.01)
 
 
 def test_single_partition_fraction_increases_with_alpha():
@@ -488,19 +342,3 @@ def test_single_partition_fraction_increases_with_alpha():
         ens = conditional_experiment(model, 63, "unconditioned", 4000)
         fractions.append(1.0 - ens.split_fraction)
     assert fractions[0] < fractions[1] < fractions[2]
-
-
-def test_segment_conditioning_never_opens_boundary_edges():
-    """Under avoiding-1-only the two edges at vertex 1 stay closed in every
-    replicate, even at tiny killing where excursions wander far (regression:
-    escaped walkers must never re-enter their arc)."""
-    n = 100
-    model = build_model(n, 0.5, 1.0 / (2 * n * n), 0.5)
-    ens = conditional_experiment(model, 3, "avoiding-1-only", 500,
-                                 keep_closed_edges=True)
-    assert ens.split_fraction == 1.0
-    ends = np.cumsum(ens.closed_edge_count)
-    # each replicate's slice is ascending, so it holds 0 and n - 1 iff it starts and ends there
-    assert np.all(ens.closed_edges[ends - ens.closed_edge_count] == 0)
-    assert np.all(ens.closed_edges[ends - 1] == n - 1)
-    assert np.all(ens.closed_edge_count >= 2)
