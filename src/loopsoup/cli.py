@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytics, experiments, scaling
 from .circle import build_model
-from .sampler import CONDITIONS, conditional_experiment
+from .sampler import CONDITIONS, check_experiment_args, conditional_experiment
 
 
 def _integer_m(m: float) -> float:
@@ -28,65 +28,48 @@ def _integer_m(m: float) -> float:
     return m
 
 
-def _model_formula(fn, *param_names):
-    def call(args):
-        model = build_model(args.n, args.p, args.c, args.alpha)
-        extra = [getattr(args, name) for name in param_names]
-        return fn(model, *extra)
-    return call
-
-
+# formula name: (function, the parameters it takes after the model, by option name)
 ANALYTIC_FORMULAS = {
-    "mass-through-vertex1": (_model_formula(analytics.mass_through_vertex1), ()),
-    "mass-liftable": (_model_formula(analytics.mass_liftable), ()),
-    "mass-total": (_model_formula(analytics._circle_mass), ()),
-    "prob-no-winding-or-covering": (
-        _model_formula(analytics.prob_no_winding_or_covering), ()),
-    "through1-extent-cdf": (
-        _model_formula(analytics.through1_extent_cdf, "m", "M"), ("m", "M")),
-    "covered-extent-cdf": (
-        _model_formula(analytics.covered_extent_cdf, "m", "M"), ("m", "M")),
-    "prob-split-given-no-avoiding": (
-        _model_formula(analytics.prob_split_given_no_avoiding), ()),
+    "mass-through-vertex1": (analytics.mass_through_vertex1, ()),
+    "mass-liftable": (analytics.mass_liftable, ()),
+    "mass-total": (analytics._circle_mass, ()),
+    "prob-no-winding-or-covering": (analytics.prob_no_winding_or_covering, ()),
+    "through1-extent-cdf": (analytics.through1_extent_cdf, ("m", "M")),
+    "covered-extent-cdf": (analytics.covered_extent_cdf, ("m", "M")),
+    "prob-split-given-no-avoiding": (analytics.prob_split_given_no_avoiding, ()),
 }
 
+# formula name: (function, its parameters by option name)
 LAW_FORMULAS = {
     "prob-no-winding-or-covering-limit": (
-        lambda a: analytics.prob_no_winding_or_covering_limit(a.kappa, a.epsilon, a.alpha),
-        ("kappa", "epsilon", "alpha")),
+        analytics.prob_no_winding_or_covering_limit, ("kappa", "epsilon", "alpha")),
     "prob-not-single-partition-limit": (
-        lambda a: analytics.prob_not_single_partition_limit(a.kappa, a.epsilon, a.alpha),
-        ("kappa", "epsilon", "alpha")),
+        analytics.prob_not_single_partition_limit, ("kappa", "epsilon", "alpha")),
     "through1-extent-cdf-limit": (
-        lambda a: analytics.through1_extent_cdf_limit(a.kappa, a.epsilon, a.alpha, a.a, a.b),
-        ("kappa", "epsilon", "alpha", "a", "b")),
+        analytics.through1_extent_cdf_limit, ("kappa", "epsilon", "alpha", "a", "b")),
     "cluster-extent-limit-density": (
-        lambda a: analytics.cluster_extent_limit_density(a.kappa, a.alpha, a.x, a.y),
-        ("kappa", "alpha", "x", "y")),
+        analytics.cluster_extent_limit_density, ("kappa", "alpha", "x", "y")),
     "potential-density": (
-        lambda a: scaling.SubordinatorLaw(a.kappa, a.alpha).potential_density(a.x),
+        lambda kappa, alpha, x: scaling.SubordinatorLaw(kappa, alpha).potential_density(x),
         ("kappa", "alpha", "x")),
     "levy-density": (
-        lambda a: scaling.SubordinatorLaw(a.kappa, a.alpha).levy_density(a.t),
+        lambda kappa, alpha, t: scaling.SubordinatorLaw(kappa, alpha).levy_density(t),
         ("kappa", "alpha", "t")),
     "levy-tail": (
-        lambda a: scaling.SubordinatorLaw(a.kappa, a.alpha).levy_tail(a.t),
+        lambda kappa, alpha, t: scaling.SubordinatorLaw(kappa, alpha).levy_tail(t),
         ("kappa", "alpha", "t")),
     "laplace-exponent": (
-        lambda a: scaling.SubordinatorLaw(a.kappa, a.alpha).laplace_exponent(a.lam),
+        lambda kappa, alpha, lam: scaling.SubordinatorLaw(kappa, alpha).laplace_exponent(lam),
         ("kappa", "alpha", "lam")),
     "hitting-density": (
-        lambda a: scaling.SubordinatorLaw(a.kappa, a.alpha).hitting_density(a.a, a.x),
+        lambda kappa, alpha, a, x: scaling.SubordinatorLaw(kappa, alpha).hitting_density(a, x),
         ("kappa", "alpha", "a", "x")),
     "bridge-crossing-joint-density": (
-        lambda a: scaling.bridge_crossing_joint_density(a.kappa, a.alpha, a.a, a.b, a.x, a.y),
-        ("kappa", "alpha", "a", "b", "x", "y")),
-    "halfline-gap-pgf": (
-        lambda a: scaling.halfline_gap_pgf(a.alpha, a.s), ("alpha", "s")),
-    "escape-probability": (
-        lambda a: scaling.escape_probability(a.alpha), ("alpha",)),
+        scaling.bridge_crossing_joint_density, ("kappa", "alpha", "a", "b", "x", "y")),
+    "halfline-gap-pgf": (scaling.halfline_gap_pgf, ("alpha", "s")),
+    "escape-probability": (scaling.escape_probability, ("alpha",)),
     "hitting-coefficient": (
-        lambda a: float(scaling._hitting_coefficient(a.alpha, a.r, _integer_m(a.m))),
+        lambda alpha, r, m: float(scaling._hitting_coefficient(alpha, r, _integer_m(m))),
         ("alpha", "r", "m")),
 }
 
@@ -110,7 +93,8 @@ def _emit(formula: str, args, value: float) -> None:
                      sort_keys=True))
 
 
-def _evaluate(formulas, args) -> int:
+def _evaluate(formulas, args, *leading) -> int:
+    """Check the formula's parameters, then print fn(*leading, *parameters)."""
     fn, needed = formulas[args.formula]
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
@@ -118,12 +102,12 @@ def _evaluate(formulas, args) -> int:
     for name in needed:
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
-    _emit(args.formula, args, fn(args))
+    _emit(args.formula, args, fn(*leading, *(getattr(args, name) for name in needed)))
     return 0
 
 
 def _cmd_analytic(args) -> int:
-    return _evaluate(ANALYTIC_FORMULAS, args)
+    return _evaluate(ANALYTIC_FORMULAS, args, build_model(args.n, args.p, args.c, args.alpha))
 
 
 def _cmd_law(args) -> int:
@@ -142,12 +126,7 @@ def _output(path, default, newline=None):
 def _cmd_sample(args) -> int:
     model = build_model(args.n, args.p, args.c, args.alpha)
     # the engine's own checks, made before any output is touched
-    if model.c <= 0.0:
-        raise ValueError("sampling requires c > 0")
-    if args.replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {args.replicates}")
-    if not 0 <= args.seed < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
+    check_experiment_args(model, args.seed, args.condition, args.replicates)
     # both paths are opened for appending, which empties neither, before
     # either is truncated: an unwritable one leaves the other as it was
     for path in (args.out, args.summary):

@@ -147,9 +147,7 @@ class ExperimentConfig:
                     raise ValueError(f"schedule entry n={entry.n} misses epsilon target")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["schedule"] = [asdict(e) for e in self.schedule]
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

@@ -61,6 +61,19 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def check_experiment_args(model: CircleModel, seed: int, condition: str,
+                          replicates: int) -> None:
+    """The argument checks of `conditional_experiment`, which callers can
+    make before any other work."""
+    if model.c <= 0.0:
+        raise ValueError("sampling requires c > 0")
+    if condition not in CONDITIONS:
+        raise ValueError(f"condition must be one of {CONDITIONS}")
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    philox_rng(seed)  # raises on a seed outside [0, 2^64)
+
+
 # ---------------------------------------------------------------------------
 # per-model tables
 # ---------------------------------------------------------------------------
@@ -399,12 +412,7 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
     Blocks return columns by `SoupEnsemble` field name, concatenated here; the
     closed edges are one flat column, held only with keep_closed_edges.
     """
-    if model.c <= 0.0:
-        raise ValueError("sampling requires c > 0")
-    if condition not in CONDITIONS:
-        raise ValueError(f"condition must be one of {CONDITIONS}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    check_experiment_args(model, seed, condition, replicates)
     tables = _soup_tables(model)
     # a block holds several B x n arrays, so B * n is capped at 2^22 cells
     B = min(1024, max(1, 2 ** 22 // model.n))

@@ -5,7 +5,8 @@ nearest-neighbour pointed loops up to a cutoff length (pure combinatorics,
 no determinants), extended beyond the cutoff by trace power series of the
 one-step matrix.  The tail beyond the final cutoff K is geometrically bounded
 by  size * rho^(K+1) / ((K+1)(1-rho))  with rho = 1/(1+c) an upper bound on
-the spectral radius, so K is chosen to push it below 1e-12.
+the spectral radius, so K is chosen to push it below 1e-12.  The mass
+battery `mass_checks` runs every closed-form mass against these oracles.
 
 The module also keeps the limit laws and the renewal overshoot sampler that
 serve only as references in the tests, the dense-determinant masses and
@@ -37,7 +38,8 @@ from scipy.special import bdtr, bdtrc, chdtrc, ndtr
 
 from loopsoup.analytics import (
     cluster_extent_limit_density, covered_extent_cdf, mass_avoiding_edges, mass_inside,
-    mass_liftable, mass_through_vertex1, prob_no_winding_or_covering, through1_extent_cdf,
+    mass_liftable, mass_through_vertex1, mass_winding_or_covering, prob_no_winding_or_covering,
+    through1_extent_cdf,
 )
 from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
 from loopsoup.numerics import log_cosh, log_sinh
@@ -136,27 +138,15 @@ def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
     return stat, float(chdtrc(dof, stat))
 
 
-def enumerate_pointed_loops(n: int, max_len: int, allowed=None):
-    """All pointed loops (vertex tuples, 1-based) of length 2..max_len.
-
-    `allowed` restricts the visited vertex set (defaults to everything).
-    """
-    allowed = set(range(1, n + 1)) if allowed is None else set(allowed)
-    for start in sorted(allowed):
+def enumerate_pointed_loops(n: int, max_len: int):
+    """All pointed loops (vertex tuples, 1-based) of length 2..max_len."""
+    for start in range(1, n + 1):
         for k in range(2, max_len + 1):
             for steps in product((1, -1), repeat=k - 1):
                 verts = [start]
-                ok = True
                 for s in steps:
-                    nxt = (verts[-1] - 1 + s) % n + 1
-                    if nxt not in allowed:
-                        ok = False
-                        break
-                    verts.append(nxt)
-                if not ok:
-                    continue
-                d = (verts[0] - verts[-1]) % n
-                if d in (1, n - 1):
+                    verts.append((verts[-1] - 1 + s) % n + 1)
+                if (verts[0] - verts[-1]) % n in (1, n - 1):
                     yield tuple(verts)
 
 
@@ -169,38 +159,27 @@ def pointed_mass(model: CircleModel, verts: tuple[int, ...]) -> float:
     return model.step_cw ** ups * model.step_ccw ** (k - ups) / k
 
 
-def enum_mass_inside(model: CircleModel, subset, max_len: int) -> float:
-    """Sum of pointed masses of loops inside `subset`, lengths <= max_len."""
-    return sum(pointed_mass(model, v)
-               for v in enumerate_pointed_loops(model.n, max_len, subset))
+def _edge_bit(u: int, v: int, n: int) -> int:
+    """Bit u-1 for the step u -> u+1, bit n+u-1 for the step u -> u-1."""
+    return 1 << (u - 1 if v == u % n + 1 else n + u - 1)
 
 
-def enum_mass_avoiding_edges(model: CircleModel, edges, max_len: int) -> float:
-    banned = {tuple(e) for e in edges}
-    total = 0.0
-    for verts in enumerate_pointed_loops(model.n, max_len):
-        k = len(verts)
-        if any((verts[i], verts[(i + 1) % k]) in banned for i in range(k)):
-            continue
-        total += pointed_mass(model, verts)
-    return total
-
-
-def enum_mass_by_type(model: CircleModel, max_len: int) -> dict[LoopType, float]:
-    """Mass of each loop class category from explicit enumeration.
-
-    Classes are deduplicated via the canonical rotation so each class is
-    classified once; its mass is the sum of its pointed representatives.
-    """
-    class_mass: dict[tuple, float] = {}
-    for verts in enumerate_pointed_loops(model.n, max_len):
-        loop = Loop.from_pointed(verts, model.n)
-        class_mass[loop.vertices] = class_mass.get(loop.vertices, 0.0) + pointed_mass(model, verts)
-    out = {t: 0.0 for t in LoopType}
-    for canonical, mass in class_mass.items():
-        loop = Loop.from_pointed(canonical, model.n)
-        out[classify_loop(model, loop)] += mass
-    return out
+@lru_cache(maxsize=None)
+def loop_table(model: CircleModel, max_len: int) -> np.ndarray:
+    """Every pointed loop of length 2..max_len as one row of a record array:
+    its `pointed_mass`, its vertex-set mask (bit v-1), its directed-edge mask
+    (`_edge_bit`) and the value of its `LoopType`.  `classify_loop` runs once
+    per rotation class, whose every rotation then reads the kind it gave."""
+    n, kinds, rows = model.n, {}, []
+    for verts in enumerate_pointed_loops(n, max_len):
+        if verts not in kinds:
+            kind = classify_loop(model, Loop.from_pointed(verts, n)).value
+            kinds.update((verts[i:] + verts[:i], kind) for i in range(len(verts)))
+        rows.append((pointed_mass(model, verts), sum(1 << (v - 1) for v in set(verts)),
+                     sum({_edge_bit(u, v, n) for u, v in zip(verts, verts[1:] + verts[:1])}),
+                     kinds[verts]))
+    return np.array(rows, dtype=[("mass", float), ("vertices", np.int64),
+                                 ("edges", np.int64), ("kind", np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +263,107 @@ def series_mass_avoiding_edges(model: CircleModel, edges, K: int) -> float:
     for (u, v) in edges:
         Q[u - 1, v - 1] = 0.0
     return trace_series(Q, 2, K)
+
+
+# ---------------------------------------------------------------------------
+# the mass battery
+# ---------------------------------------------------------------------------
+
+# one closed-form mass law against one oracle: the worst gap over its cases,
+# the bound that gap must stay below and whether it does
+MassCheck = namedtuple("MassCheck", "law gap bound ok")
+
+
+def _mass_check(law: str, closed, oracle, bound: float, relative: bool = False) -> MassCheck:
+    """Worst |closed - oracle| over the cases; with relative, divided by
+    max(|oracle|, 0.01), so gap < bound is pytest.approx(rel=bound,
+    abs=bound / 100) with a strict inequality."""
+    closed, oracle = np.asarray(closed, dtype=float), np.asarray(oracle, dtype=float)
+    gaps = np.abs(closed - oracle)
+    if relative:
+        gaps /= np.maximum(np.abs(oracle), 1e-2)
+    gap = float(gaps.max())
+    return MassCheck(law, gap, bound, gap < bound)
+
+
+def mass_checks(model: CircleModel, max_len: int | None = None) -> dict[str, MassCheck]:
+    """Every closed-form mass of `analytics` against its oracles, by law name.
+
+    The cases: `mass_inside` on every vertex subset for n <= 5, otherwise on
+    the full circle, {2..n}, the wrap-around arc {n, 1, 2} and the arc
+    {4..n-2}; `mass_avoiding_edges` on every directed edge and every
+    undirected edge.  Against the trace series to K = 140 (160 for n > 5),
+    every law has bound 1e-10: "inside", "avoiding edges", "through 1",
+    "liftable" and "winding or covering" (through 1 minus liftable).
+    "inside vs dense" is relative 1e-12 against `dense_mass_inside`.  The
+    closed forms' own identities have bound 1e-12: "decomposition", the mass
+    inside {2..n} (the loops avoiding 1) + liftable + winding or covering =
+    total, and "inclusion-exclusion", through 1 = total - mass inside {2..n}.
+
+    With max_len, "inside", "avoiding edges", "through 1" and the three loop
+    classes run against masked sums over `loop_table(model, max_len)`, with
+    bound max(the series tail past max_len, 1e-12), the tail from
+    `geometric_tail_bound` at rho = 1/(1+c); and "enumeration vs series to
+    max_len" checks the enumeration against the series cut at the same
+    length, to 1e-12.  Every check passes when its gap is below its bound."""
+    n = model.n
+    full, rest = list(range(1, n + 1)), list(range(2, n + 1))
+    if n <= 5:
+        subsets = [[v for v in full if mask >> (v - 1) & 1] for mask in range(1 << n)]
+    else:
+        subsets = [full, rest, [n, 1, 2], list(range(4, n - 1))]
+    edge_sets = ([[(u, u % n + 1)] for u in full] + [[(u % n + 1, u)] for u in full]
+                 + [[(u, u % n + 1), (u % n + 1, u)] for u in full])
+    K = 140 if n <= 5 else 160
+    inside = [mass_inside(model, s) for s in subsets]
+    avoiding = [mass_avoiding_edges(model, e) for e in edge_sets]
+    through1, liftable = mass_through_vertex1(model), mass_liftable(model)
+    winding = mass_winding_or_covering(model)
+    total, no1 = mass_inside(model, full), mass_inside(model, rest)
+    series_through1, series_liftable = (series_mass_through_vertex1(model, K),
+                                        series_mass_liftable(model, K))
+    checks = [
+        _mass_check("inside vs series", inside,
+                    [series_mass_inside(model, s, K) for s in subsets], 1e-10),
+        _mass_check("inside vs dense", inside, [dense_mass_inside(model, s) for s in subsets],
+                    1e-12, relative=True),
+        _mass_check("avoiding edges vs series", avoiding,
+                    [series_mass_avoiding_edges(model, e, K) for e in edge_sets], 1e-10),
+        _mass_check("through 1 vs series", through1, series_through1, 1e-10),
+        _mass_check("liftable vs series", liftable, series_liftable, 1e-10),
+        _mass_check("winding or covering vs series", winding,
+                    series_through1 - series_liftable, 1e-10),
+        _mass_check("decomposition", no1 + liftable + winding, total, 1e-12),
+        _mass_check("inclusion-exclusion", through1, total - no1, 1e-12),
+    ]
+    if max_len is not None:
+        table = loop_table(model, max_len)
+
+        def enum(keep) -> float:
+            return float(table["mass"][keep].sum())
+
+        enum_inside = [enum(table["vertices"] & ~sum(1 << (v - 1) for v in s) == 0)
+                       for s in subsets]
+        enum_avoiding = [enum(table["edges"] & sum(_edge_bit(u, v, n) for u, v in e) == 0)
+                         for e in edge_sets]
+        by_kind = {kind: enum(table["kind"] == kind.value) for kind in LoopType}
+        bound = max(geometric_tail_bound(n, 1.0 / (1.0 + model.c), max_len), 1e-12)
+        checks += [
+            _mass_check("enumeration vs series to max_len", enum_inside + enum_avoiding,
+                        [series_mass_inside(model, s, max_len) for s in subsets]
+                        + [series_mass_avoiding_edges(model, e, max_len) for e in edge_sets],
+                        1e-12),
+            _mass_check("inside vs enumeration", inside, enum_inside, bound),
+            _mass_check("avoiding edges vs enumeration", avoiding, enum_avoiding, bound),
+            _mass_check("through 1 vs enumeration", through1, enum(table["vertices"] & 1 == 1),
+                        bound),
+            _mass_check("avoiding class vs enumeration", no1, by_kind[LoopType.AVOIDING], bound),
+            _mass_check("liftable class vs enumeration", liftable, by_kind[LoopType.LIFTABLE],
+                        bound),
+            _mass_check("winding or covering class vs enumeration", winding,
+                        by_kind[LoopType.WINDING] + by_kind[LoopType.NON_LIFTABLE], bound),
+        ]
+    return {check.law: check for check in checks}
 
 
 def return_probability(model: CircleModel, base0: int) -> float:

@@ -12,18 +12,8 @@ import pytest
 
 import oracles
 from oracles import QuadratureSpec, chi_square_two_sample, integrate
-from loopsoup.analytics import (
-    DetSpec,
-    circulant_det,
-    cluster_extent_limit_density,
-    mass_avoiding_edges,
-    mass_inside,
-    mass_liftable,
-    mass_through_vertex1,
-    mass_winding_or_covering,
-    toeplitz_det,
-)
-from loopsoup.circle import LoopType, build_model
+from loopsoup.analytics import DetSpec, circulant_det, cluster_extent_limit_density, toeplitz_det
+from loopsoup.circle import build_model
 from loopsoup.experiments import (
     default_cluster_scaling_config,
     default_single_partition_config,
@@ -53,58 +43,20 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_brute_force_oracle():
+    """`oracles.mass_checks` on this model with loops enumerated to length 14:
+    every closed-form mass against enumeration (bound: the series tail past
+    14, ~8.9e-5), the trace series to K = 140 (1e-10) and dense LU (relative
+    1e-12), and the class decomposition (1e-12)."""
     t0 = time.time()
-    model = build_model(4, 0.5, 0.8, 1.0)
-    L_ENUM, K = 14, 140
-    # documented tail bounds: spectral radius of Q is below rho = 1/(1+c);
-    # sum_{k>K} Tr(Q^k)/k <= size * rho^(K+1) / ((K+1)(1-rho))
-    rho = 1.0 / 1.8
-    tail_enum = oracles.geometric_tail_bound(4, rho, L_ENUM)     # ~1.5e-5
-    tail_series = oracles.geometric_tail_bound(4, rho, K)        # ~5e-36
-    assert tail_series < 1e-12
-
-    worst = 0.0
-    # total and restricted masses
-    for subset in ([1, 2, 3, 4], [2, 3, 4], [2, 3], [1, 2, 4]):
-        enum = oracles.enum_mass_inside(model, subset, L_ENUM)
-        series = oracles.series_mass_inside(model, subset, K)
-        closed = mass_inside(model, subset)
-        assert abs(oracles.series_mass_inside(model, subset, L_ENUM) - enum) < 1e-12
-        assert abs(closed - enum) <= tail_enum + 1e-12
-        worst = max(worst, abs(closed - series))
-    # loops through vertex 1
-    enum_t = (oracles.enum_mass_inside(model, [1, 2, 3, 4], L_ENUM)
-              - oracles.enum_mass_inside(model, [2, 3, 4], L_ENUM))
-    assert abs(mass_through_vertex1(model) - enum_t) <= tail_enum + 1e-12
-    worst = max(worst, abs(mass_through_vertex1(model)
-                           - oracles.series_mass_through_vertex1(model, K)))
-    # loops avoiding an undirected edge
-    edges = [(1, 2), (2, 1)]
-    enum_e = oracles.enum_mass_avoiding_edges(model, edges, L_ENUM)
-    assert abs(mass_avoiding_edges(model, edges) - enum_e) <= tail_enum + 1e-12
-    worst = max(worst, abs(mass_avoiding_edges(model, edges)
-                           - oracles.series_mass_avoiding_edges(model, edges, K)))
-    # four-way class decomposition
-    by_type = oracles.enum_mass_by_type(model, L_ENUM)
-    closed_types = {
-        LoopType.AVOIDING: mass_inside(model, [2, 3, 4]),
-        LoopType.LIFTABLE: mass_liftable(model),
-    }
-    for kind, closed in closed_types.items():
-        assert abs(closed - by_type[kind]) <= tail_enum + 1e-12
-    wind_cover = mass_winding_or_covering(model)
-    assert abs(wind_cover - (by_type[LoopType.WINDING]
-                             + by_type[LoopType.NON_LIFTABLE])) <= tail_enum + 1e-12
-    worst = max(worst, abs(mass_liftable(model)
-                           - oracles.series_mass_liftable(model, K)))
-    total = mass_inside(model, [1, 2, 3, 4])
-    decomp_gap = abs(closed_types[LoopType.AVOIDING] + closed_types[LoopType.LIFTABLE]
-                     + wind_cover - total)
+    checks = oracles.mass_checks(build_model(4, 0.5, 0.8, 1.0), 14)
+    worst = max(check.gap for law, check in checks.items() if law.endswith("vs series"))
+    tail_enum = checks["inside vs enumeration"].bound
     elapsed = time.time() - t0
-    ok = worst < 1e-8 and decomp_gap < 1e-12 and elapsed < 60.0
+    ok = all(check.ok for check in checks.values()) and elapsed < 60.0
     _verdict(1, "brute-force oracle equivalence",
              ok, f"max closed-vs-series gap {worst:.2e}, decomposition gap "
-                 f"{decomp_gap:.2e}, enum tail bound {tail_enum:.2e}, {elapsed:.1f}s")
+                 f"{checks['decomposition'].gap:.2e}, enum tail bound {tail_enum:.2e}, "
+                 f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

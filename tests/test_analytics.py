@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from loopsoup.analytics import (
     through1_extent_cdf_limit,
     toeplitz_det,
 )
-from loopsoup.circle import LoopType, build_model, derived_killing, equivalent_symmetric_model
+from loopsoup.circle import build_model, equivalent_symmetric_model
 from loopsoup.numerics import log_cosh_diff, log_sinh, polylog
 from loopsoup.scaling import (
     SubordinatorLaw,
@@ -65,43 +66,49 @@ def test_circulant_known_values():
         circulant_det(DetSpec(3, 1, 1, 2))
 
 
-def _dense_toeplitz(a, b, c, n):
-    M = np.zeros((n, n))
-    for i in range(n):
-        M[i, i] = a
-        if i + 1 < n:
-            M[i, i + 1] = b
-            M[i + 1, i] = c
-    return M
-
-
-def _dense_circulant(a, b, c, n):
-    M = _dense_toeplitz(a, b, c, n)
-    M[0, n - 1] = c
-    M[n - 1, 0] = b
-    return M
-
-
-def test_determinants_match_dense_lu():
-    rng = np.random.default_rng(11)
-    for n in range(3, 9):
-        for _ in range(20):
-            a, b, c = rng.uniform(-2.0, 2.0, size=3)
-            spec = DetSpec(a, b, c, n)
-            lu_t = np.linalg.det(_dense_toeplitz(a, b, c, n))
-            lu_c = np.linalg.det(_dense_circulant(a, b, c, n))
-            scale_t = max(abs(lu_t), 1e-6)
-            scale_c = max(abs(lu_c), 1e-6)
-            assert abs(toeplitz_det(spec) - lu_t) / scale_t < 1e-10
-            assert abs(circulant_det(spec) - lu_c) / scale_c < 1e-10
-
-
 # ---------------------------------------------------------------------------
 # masses vs the enumeration + trace-series oracle
 # ---------------------------------------------------------------------------
 
 MODEL = build_model(4, 0.5, 0.5, 1.0)
-K_SERIES = 140  # tail below 1e-12: 4 * (2/3)^141 / (141 * 1/3) ~ 2e-27
+
+# (n, p, c, alpha) and the enumeration length, None for the series and dense
+# laws alone; see `oracles.mass_checks`
+MASS_BATTERY = [
+    ((4, 0.5, 0.5, 1.0), 14),
+    ((4, 0.5, 0.8, 1.0), 14),  # criterion 1's model
+    ((4, 0.6, 0.8, 1.0), 14),
+    ((9, 0.62, 0.6, 1.0), None),
+    ((6, 0.58, 0.45, 1.0), None),
+]
+
+
+# the laws of `oracles.mass_checks`, and the ones it adds with an enumeration
+MASS_LAWS = ("inside vs series", "inside vs dense", "avoiding edges vs series",
+             "through 1 vs series", "liftable vs series", "winding or covering vs series",
+             "decomposition", "inclusion-exclusion")
+ENUMERATED_MASS_LAWS = ("enumeration vs series to max_len", "inside vs enumeration",
+                        "avoiding edges vs enumeration", "through 1 vs enumeration",
+                        "avoiding class vs enumeration", "liftable class vs enumeration",
+                        "winding or covering class vs enumeration")
+
+
+@lru_cache(maxsize=None)
+def _mass_checks(params, max_len):
+    return oracles.mass_checks(build_model(*params), max_len)
+
+
+@pytest.mark.parametrize("params, max_len, law", [
+    pytest.param(params, max_len, law, id=f"{params}-{law}")
+    for params, max_len in MASS_BATTERY
+    for law in MASS_LAWS + (ENUMERATED_MASS_LAWS if max_len else ())])
+def test_mass_laws(params, max_len, law):
+    """One closed-form mass against one brute-force oracle: the enumeration,
+    the trace series or the dense log-determinant.  Each row's battery runs
+    once; the law list must name every law it returns."""
+    checks = _mass_checks(params, max_len)
+    assert sorted(checks) == sorted(MASS_LAWS + (ENUMERATED_MASS_LAWS if max_len else ()))
+    assert checks[law].ok, checks[law]
 
 
 def test_mass_inside_trivial_cases():
@@ -125,22 +132,6 @@ def test_mass_inside_takes_any_iterable_of_vertices():
             mass_inside(model, subset)
 
 
-def test_mass_inside_matches_enumeration():
-    for subset in ([2, 3], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4], [1, 3], [1, 2, 4]):
-        enum = oracles.enum_mass_inside(MODEL, subset, 14)
-        series = oracles.series_mass_inside(MODEL, subset, K_SERIES)
-        short = oracles.series_mass_inside(MODEL, subset, 14)
-        assert short == pytest.approx(enum, abs=1e-12)  # enumeration == trace series
-        assert mass_inside(MODEL, subset) == pytest.approx(series, abs=1e-10)
-
-
-def test_mass_inside_series_matches_closed_form_on_arcs():
-    model = build_model(9, 0.62, 0.6, 1.0)
-    for subset in ([4, 5, 6, 7], [9, 1, 2], list(range(1, 10))):
-        series = oracles.series_mass_inside(model, subset, 160)
-        assert mass_inside(model, subset) == pytest.approx(series, abs=1e-10)
-
-
 @settings(deadline=None, max_examples=300)
 @given(n=st.integers(3, 40), p=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
        c=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
@@ -157,15 +148,6 @@ def test_mass_inside_arc_sum_matches_dense_determinant(n, p, c, keep):
         oracles.dense_mass_inside(model, subset), rel=1e-12, abs=1e-14)
 
 
-def test_mass_avoiding_edges_matches_enumeration():
-    edges = [(1, 2), (2, 1)]
-    enum = oracles.enum_mass_avoiding_edges(MODEL, edges, 14)
-    short = oracles.series_mass_avoiding_edges(MODEL, edges, 14)
-    series = oracles.series_mass_avoiding_edges(MODEL, edges, K_SERIES)
-    assert short == pytest.approx(enum, abs=1e-12)
-    assert mass_avoiding_edges(MODEL, edges) == pytest.approx(series, abs=1e-10)
-
-
 def test_mass_avoiding_edges_limits():
     assert mass_avoiding_edges(MODEL, []) == pytest.approx(
         mass_inside(MODEL, [1, 2, 3, 4]), rel=1e-12)
@@ -173,56 +155,6 @@ def test_mass_avoiding_edges_limits():
     assert mass_avoiding_edges(MODEL, all_edges) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
         mass_avoiding_edges(MODEL, [(1, 3)])
-
-
-def test_mass_avoiding_single_orientation():
-    # removing one orientation only: still positive, between the two extremes
-    one = mass_avoiding_edges(MODEL, [(1, 2)])
-    both = mass_avoiding_edges(MODEL, [(1, 2), (2, 1)])
-    total = mass_inside(MODEL, [1, 2, 3, 4])
-    assert both < one < total
-    series = oracles.series_mass_avoiding_edges(MODEL, [(1, 2)], K_SERIES)
-    assert one == pytest.approx(series, abs=1e-10)
-
-
-def test_mass_through_vertex1_identities():
-    # inclusion-exclusion against mass_inside
-    diff = mass_inside(MODEL, [1, 2, 3, 4]) - mass_inside(MODEL, [2, 3, 4])
-    assert mass_through_vertex1(MODEL) == pytest.approx(diff, abs=1e-12)
-    series = oracles.series_mass_through_vertex1(MODEL, K_SERIES)
-    assert mass_through_vertex1(MODEL) == pytest.approx(series, abs=1e-10)
-
-
-def test_mass_through_vertex1_asymmetric():
-    model = build_model(6, 0.58, 0.45, 1.0)
-    diff = mass_inside(model, range(1, 7)) - mass_inside(model, range(2, 7))
-    assert mass_through_vertex1(model) == pytest.approx(diff, abs=1e-12)
-
-
-def test_mass_liftable_matches_series():
-    series = oracles.series_mass_liftable(MODEL, K_SERIES)
-    assert mass_liftable(MODEL) == pytest.approx(series, abs=1e-10)
-
-
-def test_type_mass_decomposition():
-    """Masses of the four loop classes add to the total, and each matches its
-    closed form (enumeration to length 14, trace-series continuation)."""
-    by_type = oracles.enum_mass_by_type(MODEL, 14)
-    total_enum = sum(by_type.values())
-    assert total_enum == pytest.approx(oracles.series_mass_inside(MODEL, range(1, 5), 14),
-                                       abs=1e-12)
-    avoiding = mass_inside(MODEL, [2, 3, 4])
-    liftable = mass_liftable(MODEL)
-    windcover = mass_winding_or_covering(MODEL)
-    total = mass_inside(MODEL, [1, 2, 3, 4])
-    # closed-form decomposition is exact
-    assert avoiding + liftable + windcover == pytest.approx(total, abs=1e-12)
-    # each category agrees with enumeration up to the documented truncation tail
-    tail = oracles.geometric_tail_bound(4, 1.0 / 1.5, 14)
-    assert abs(by_type[LoopType.AVOIDING] - avoiding) <= tail
-    assert abs(by_type[LoopType.LIFTABLE] - liftable) <= tail
-    assert abs(by_type[LoopType.WINDING] + by_type[LoopType.NON_LIFTABLE]
-               - windcover) <= tail
 
 
 def test_doob_invariance_on_arcs():

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 
 import numpy as np
 import pytest

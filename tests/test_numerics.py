@@ -204,6 +204,24 @@ def _defined_names(stmt) -> list[str]:
     return []
 
 
+def _unreached(tree, reached: set[str]) -> list[str]:
+    """Top-level names of a module that nothing reaches: not in `reached`, and
+    read only inside definitions that are themselves unreached."""
+    reads = {stmt: {n.id for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+             for stmt in tree.body}
+    dead = set()
+    while True:
+        more = {stmt for stmt in tree.body if stmt not in dead and _defined_names(stmt)
+                and not any(name in reached
+                            or any(name in reads[other] for other in tree.body
+                                   if other is not stmt and other not in dead)
+                            for name in _defined_names(stmt))}
+        if not more:
+            return [name for stmt in dead for name in _defined_names(stmt)]
+        dead |= more
+
+
 def test_package_defines_only_what_it_runs():
     """Every top-level function, class and constant of a package module is
     exported from `loopsoup`, used by name in its own module, or imported or
@@ -226,25 +244,26 @@ def test_package_defines_only_what_it_runs():
         imported |= {f"{modules[n.value.id]}.{n.attr}" for n in ast.walk(tree)
                      if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                      and n.value.id in modules}
-    unused = []
-    for mod, tree in trees.items():
-        if mod == "__init__":
-            continue
-        reads = {stmt: {n.id for n in ast.walk(stmt)
-                        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
-                 for stmt in tree.body}
-        dead = set()
-        while True:
-            more = {stmt for stmt in tree.body if stmt not in dead and _defined_names(stmt)
-                    and not any(f"{mod}.{name}" in imported
-                                or any(name in reads[other] for other in tree.body
-                                       if other is not stmt and other not in dead)
-                                for name in _defined_names(stmt))}
-            if not more:
-                break
-            dead |= more
-        unused += [f"{mod}.{name}" for stmt in dead for name in _defined_names(stmt)]
+    unused = [f"{mod}.{name}" for mod, tree in trees.items() if mod != "__init__"
+              for name in _unreached(tree, {key.split(".", 1)[1] for key in imported
+                                            if key.startswith(f"{mod}.")})]
     assert sorted(unused) == _DEFINED_FOR_OUTSIDE_CALLERS
+
+
+def test_oracles_define_only_what_the_tests_use():
+    """Every top-level name of `oracles` is imported or read as `oracles.name`
+    by a test module, or used inside `oracles` by a definition that is itself
+    used: a retired oracle leaves with the tests it served."""
+    tests = Path(__file__).parent
+    used = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                used |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "oracles"):
+                used.add(node.attr)
+    assert _unreached(ast.parse((tests / "oracles.py").read_text()), used) == []
 
 
 def test_hausdorff_examples():

@@ -140,17 +140,6 @@ def test_closed_edge_column_invariants(condition):
     assert np.array_equal(np.bincount(flat, minlength=n), kept.closed_edge_totals)
 
 
-def test_sampled_loops_are_valid_and_respect_condition():
-    rng = philox_rng(5)
-    for _ in range(60):
-        sample = sample_soup(MODEL, rng)
-        for loop in sample.loops:
-            # validity is enforced by Loop construction; check the base rule:
-            # every loop visits its minimal vertex and stays on the circle
-            assert 1 <= min(loop.vertices) <= MODEL.n
-            assert len(loop.vertices) >= 2
-
-
 # ---------------------------------------------------------------------------
 # cluster extraction on hand-built soups
 # ---------------------------------------------------------------------------
@@ -274,6 +263,20 @@ def test_exact_laws(engine, params, seed, condition, reps):
     model = build_model(*params)
     checks = oracles.exact_law_checks(ENGINES[engine](model, seed, condition, reps), model)
     assert checks and all(check.ok for check in checks.values()), checks
+
+
+def test_object_sampler_winding_sign_law():
+    """Reflection through vertex 1 maps a loop of winding w to one of winding
+    -w and scales its mass by rho^w, rho = (p/(1-p))^n, so a loop of |w| = 1
+    in the soup winds clockwise (w = +1) with probability rho/(1+rho): 0.88
+    here, and 0.12 if the walk's two step directions were swapped."""
+    model = build_model(5, 0.6, 0.2, 1.0)
+    rng = philox_rng(5)
+    once = [loop.winding for _ in range(4000) for loop in sample_soup(model, rng).loops
+            if abs(loop.winding) == 1]
+    rho = (model.p / (1.0 - model.p)) ** model.n
+    check = oracles.cell_check("winding sign", [once.count(1)], [rho / (1.0 + rho)], len(once))
+    assert check.ok, check
 
 
 # ---------------------------------------------------------------------------

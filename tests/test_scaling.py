@@ -15,7 +15,7 @@ from oracles import (
     renewal_jumps_by_recursion,
     sample_renewal_overshoot,
 )
-from loopsoup.numerics import chi_square_pvalue, polylog, riemann_zeta
+from loopsoup.numerics import chi_square_pvalue
 from loopsoup.scaling import (
     ConditionedBridgeLaw,
     RenewalLaw,
