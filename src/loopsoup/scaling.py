@@ -12,14 +12,15 @@ escaping to infinity); conditioning on hitting a level renormalizes it.
 taken by Newton iteration with FFTs in O(N log N).  Conditioned paths are
 drawn in batches: `sample_conditioned_renewals` advances all paths in
 lockstep to their own levels and is the only path sampler;
-`sample_conditioned_renewal` is its one-path call.  Each round draws a run
-of unit jumps in closed form, by one `searchsorted`, and one longer jump by
-rejection from a dyadic envelope of O(log n) classes, so a path costs rounds
-in proportion to its jumps longer than 1, whatever its level.  The envelope
-is built once per round as one class-major table with a column per live
+`sample_conditioned_renewal` is its one-path call.  A run of unit jumps is
+drawn in closed form, by one `searchsorted`, and a longer jump by rejection
+from a dyadic envelope of O(log n) classes, one try per live path per round:
+rejection tries are i.i.d. whenever they are drawn, so a path costs rounds in
+proportion to its tries at jumps longer than 1, whatever its level.  The
+envelope is built each round as one class-major table with a column per live
 path: a class is picked by a count down each column and its bounds are read
-by flat gathers, so a rejection try costs a fixed number of numpy calls
-however many paths are live.
+by flat gathers, so a round costs a fixed number of numpy calls however many
+paths are live.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
     conditioned to hit n, one level for all or an int array of one per path.
 
     From a remaining gap G the next jump is j with probability
-    w(j) C(G-j) / C(G).  All paths advance in lockstep, and each round draws
-    for every unfinished path a run of unit jumps and then one longer jump:
+    w(j) C(G-j) / C(G).  All paths advance in lockstep, each alternating a
+    run of unit jumps and one longer jump:
 
     * the run length L has P(L >= l) = w(1)^l C(G-l) / C(G), a product of
       per-step chances w(1) C(g-1) / C(g) <= 1, so one uniform and one
@@ -167,12 +168,13 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
       nonincreasing, so C(lower end) times the class's w-mass bounds the
       class; a class is picked by these bounds, j within it in proportion to
       w, and j is kept with probability C(m) / C(lower end), at least
-      2^-alpha.  The envelope columns of all live paths are built once per
-      round; rejected paths draw again against their columns until every
-      path has its jump.
+      2^-alpha.
 
-    The points are kept as (owner, lowest gap, count) records of runs of
-    consecutive gaps and turned into positions level - gap at the end.
+    The first runs are drawn before the rounds; a round gives every live
+    path one try, a rejected path keeps its gap for the next round, and an
+    accepted jump is followed at once by its run.  The points are kept as
+    (owner, lowest gap, count) records of runs of consecutive gaps and
+    turned into positions level - gap at the end.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
@@ -206,46 +208,38 @@ def sample_conditioned_renewals(law: RenewalLaw, n, n_paths: int, rng) -> list[n
     edges = np.concatenate(([0], 2 ** np.arange(max(top - 2, 0).bit_length() + 1)))
     height = C[edges[:-1]]
     lift, weight, above = (1 - edges)[:, None], height[:, None], down[1:]
-    paths, ones = np.arange(n_paths), np.ones(n_paths, dtype=np.int64)
-    active, gap = paths, levels.copy()
-    owners, lows, counts = [active], [gap], [ones]
+    paths = np.arange(n_paths)
+    # the run goes on while the uniform stays below its chance, so from gap G
+    # it stops at the lowest gap g with run[g] >= run[G] + log(uniform); a
+    # record holds the gaps from a landing down to where the run after it stops
+    stop = run.searchsorted(run[levels] + np.log(rng.random(n_paths)))
+    owners, lows, counts = [paths], [stop], [levels - stop + 1]
+    live = stop > 0
+    active, gap = paths[live], stop[live]
     while active.size:
-        # the run goes on while the uniform stays below its chance, so it
-        # stops at the lowest gap g with run[g] >= run[G] + log(uniform)
-        stop = run.searchsorted(run[gap] + np.log(rng.random(gap.size)))
-        owners.append(active)
-        lows.append(stop)
-        counts.append(gap - stop)
-        live = stop > 0
-        active, gap = active[live], stop[live]
-        # one envelope per round, class-major: in column i, class c spans the
-        # jumps b[c+1, i] .. b[c, i]-1, none where they meet; cum is
-        # nondecreasing down each column, so the class is how many entries
-        # above the last are <= u cum[-1], which caps it at the last class
+        # one envelope per round for the live paths' jumps j >= 2, class-major:
+        # in column i, class c spans the jumps b[c+1, i] .. b[c, i]-1, none
+        # where they meet; cum is nondecreasing down each column, so the class
+        # is how many entries above the last are <= u cum[-1], at most the last
         cols = gap.size
         b = np.maximum(gap + lift, 2)
         tail = down[b]
         width = tail[:-1] - tail[1:]
         cum = (width * weight).cumsum(axis=0)
-        b, low, width = b.ravel(), tail.ravel()[cols:], width.ravel()
-        # the first try covers every live path; rejected ones redraw against
-        # their own columns, read through flat indices c cols + i
-        after = np.empty_like(gap)
-        todo, part, g = paths[:cols], cum, gap
-        while todo.size:
-            u = rng.random((3, todo.size))
-            c = (part[:-1] <= u[0] * part[-1]).sum(axis=0)
-            at = c * cols + todo
-            # low >= down[0], so the count of down[1:] at or below the point is j
-            j = above.searchsorted(low[at] + u[1] * width[at], side="right")
-            after[todo] = rest = g - j
-            # a jump outside its class comes only from rounding, and is rejected
-            todo = todo[(j >= b[at]) | (u[2] * height[c] >= C.take(rest, mode="clip"))]
-            part, g = cum.take(todo, axis=1), gap.take(todo)
-        gap = after
-        owners.append(active)
-        lows.append(gap)
-        counts.append(ones[:cols])
+        u = rng.random((4, cols))
+        c = (cum[:-1] <= u[0] * cum[-1]).sum(axis=0)
+        at = c * cols + paths[:cols]
+        # tail >= down[0], so the count of down[1:] at or below the point is j
+        j = above.searchsorted(tail.ravel()[at + cols] + u[1] * width.ravel()[at], side="right")
+        # a jump outside its class comes only from rounding, and is rejected;
+        # a rejected path keeps its gap and tries again in the next round
+        rest = gap - j
+        hit = (j < b.ravel()[at]) & (u[2] * height[c] < C.take(rest, mode="clip"))
+        rest = rest[hit]
+        gap[hit] = stop = run.searchsorted(run[rest] + np.log(u[3, hit]))
+        owners.append(active[hit])
+        lows.append(stop)
+        counts.append(rest - stop + 1)
         live = gap > 0
         active, gap = active[live], gap[live]
     # each list is dropped once merged, to keep the peak memory low; one

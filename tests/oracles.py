@@ -15,9 +15,10 @@ anti-diagonal loop that the vectorized split probability replaced, and the
 adaptive quadrature, one-sample KS and two-sample chi-square helpers the tests
 check against.
 
-It ends with the exact-law battery: `exact_law_checks` runs the exact laws
-against any soup engine's ensembles, and `object_ensemble` turns one draw of
-the loop-object sampler into such ensembles.
+It ends with the exact-law batteries: `exact_law_checks` runs the exact laws
+against any soup engine's ensembles, `object_ensemble` turns one draw of the
+loop-object sampler into such ensembles, and `conditioned_path_checks` runs
+the exact laws of conditioned renewal paths.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from loopsoup.analytics import (
     mass_liftable, mass_through_vertex1, mass_winding_or_covering, prob_no_winding_or_covering,
     through1_extent_cdf,
 )
-from loopsoup.circle import CircleModel, Loop, LoopType, classify_loop
-from loopsoup.numerics import log_cosh, log_sinh
+from loopsoup.circle import CircleModel, Loop, LoopType, build_model, classify_loop
+from loopsoup.numerics import chi_square_pvalue, log_cosh, log_sinh
 from loopsoup.sampler import (
     CONDITIONS, SoupEnsemble, SoupSample, extract_clusters, philox_rng, sample_soup,
 )
@@ -165,21 +166,40 @@ def _edge_bit(u: int, v: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def loop_table(model: CircleModel, max_len: int) -> np.ndarray:
-    """Every pointed loop of length 2..max_len as one row of a record array:
-    its `pointed_mass`, its vertex-set mask (bit v-1), its directed-edge mask
-    (`_edge_bit`) and the value of its `LoopType`.  `classify_loop` runs once
-    per rotation class, whose every rotation then reads the kind it gave."""
-    n, kinds, rows = model.n, {}, []
+def _loops(n: int, max_len: int) -> tuple[list, np.ndarray]:
+    """Every pointed loop of length 2..max_len on the n-cycle, and a record
+    array of the columns that do not depend on p and c, one row per loop: its
+    vertex-set mask (bit v-1), its directed-edge mask (`_edge_bit`), the value
+    of its `LoopType`, its length and its count of cw steps.  `classify_loop`
+    reads only n of the model; it runs once per rotation class, whose every
+    rotation then reads the kind it gave."""
+    model, kinds, loops, rows = build_model(n, 0.5, 1.0, 1.0), {}, [], []
     for verts in enumerate_pointed_loops(n, max_len):
         if verts not in kinds:
             kind = classify_loop(model, Loop.from_pointed(verts, n)).value
             kinds.update((verts[i:] + verts[:i], kind) for i in range(len(verts)))
-        rows.append((pointed_mass(model, verts), sum(1 << (v - 1) for v in set(verts)),
-                     sum({_edge_bit(u, v, n) for u, v in zip(verts, verts[1:] + verts[:1])}),
-                     kinds[verts]))
-    return np.array(rows, dtype=[("mass", float), ("vertices", np.int64),
-                                 ("edges", np.int64), ("kind", np.int64)])
+        steps = list(zip(verts, verts[1:] + verts[:1]))
+        loops.append(verts)
+        rows.append((math.nan, sum(1 << (v - 1) for v in set(verts)),
+                     sum({_edge_bit(u, v, n) for u, v in steps}), kinds[verts], len(verts),
+                     sum((v - u) % n == 1 for u, v in steps)))
+    return loops, np.array(rows, dtype=[("mass", float), ("vertices", np.int64),
+                                        ("edges", np.int64), ("kind", np.int64),
+                                        ("length", np.int64), ("cw", np.int64)])
+
+
+def loop_table(model: CircleModel, max_len: int) -> np.ndarray:
+    """`_loops`' record array for the model's n with the column "mass" filled
+    in: step_cw^cw step_ccw^(length - cw) / length, checked against
+    `pointed_mass` on every loop to relative 1e-15.  The enumeration runs
+    once per (n, max_len), whatever the model."""
+    loops, table = _loops(model.n, max_len)
+    table = table.copy()
+    cw, length = table["cw"], table["length"]
+    table["mass"] = model.step_cw ** cw * model.step_ccw ** (length - cw) / length
+    np.testing.assert_allclose(table["mass"], [pointed_mass(model, v) for v in loops],
+                               rtol=1e-15, atol=0.0)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +630,17 @@ def object_ensemble(model: CircleModel, seed: int, reps: int) -> dict[str, SoupE
 LawCheck = namedtuple("LawCheck", "law worst_z p ok")
 
 
-def _bonferroni(law: str, z, p) -> LawCheck:
-    """The law's p-value is k times the smallest of its k cells' two-sided
-    p-values; by Bonferroni it is below 1e-3 at most 1e-3 of the time,
-    however the cells correlate."""
-    p = min(1.0, len(p) * float(np.min(p)))
+def _bonferroni(law: str, z, p, tests: int | None = None) -> LawCheck:
+    """The law's p-value is k times the smallest of its cells' two-sided
+    p-values, k the number of tests that share the 1e-3 (by default its own
+    cells); by Bonferroni it is below 1e-3 at most 1e-3 of the time, however
+    the tests correlate."""
+    p = min(1.0, (tests or len(p)) * float(np.min(p)))
     return LawCheck(law, float(np.max(np.abs(z))), p, p >= 1e-3)
 
 
-def cell_check(law: str, hits, probs, reps: int, pool: bool = False) -> LawCheck:
+def cell_check(law: str, hits, probs, reps: int, pool: bool = False,
+               tests: int | None = None) -> LawCheck:
     """`_bonferroni` over cells, each a count of hits in `reps` replicates
     against its exact binomial law, p = 2 min(P[X <= hits], P[X >= hits]),
     so the false-alarm rate holds at every count.  With pool, the cells of a
@@ -633,7 +655,7 @@ def cell_check(law: str, hits, probs, reps: int, pool: bool = False) -> LawCheck
         z = np.where(se > 0.0, (hits / reps - probs) / se,
                      np.where(hits == probs * reps, 0.0, np.inf))
     return _bonferroni(law, z, 2.0 * np.minimum(bdtr(hits, reps, probs),
-                                                bdtrc(hits - 1, reps, probs)))
+                                                bdtrc(hits - 1, reps, probs)), tests)
 
 
 def _laws(ens: SoupEnsemble, model: CircleModel, through1_grid):
@@ -713,3 +735,43 @@ def exact_law_checks(ensemble: SoupEnsemble, model: CircleModel,
     1e-3, so it raises a false alarm at most 1e-3 of the time; the loop
     count's p-values are normal tails."""
     return {check.law: check for check in _laws(ensemble, model, through1_grid)}
+
+
+def conditioned_path_checks(law: RenewalLaw, level: int, paths, states) -> dict[str, LawCheck]:
+    """Exact laws of renewal paths conditioned to hit N = `level` > 12, each
+    path an increasing integer array from 0 to N, checked against them, by
+    name.  A path's probability prod w(gaps) / C(N) does not change when its
+    gaps are reversed, so time reversal shows in every law:
+
+    "first jump" and "last jump", each against w(j) C(N-j) / C(N), by a
+    chi-square over the single cells j = 1..12 and 8 cells of about equal
+    mass over the rest (z is the worst Pearson residual); "visits", the
+    share of paths visiting s and N-s for every s in `states`, against
+    C(s) C(N-s) / C(N), by exact binomial tails; "point count", the mean
+    number of points against sum_s C(s) C(N-s) / C(N), s = 0..N, by a z-test
+    with the sample variance.
+
+    The 1e-3 is split by Bonferroni over all 2 len(states) + 3 tests, so the
+    whole battery raises a false alarm at most 1e-3 of the time; with twelve
+    states each test needs p >= 3.7e-5, about |z| < 4.1."""
+    reps, tests = len(paths), 2 * len(states) + 3
+    one_point = law.C[:level + 1] * law.C[level::-1] / law.C[level]
+    pmf = law.conditioned_jump_pmf(0, level)
+    tail = np.cumsum(pmf[12:])
+    starts = np.unique(np.append(np.arange(13), 13 + tail.searchsorted(
+        tail[-1] * np.arange(1, 8) / 8.0)))
+    starts = starts[starts < level]
+    exp = reps * np.add.reduceat(pmf, starts)
+    checks = []
+    for law_name, jumps in (("first jump", [path[1] for path in paths]),
+                            ("last jump", [level - path[-2] for path in paths])):
+        obs = np.add.reduceat(np.bincount(jumps, minlength=level + 1)[1:], starts)
+        checks.append(_bonferroni(law_name, (obs - exp) / np.sqrt(exp),
+                                  [chi_square_pvalue(obs, exp)[1]], tests))
+    at = np.append(states, level - np.asarray(states))
+    checks.append(cell_check("visits", np.bincount(np.concatenate(paths), minlength=level + 1)[at],
+                             one_point[at], reps, tests=tests))
+    sizes = np.array([path.size for path in paths])
+    z = (sizes.mean() - one_point.sum()) / math.sqrt(sizes.var(ddof=1) / reps)
+    checks.append(_bonferroni("point count", [z], [2.0 * ndtr(-abs(z))], tests))
+    return {check.law: check for check in checks}

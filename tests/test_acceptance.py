@@ -257,24 +257,30 @@ def test_criterion_9_bridge_properties():
     rng = np.random.default_rng(909)
 
     ends_at_one = True
-    fwd, bwd = [], []
-    n_paths, chunk = 10_000, 1000  # chunks bound the memory the points take
+    fwd, bwd, paths = [], [], []
+    n_paths, chunk = 10_000, 1000  # chunks bound the sampler's working memory
     for _ in range(n_paths // chunk):
         for pts in bridge.sample_bridge_paths(n_approx, chunk, rng, law=law):
             ends_at_one &= pts[-1] == 1.0
-            # the same mid-quantile functional of the visited set, forwards and
-            # on the reflected reversal: their laws agree iff reversal holds
+            paths.append(np.rint(pts * n_approx).astype(np.int64))
+            # report only: the mid-quantile of the visited set, forwards and on
+            # the reflected reversal
             fwd.append(pts[len(pts) // 2])
             rev = np.sort(1.0 - pts)
             bwd.append(rev[len(rev) // 2])
     ks = ks_distance_two_sample(fwd, bwd)
+    # time reversal and the whole path law, at a stated false-alarm rate of 1e-3
+    checks = oracles.conditioned_path_checks(
+        law, n_approx, paths, (1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10_000, 30_000))
 
     scaling = run_cluster_scaling(default_cluster_scaling_config())
-    ok = ends_at_one and ks < 0.02 and scaling["k_scaled_stable"]
-    _verdict(9, "bridge termination, time reversal, cluster-count stability",
-             ok, f"all paths end at 1: {ends_at_one}, reversal KS = {ks:.4f}, "
+    ok = ends_at_one and all(c.ok for c in checks.values()) and scaling["k_scaled_stable"]
+    _verdict(9, "bridge termination, exact path laws, cluster-count stability",
+             ok, f"all paths end at 1: {ends_at_one}, path-law p (worst |z|): "
+                 + ", ".join(f"{c.law} {c.p:.3g} ({c.worst_z:.2f})" for c in checks.values())
+                 + f", mid-point reversal KS = {ks:.4f} (report only), "
                  f"k/n^(1-a) spread = {scaling['k_scaled_spread']:.3f} "
                  f"(means {[round(r['k_scaled_mean'], 3) for r in scaling['per_n']]}), "
                  f"{time.time() - t0:.0f}s")
     assert oracles.report_digest(scaling) == (
-        "a0bcc2ead7ab54fc1534dde78d8aa13835655c09590e05de623c91d96a421fe6")
+        "bb26516f3ef9627ee1f88490bdf95c4ada0304a558604420ae4f430eb8d713e8")

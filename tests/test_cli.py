@@ -216,13 +216,14 @@ def test_bridge_csv_bytes_match_numpy_scalar_formatting(tmp_path, capsys):
 
 def test_bridge_csv_bytes_are_pinned(tmp_path, capsys):
     """1001 paths, past the 1000-path chunk boundary, byte-identical to the
-    CSV recorded when the sampler's rounds were made class-major."""
+    CSV recorded when each sampler round was cut to one rejection try per
+    live path."""
     out_path = tmp_path / "paths.csv"
     code, _ = run_cli(capsys, "bridge", "--kappa", "1", "--alpha", "0.5",
                       "--resolution", "2000", "--paths", "1001", "--out", str(out_path))
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-        "09ddd2b7cade6479497b6b7dba67befa3beaad079ab252e5cda1cf1164eb4b03")
+        "00a731b93ef551e8f1d0e8e39601c696e10a2a9239526db89efbf58ea511a221")
 
 
 def test_sample_jsonl_bytes_are_pinned(tmp_path, capsys):
