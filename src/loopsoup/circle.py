@@ -86,15 +86,16 @@ class CircleModel:
 
 
 def derived_killing(p: float, c: float) -> tuple[float, float]:
-    """(kappa, r) for step weight p and killing surcharge c."""
+    """(kappa, r) for step weight p and killing surcharge c.
+
+    kappa = (1 + c - 2s) / s with s = sqrt(p (1-p)), and cosh r = 1 + kappa/2.
+    As 1 - 2s = d^2 with d = (2p - 1) / (sqrt(p) + sqrt(1-p)), kappa is
+    computed as (c + d^2) / s, a sum of nonnegative terms that keeps full
+    relative precision as c -> 0, and r as 2 asinh(sqrt(kappa) / 2)."""
     s = math.sqrt(p * (1.0 - p))
-    kappa = (1.0 + c - 2.0 * s) / s
-    if kappa <= 0.0:
-        kappa = 0.0
-        r = 0.0
-    else:
-        r = math.log(1.0 + kappa / 2.0 + math.sqrt(kappa + kappa * kappa / 4.0))
-    return kappa, r
+    d = (2.0 * p - 1.0) / (math.sqrt(p) + math.sqrt(1.0 - p))
+    kappa = (c + d * d) / s
+    return kappa, 2.0 * math.asinh(math.sqrt(kappa) / 2.0)
 
 
 def build_model(n: int, p: float, c: float, alpha: float) -> CircleModel:

@@ -240,8 +240,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"loopsoup {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"loopsoup {args.command}: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,8 @@ check against.
 It ends with the exact-law batteries: `exact_law_checks` runs the exact laws
 against any soup engine's ensembles, `object_ensemble` turns one draw of the
 loop-object sampler into such ensembles, and `conditioned_path_checks` runs
-the exact laws of conditioned renewal paths.
+the exact laws of conditioned renewal paths, on one cached draw
+(`conditioned_draw`) where several tests read the same paths.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from loopsoup.numerics import chi_square_pvalue, log_cosh, log_sinh
 from loopsoup.sampler import (
     CONDITIONS, SoupEnsemble, SoupSample, extract_clusters, philox_rng, sample_soup,
 )
-from loopsoup.scaling import RenewalLaw
+from loopsoup.scaling import RenewalLaw, sample_conditioned_renewals
 
 
 class QuadratureError(RuntimeError):
@@ -639,6 +640,13 @@ def _bonferroni(law: str, z, p, tests: int | None = None) -> LawCheck:
     return LawCheck(law, float(np.max(np.abs(z))), p, p >= 1e-3)
 
 
+def z_check(law: str, z, tests: int | None = None) -> LawCheck:
+    """`_bonferroni` over statistics z that are standard normal under the
+    law, each with the two-sided p-value 2 Phi(-|z|)."""
+    z = np.atleast_1d(z)
+    return _bonferroni(law, z, 2.0 * ndtr(-np.abs(z)), tests)
+
+
 def cell_check(law: str, hits, probs, reps: int, pool: bool = False,
                tests: int | None = None) -> LawCheck:
     """`_bonferroni` over cells, each a count of hits in `reps` replicates
@@ -673,7 +681,7 @@ def _laws(ens: SoupEnsemble, model: CircleModel, through1_grid):
         lam, count = alpha * total, ens.loop_count
         z = np.array([(count.mean() - lam) / math.sqrt(lam / reps),
                       (count.var() - lam) / math.sqrt((lam + 2.0 * lam * lam) / reps)])
-        yield _bonferroni("loop count", z, 2.0 * ndtr(-np.abs(z)))
+        yield z_check("loop count", z)
         through1 = ens.loop_count - ens.avoiding_count
         yield cell_check("no loop through 1", [np.sum(through1 == 0)],
                          [math.exp(-alpha * mass_through_vertex1(model))], reps)
@@ -743,35 +751,54 @@ def conditioned_path_checks(law: RenewalLaw, level: int, paths, states) -> dict[
     name.  A path's probability prod w(gaps) / C(N) does not change when its
     gaps are reversed, so time reversal shows in every law:
 
-    "first jump" and "last jump", each against w(j) C(N-j) / C(N), by a
-    chi-square over the single cells j = 1..12 and 8 cells of about equal
-    mass over the rest (z is the worst Pearson residual); "visits", the
-    share of paths visiting s and N-s for every s in `states`, against
-    C(s) C(N-s) / C(N), by exact binomial tails; "point count", the mean
-    number of points against sum_s C(s) C(N-s) / C(N), s = 0..N, by a z-test
-    with the sample variance.
+    "first jump" and "last jump", each against w(j) C(N-j) / C(N), and
+    "second jump", the jump after a unit first jump, against
+    w(j) C(N-1-j) / C(N-1), each by a chi-square over the single cells
+    j = 1..12 and 8 cells of about equal mass over the rest (z is the worst
+    Pearson residual); "visits", the share of paths visiting s and N-s for
+    every s in `states`, against C(s) C(N-s) / C(N), by exact binomial
+    tails; "point count", the mean number of points against
+    sum_s C(s) C(N-s) / C(N), s = 0..N, by a z-test with the sample variance.
 
-    The 1e-3 is split by Bonferroni over all 2 len(states) + 3 tests, so the
-    whole battery raises a false alarm at most 1e-3 of the time; with twelve
-    states each test needs p >= 3.7e-5, about |z| < 4.1."""
-    reps, tests = len(paths), 2 * len(states) + 3
+    The 1e-3 is split by Bonferroni over all tests, one per distinct state
+    among s and N-s and four more, so the whole battery raises a false alarm
+    at most 1e-3 of the time; with 24 states each test needs p >= 3.6e-5,
+    about |z| < 4.1."""
+    reps = len(paths)
+    at = np.unique(np.append(states, level - np.asarray(states)))
+    tests = at.size + 4
     one_point = law.C[:level + 1] * law.C[level::-1] / law.C[level]
+
+    def jump_check(law_name, jumps, pmf):
+        tail = np.cumsum(pmf[12:])
+        starts = np.unique(np.append(np.arange(13), 13 + tail.searchsorted(
+            tail[-1] * np.arange(1, 8) / 8.0)))
+        starts = starts[starts < pmf.size]
+        exp = len(jumps) * np.add.reduceat(pmf, starts)
+        obs = np.add.reduceat(np.bincount(jumps, minlength=pmf.size + 1)[1:], starts)
+        return _bonferroni(law_name, (obs - exp) / np.sqrt(exp),
+                           [chi_square_pvalue(obs, exp)[1]], tests)
+
     pmf = law.conditioned_jump_pmf(0, level)
-    tail = np.cumsum(pmf[12:])
-    starts = np.unique(np.append(np.arange(13), 13 + tail.searchsorted(
-        tail[-1] * np.arange(1, 8) / 8.0)))
-    starts = starts[starts < level]
-    exp = reps * np.add.reduceat(pmf, starts)
-    checks = []
-    for law_name, jumps in (("first jump", [path[1] for path in paths]),
-                            ("last jump", [level - path[-2] for path in paths])):
-        obs = np.add.reduceat(np.bincount(jumps, minlength=level + 1)[1:], starts)
-        checks.append(_bonferroni(law_name, (obs - exp) / np.sqrt(exp),
-                                  [chi_square_pvalue(obs, exp)[1]], tests))
-    at = np.append(states, level - np.asarray(states))
-    checks.append(cell_check("visits", np.bincount(np.concatenate(paths), minlength=level + 1)[at],
-                             one_point[at], reps, tests=tests))
+    checks = [jump_check("first jump", [path[1] for path in paths], pmf),
+              jump_check("second jump", [path[2] - 1 for path in paths if path[1] == 1],
+                         law.conditioned_jump_pmf(1, level)),
+              jump_check("last jump", [level - path[-2] for path in paths], pmf),
+              cell_check("visits", np.bincount(np.concatenate(paths), minlength=level + 1)[at],
+                         one_point[at], reps, tests=tests)]
     sizes = np.array([path.size for path in paths])
-    z = (sizes.mean() - one_point.sum()) / math.sqrt(sizes.var(ddof=1) / reps)
-    checks.append(_bonferroni("point count", [z], [2.0 * ndtr(-abs(z))], tests))
+    checks.append(z_check("point count", (sizes.mean() - one_point.sum())
+                          / math.sqrt(sizes.var(ddof=1) / reps), tests))
     return {check.law: check for check in checks}
+
+
+@lru_cache(maxsize=None)
+def conditioned_draw() -> tuple[list, dict[str, LawCheck]]:
+    """One draw of 1e5 paths conditioned to hit 100, from
+    RenewalLaw.build(0.5, 0.02, 100) off default_rng(404), with its
+    `conditioned_path_checks` at the states 1, 2, 3, 5, 10, 20, 30, 40 (and
+    100 minus each); cached, so that criterion 4 and the sampler's jump-law
+    tests read one draw."""
+    law = RenewalLaw.build(0.5, 0.02, 100)
+    paths = sample_conditioned_renewals(law, 100, 100_000, np.random.default_rng(404))
+    return paths, conditioned_path_checks(law, 100, paths, (1, 2, 3, 5, 10, 20, 30, 40))

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from loopsoup.circle import (
     PointedLoop,
     build_model,
     classify_loop,
+    derived_killing,
     equivalent_symmetric_model,
     lift_loop,
     line_loop_mass,
@@ -39,6 +41,26 @@ def test_build_model_asymmetric():
     # 2 cosh r = (1+c)/sqrt(p(1-p)) ties r back to the quadratic roots
     assert 2.0 * math.cosh(m.r) == pytest.approx((1 + m.c) / math.sqrt(m.p * (1 - m.p)),
                                                  rel=1e-13)
+
+
+def _killing_reference(p: float, c: float) -> tuple[float, float]:
+    """kappa = (1 + c - 2s) / s and r = arccosh(1 + kappa/2), the defining
+    forms, in 800-digit decimal arithmetic, which outlasts their cancellation."""
+    with localcontext(Context(prec=800)):
+        p, c = Decimal(p), Decimal(c)
+        s = (p * (1 - p)).sqrt()
+        kappa = (1 + c - 2 * s) / s
+        r = (1 + kappa / 2 + (kappa + kappa * kappa / 4).sqrt()).ln()
+        return float(kappa), float(r)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.1, 0.3, 0.5, 0.7, 0.999])
+def test_derived_killing_keeps_precision_as_c_vanishes(p):
+    for c in (5e-324, 1e-300, 1e-20, 5e-15, 1e-12, 1e-6, 1.0, 1e6):
+        kappa, r = derived_killing(p, c)
+        ref_kappa, ref_r = _killing_reference(p, c)
+        assert kappa == pytest.approx(ref_kappa, rel=1e-14, abs=0.0), c
+        assert r == pytest.approx(ref_r, rel=1e-14, abs=0.0), c
 
 
 def test_build_model_rejects_bad_parameters():

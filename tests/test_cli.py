@@ -23,7 +23,9 @@ from loopsoup.experiments import (
     default_single_partition_config,
 )
 from loopsoup.sampler import CONDITIONS
-from loopsoup.scaling import ConditionedBridgeLaw, SubordinatorLaw, hitting_coefficients
+from loopsoup.scaling import (
+    ConditionedBridgeLaw, RenewalLaw, SubordinatorLaw, hitting_coefficients,
+)
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +183,41 @@ def test_bridge_unwritable_output_fails_before_the_law_is_built(tmp_path, capsys
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1 and str(bad) in captured.err
+
+
+@pytest.mark.parametrize("text", ["Unable to allocate 22.4 GiB for an array", ""],
+                         ids=["message", "bare"])
+def test_memory_error_exits_with_one_line_message(capsys, monkeypatch, text):
+    """A failed allocation ends like any bad input (a real one is not made
+    here: a large enough request may be killed by the system, not raised)."""
+    def exhausted(*args):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(RenewalLaw, "build", staticmethod(exhausted))
+    code = main(["bridge", "--kappa", "1", "--alpha", "0.5", "--resolution", "3000000000",
+                 "--paths", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"loopsoup bridge: error: {text or 'MemoryError'}\n"
+
+
+@pytest.mark.parametrize("c", ["1e-300", "1e-20"])
+def test_sample_runs_as_the_killing_vanishes(capsys, c):
+    """kappa = 2c stays positive at p = 1/2 however small c is."""
+    code, out = run_cli(capsys, "sample", "--n", "8", "--p", "0.5", "--c", c,
+                        "--alpha", "0.5", "--replicates", "20")
+    assert code == 0 and len(out.splitlines()) == 20
+
+
+def test_mass_total_grows_as_the_killing_vanishes(capsys):
+    values = []
+    for c in ("1e-12", "1e-20"):
+        code, out = run_cli(capsys, "analytic", "--formula", "mass-total", "--n", "100",
+                            "--p", "0.5", "--c", c, "--alpha", "0.5")
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert math.isfinite(values[1]) and values[1] > values[0]
 
 
 def test_bridge_subcommand(tmp_path, capsys):
@@ -373,10 +410,10 @@ def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
             ("cluster-scaling-alpha-1.2", dataclasses.replace(scaling, alpha=1.2)),
             # every schedule entry meets an infinite target: |x - inf| > rel * inf is false
             ("cluster-scaling-kappa-inf", dataclasses.replace(scaling, kappa=math.inf)),
-            # 1 + c rounds to 1, so the schedule's kappa_n is 0 and meets the target
+            # c = 0 at p = 1/2, so the schedule's kappa_n is 0 and meets the target
             ("cluster-scaling-kappa-0", dataclasses.replace(
                 scaling, kappa=0.0, epsilon=0.0,
-                schedule=[ScheduleEntry(n=n, p=0.5, c=1e-20) for n in (100, 400, 1600)]))):
+                schedule=[ScheduleEntry(n=n, p=0.5, c=0.0) for n in (100, 400, 1600)]))):
         (tmp_path / f"{name}.json").write_text(config.to_json())
     argv = tuple(arg.format(tmp=tmp_path) for arg in argv)
     out_path = tmp_path / "out.csv"

@@ -116,7 +116,7 @@ def test_edge_audit_default_scale():
     assert report["passed"]
     assert max(abs(r["z"]) for r in report["edges"]) <= 4.0
     assert oracles.report_digest(report) == (
-        "942ccc0cac61ef42fc84a6038c380d849e68d44d7214044aff48842cf9fc5606")
+        "fc55e5b1fca1b0caa3e01ee1547804ce9a79907d4663f7814353769a2e631822")
 
 
 def test_edge_audit_reference_matches_dense_edge_masses():
