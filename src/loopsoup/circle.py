@@ -194,10 +194,6 @@ class Loop:
     winding: int
     n: int | None
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
     @staticmethod
     def from_pointed(loop, n: int) -> "Loop":
         vertices = loop.vertices if isinstance(loop, PointedLoop) else tuple(loop)

@@ -114,11 +114,21 @@ def _cmd_law(args) -> int:
     return _evaluate(LAW_FORMULAS, args)
 
 
-def _output(path, default, newline=None):
-    """Context giving `path` opened for writing, or `default` if no path is given.
+def _probe(*paths) -> None:
+    """Open each given path for appending, which empties none, so that an
+    unwritable one fails before any work is done or any output truncated."""
+    for path in paths:
+        if path:
+            open(path, "a").close()
 
-    `sample` and `bridge` open their outputs before any work, so an unwritable
-    path fails at once rather than after the sampling.
+
+def _output(path, default, newline=None):
+    """Context giving `path` opened for writing, which truncates it, or
+    `default` if no path is given.
+
+    `sample` and `bridge` `_probe` their outputs first and open them only
+    once the checks and the law that can fail are behind them, so a rejected
+    call leaves an existing file as it was.
     """
     return open(path, "w", newline=newline) if path else contextlib.nullcontext(default)
 
@@ -127,11 +137,9 @@ def _cmd_sample(args) -> int:
     model = build_model(args.n, args.p, args.c, args.alpha)
     # the engine's own checks, made before any output is touched
     check_experiment_args(model, args.seed, args.condition, args.replicates)
-    # both paths are opened for appending, which empties neither, before
-    # either is truncated: an unwritable one leaves the other as it was
-    for path in (args.out, args.summary):
-        if path:
-            open(path, "a").close()
+    # both paths are probed before either is truncated: an unwritable one
+    # leaves the other as it was
+    _probe(args.out, args.summary)
     with (_output(args.out, sys.stdout) as out,
           _output(args.summary, None, newline="") as summary):
         ens = conditional_experiment(model, args.seed, args.condition,
@@ -157,8 +165,10 @@ def _cmd_bridge(args) -> int:
         raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
     bridge = scaling.ConditionedBridgeLaw(
         scaling.SubordinatorLaw(kappa=args.kappa, alpha=args.alpha))
+    _probe(args.out)
+    # the law is built before the output is truncated: a failed build keeps it
+    law = bridge.renewal_approximation(args.resolution)
     with _output(args.out, sys.stdout, newline="") as out:
-        law = bridge.renewal_approximation(args.resolution)
         rng = np.random.default_rng(args.seed)
         # paths are drawn in chunks so memory stays bounded for any --paths; a row
         # is one template, the bytes csv.writer gives for the same formatted fields

@@ -21,13 +21,16 @@ import numpy as np
 from . import analytics
 from .circle import CircleModel, build_model, derived_killing
 from .numerics import (
+    cell_check,
     chi_square_pvalue,
     hausdorff,
     ks_distance_two_sample,
     require_finite,
+    z_check,
 )
 from .sampler import SoupEnsemble, conditional_experiment
-from .scaling import ConditionedBridgeLaw, SubordinatorLaw, sample_conditioned_renewals
+from .scaling import (ConditionedBridgeLaw, SubordinatorLaw, point_count_moments,
+                      sample_conditioned_renewals)
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ DEFAULT_THRESHOLDS = {
     "z_max": 4.0,                # edge-audit z-score gate
     "gap_allowance": 0.02,       # discretization allowance for limit gaps
     "chi2_min_p": 1e-3,          # chi-square acceptance for histograms
-    "stability": 0.10,           # relative spread gate for scaled cluster counts
-    "jk_gap": 0.03,              # pointwise gate for the through-1 extent cdf
+    "stability": 0.10,           # relative spread bound on the exact scaled cluster-count means
+    "jk_gap": 0.03,              # bound on the exact through-1 extent cdf's gap to its limit
     "drift_rel": 0.05,           # schedule-vs-target relative drift bound
     "min_cell_prob": 0.005,      # simplex cells below this merge into the rest
 }
@@ -480,38 +483,62 @@ def sample_limit_extents(kappa: float, alpha: float, count: int, rng) -> np.ndar
 
 
 def run_cluster_scaling(config: ExperimentConfig) -> dict:
-    """Scaled cluster-count stability plus law comparisons against the bridge.
+    """Scaled cluster counts and through-1 extents against their exact
+    finite-n laws and the scaling limit, plus law comparisons with the bridge.
 
-    Three parts: (1) mean of (closed edges)/n^(1-alpha) across the schedule
-    under the no-loops-through-1 conditioning, gated on relative spread;
-    (2) at the comparison n, the scaled closed-endpoint sets of split
+    Parts 1 and 3 each pass when the sample fits its exact law (a `LawCheck`,
+    false alarm at most 1e-3) and that law's distance to the limit is within
+    its threshold.  (1) Under the no-loops-through-1 conditioning the closed
+    edges are the renewal points from 0 to n-1: a z-test of each schedule
+    entry's mean closed-edge count against `point_count_moments`, one
+    Bonferroni budget over the schedule, and the relative spread of the exact
+    means over n^(1-alpha) at most `stability` (`k_scaled_stable`).  (2) Report
+    only: at the comparison n, the scaled closed-endpoint sets of split
     unconditioned soups against extent-mixed bridge ranges (KS on the leftmost
     point and on the scaled cluster count, matched-quantile mean Hausdorff),
     where given limit extents (g, d) a path is one shared renewal law on the
-    circle's grid conditioned to hit the far end of the arc 1 - g - d;
-    (3) the through-1-only extent cdf against its scaling limit on a grid.
+    circle's grid conditioned to hit the far end of the arc 1 - g - d.  (3)
+    Through-1-only extents at most (floor(an), floor(bn)) on a grid, counted
+    against `through1_extent_cdf` by exact binomial tails, and that cdf's
+    largest gap to `through1_extent_cdf_limit` below `jk_gap`
+    (`through1_extent_ok`).  The Monte Carlo spread and gap to the limit are
+    report only.
     """
     # parts 2 and 3 sample from seed + 1 .. seed + 3; part 3 compares with epsilon
     config.validate(seed_offset=3, targets=("kappa", "epsilon"))
     alpha, kappa = config.alpha, config.kappa
     _require_extent_domain(kappa, alpha)  # before part 1, so bad parameters cost nothing
     comparison_n = config.schedule[-1].n if config.comparison_n is None else config.comparison_n
+    models = [entry.model(alpha) for entry in config.schedule]
+    model_c = next(model for model in models if model.n == comparison_n)
+    # the exact laws and their distances to the limit, before any sampling
+    moments = [point_count_moments(alpha, model.r, model.n - 1) for model in models]
+    grid = [(0.1, 0.1), (0.1, 0.3), (0.3, 0.1), (0.2, 0.2), (0.3, 0.3),
+            (0.2, 0.5), (0.5, 0.2), (0.4, 0.4)]
+    # integer extents are at most a*n exactly when at most floor(a*n)
+    cells = [(math.floor(a * comparison_n), math.floor(b * comparison_n)) for a, b in grid]
+    cdf = [analytics.through1_extent_cdf(model_c, m, big_m) for m, big_m in cells]
+    limit = [analytics.through1_extent_cdf_limit(kappa, config.epsilon, alpha, a, b)
+             for a, b in grid]
 
-    # part 1: scaled cluster-count stability (conditioned = cut at vertex 1)
+    # part 1: scaled cluster counts (conditioned = cut at vertex 1)
     rows = []
-    for entry in config.schedule:
-        ens = conditional_experiment(entry.model(alpha), config.seed,
-                                     "avoiding-1-only", config.replicates)
-        k_scaled = ens.closed_edge_count / entry.n ** (1.0 - alpha)
-        rows.append({"n": entry.n,
+    for model, (mean, var) in zip(models, moments):
+        ens = conditional_experiment(model, config.seed, "avoiding-1-only", config.replicates)
+        scale = model.n ** (1.0 - alpha)
+        k_scaled = ens.closed_edge_count / scale
+        rows.append({"n": model.n,
                      "k_scaled_mean": float(np.mean(k_scaled)),
-                     "k_scaled_se": float(np.std(k_scaled) / math.sqrt(len(k_scaled)))})
-    means = np.array([r["k_scaled_mean"] for r in rows])
-    spread = float((means.max() - means.min()) / means.mean())
-    stable = spread <= config.thresholds["stability"]
+                     "k_scaled_se": float(np.std(k_scaled) / math.sqrt(len(k_scaled))),
+                     "k_scaled_exact_mean": mean / scale,
+                     "z": (float(np.mean(ens.closed_edge_count)) - mean)
+                          / math.sqrt(var / config.replicates)})
+    count_law = z_check("closed-edge count mean", [r["z"] for r in rows])
+    spread, exact_spread = (float(np.ptp(means) / np.mean(means)) for means in (
+        [r["k_scaled_mean"] for r in rows], [r["k_scaled_exact_mean"] for r in rows]))
+    stable = count_law.ok and exact_spread <= config.thresholds["stability"]
 
     # part 2: split unconditioned soups vs the extent-mixed bridge
-    model_c = next(e for e in config.schedule if e.n == comparison_n).model(alpha)
     ens_u = conditional_experiment(model_c, config.seed + 1, "unconditioned",
                                    config.comparison_replicates, keep_closed_edges=True)
     split = ens_u.closed_edge_count >= 1
@@ -551,27 +578,26 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
     # reference scale: the same statistic between two halves of the mixture
     hd_ref = matched_hausdorff(mix_sets[0::2], mix_sets[1::2])
 
-    # part 3: through-1-only scaled extent cdf against the limit formula
+    # part 3: through-1-only extent cdf against its exact law and the limit
     ens_t = conditional_experiment(model_c, config.seed + 3, "through-1-only",
                                    config.comparison_replicates)
-    grid = [(0.1, 0.1), (0.1, 0.3), (0.3, 0.1), (0.2, 0.2), (0.3, 0.3),
-            (0.2, 0.5), (0.5, 0.2), (0.4, 0.4)]
-    jk_rows, jk_gap = [], 0.0
-    for a, b in grid:
-        emp = float(np.mean((ens_t.closed_edge_count >= 1)
-                            & (ens_t.origin_left <= a * comparison_n)
-                            & (ens_t.origin_right <= b * comparison_n)))
-        lim = analytics.through1_extent_cdf_limit(kappa, config.epsilon, alpha, a, b)
-        jk_rows.append({"a": a, "b": b, "mc": emp, "limit": lim,
-                        "gap": abs(emp - lim)})
-        jk_gap = max(jk_gap, abs(emp - lim))
-    jk_ok = jk_gap < config.thresholds["jk_gap"]
+    split = ens_t.closed_edge_count >= 1
+    hits = [int(np.sum(split & (ens_t.origin_left <= m) & (ens_t.origin_right <= big_m)))
+            for m, big_m in cells]
+    extent_law = cell_check("through-1 extent", hits, cdf, config.comparison_replicates)
+    jk_rows = [{"a": a, "b": b, "mc": hit / config.comparison_replicates, "exact": exact,
+                "limit": lim, "gap": abs(hit / config.comparison_replicates - lim)}
+               for (a, b), hit, exact, lim in zip(grid, hits, cdf, limit)]
+    exact_gap = max(abs(exact - lim) for exact, lim in zip(cdf, limit))
+    jk_ok = extent_law.ok and exact_gap < config.thresholds["jk_gap"]
 
     report = _jsonable({
         "experiment": config.name,
         "config": config.to_dict(),
         "per_n": rows,
         "k_scaled_spread": spread,
+        "k_scaled_exact_spread": exact_spread,
+        "k_scaled_law_p": count_law.p,
         "k_scaled_stable": bool(stable),
         "comparison_n": comparison_n,
         "ks_leftmost": ks_left,
@@ -579,7 +605,9 @@ def run_cluster_scaling(config: ExperimentConfig) -> dict:
         "mean_hausdorff": hd,
         "mean_hausdorff_reference": hd_ref,
         "through1_extent_grid": jk_rows,
-        "through1_extent_max_gap": jk_gap,
+        "through1_extent_max_gap": max(row["gap"] for row in jk_rows),
+        "through1_extent_exact_max_gap": exact_gap,
+        "through1_extent_law_p": extent_law.p,
         "through1_extent_ok": bool(jk_ok),
         "passed": bool(stable and jk_ok),
     })

@@ -1,5 +1,6 @@
 """Shared numerical substrate: special functions, series, stable log-hyperbolic
-helpers, and the distances and chi-square test the experiments report.
+helpers, the distances and chi-square test the experiments report, and the
+exact-law verdicts (`LawCheck`) that judge a sample against its exact law.
 
 Everything here is a pure function of its inputs.  Quadrature, the one-sample
 KS statistic and its critical value, and the two-sample chi-square test serve
@@ -9,6 +10,7 @@ only as test references, so they live in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -179,6 +181,50 @@ def chi_square_pvalue(observed, expected) -> tuple[float, float]:
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
     return stat, float(chdtrc(dof, stat))
+
+
+# one exact law's verdict: the worst |z| of its cells, its p-value and whether
+# that p-value clears 1e-3
+LawCheck = namedtuple("LawCheck", "law worst_z p ok")
+
+
+def _bonferroni(law: str, z, p, tests: int | None = None) -> LawCheck:
+    """The law's p-value is k times the smallest of its cells' two-sided
+    p-values, k the number of tests that share the 1e-3 (by default its own
+    cells); by Bonferroni it is below 1e-3 at most 1e-3 of the time, however
+    the tests correlate."""
+    p = min(1.0, (tests or len(p)) * float(np.min(p)))
+    return LawCheck(law, float(np.max(np.abs(z))), p, p >= 1e-3)
+
+
+def z_check(law: str, z, tests: int | None = None) -> LawCheck:
+    """`_bonferroni` over statistics z that are standard normal under the
+    law, each with the two-sided p-value 2 Phi(-|z|)."""
+    from scipy.special import ndtr
+
+    z = np.atleast_1d(z)
+    return _bonferroni(law, z, 2.0 * ndtr(-np.abs(z)), tests)
+
+
+def cell_check(law: str, hits, probs, reps: int, pool: bool = False,
+               tests: int | None = None) -> LawCheck:
+    """`_bonferroni` over cells, each a count of hits in `reps` replicates
+    against its exact binomial law, p = 2 min(P[X <= hits], P[X >= hits]),
+    so the false-alarm rate holds at every count.  With pool, the cells of a
+    partition expected fewer than 20 times merge into one.  z is the normal
+    approximation (hits / reps - prob) / se, inf on a missed sure cell."""
+    from scipy.special import bdtr, bdtrc
+
+    hits, probs = np.asarray(hits), np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
+    if pool and (rare := reps * probs < 20.0).any():
+        hits = np.append(hits[~rare], hits[rare].sum())
+        probs = np.append(probs[~rare], probs[rare].sum())
+    se = np.sqrt(probs * (1.0 - probs) / reps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0.0, (hits / reps - probs) / se,
+                     np.where(hits == probs * reps, 0.0, np.inf))
+    return _bonferroni(law, z, 2.0 * np.minimum(bdtr(hits, reps, probs),
+                                                bdtrc(hits - 1, reps, probs)), tests)
 
 
 def hausdorff(set_a, set_b) -> float:

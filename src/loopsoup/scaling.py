@@ -58,6 +58,23 @@ def hitting_coefficients(alpha: float, r: float, N: int) -> np.ndarray:
     return _hitting_coefficient(alpha, r, m, out=m)
 
 
+def point_count_moments(alpha: float, r: float, N: int) -> tuple[float, float]:
+    """Mean and variance of the number of renewal points in 0..N, both ends
+    included, for the renewal set conditioned to hit N.
+
+    Points j <= k are both in the set with probability
+    C(j) C(k-j) C(N-k) / C(N), so the mean is sum_k C(k) C(N-k) / C(N) and the
+    second moment is 2 (C*C*C)(N) / C(N) - mean, the diagonal j = k counted
+    once.  The triple convolution at N is one real FFT of length > 2N, past
+    which its wrapped terms cannot reach N.
+    """
+    C = hitting_coefficients(alpha, r, N)
+    size = _next_fast_len(2 * N + 1)
+    triple = np.fft.irfft(np.fft.rfft(C, size) ** 3, size)[N]
+    mean = float(C @ C[::-1]) / C[N]
+    return mean, 2.0 * triple / C[N] - mean - mean * mean
+
+
 def _fast_lengths(limit: int) -> list[int]:
     """Every 2^a 3^b 5^c <= limit, sorted: the lengths numpy's real FFTs
     take fastest."""

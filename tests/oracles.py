@@ -19,7 +19,9 @@ It ends with the exact-law batteries: `exact_law_checks` runs the exact laws
 against any soup engine's ensembles, `object_ensemble` turns one draw of the
 loop-object sampler into such ensembles, and `conditioned_path_checks` runs
 the exact laws of conditioned renewal paths, on one cached draw
-(`conditioned_draw`) where several tests read the same paths.
+(`conditioned_draw`) where several tests read the same paths.  Each law is
+judged by the package's own verdicts (`loopsoup.numerics.LawCheck`), which
+the cluster-scaling runner uses too.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from itertools import product
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
-from scipy.special import bdtr, bdtrc, chdtrc, ndtr
+from scipy.special import chdtrc
 
 from loopsoup.analytics import (
     cluster_extent_limit_density, covered_extent_cdf, mass_avoiding_edges, mass_inside,
@@ -44,7 +46,9 @@ from loopsoup.analytics import (
     through1_extent_cdf,
 )
 from loopsoup.circle import CircleModel, Loop, LoopType, build_model, classify_loop
-from loopsoup.numerics import chi_square_pvalue, log_cosh, log_sinh
+from loopsoup.numerics import (
+    LawCheck, _bonferroni, cell_check, chi_square_pvalue, log_cosh, log_sinh, z_check,
+)
 from loopsoup.sampler import (
     CONDITIONS, SoupEnsemble, SoupSample, extract_clusters, philox_rng, sample_soup,
 )
@@ -626,44 +630,15 @@ def object_ensemble(model: CircleModel, seed: int, reps: int) -> dict[str, SoupE
     return out
 
 
-# one exact law's verdict: the worst |z| of its cells, its p-value and whether
-# that p-value clears 1e-3
-LawCheck = namedtuple("LawCheck", "law worst_z p ok")
-
-
-def _bonferroni(law: str, z, p, tests: int | None = None) -> LawCheck:
-    """The law's p-value is k times the smallest of its cells' two-sided
-    p-values, k the number of tests that share the 1e-3 (by default its own
-    cells); by Bonferroni it is below 1e-3 at most 1e-3 of the time, however
-    the tests correlate."""
-    p = min(1.0, (tests or len(p)) * float(np.min(p)))
-    return LawCheck(law, float(np.max(np.abs(z))), p, p >= 1e-3)
-
-
-def z_check(law: str, z, tests: int | None = None) -> LawCheck:
-    """`_bonferroni` over statistics z that are standard normal under the
-    law, each with the two-sided p-value 2 Phi(-|z|)."""
-    z = np.atleast_1d(z)
-    return _bonferroni(law, z, 2.0 * ndtr(-np.abs(z)), tests)
-
-
-def cell_check(law: str, hits, probs, reps: int, pool: bool = False,
-               tests: int | None = None) -> LawCheck:
-    """`_bonferroni` over cells, each a count of hits in `reps` replicates
-    against its exact binomial law, p = 2 min(P[X <= hits], P[X >= hits]),
-    so the false-alarm rate holds at every count.  With pool, the cells of a
-    partition expected fewer than 20 times merge into one.  z is the normal
-    approximation (hits / reps - prob) / se, inf on a missed sure cell."""
-    hits, probs = np.asarray(hits), np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
-    if pool and (rare := reps * probs < 20.0).any():
-        hits = np.append(hits[~rare], hits[rare].sum())
-        probs = np.append(probs[~rare], probs[rare].sum())
-    se = np.sqrt(probs * (1.0 - probs) / reps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0.0, (hits / reps - probs) / se,
-                     np.where(hits == probs * reps, 0.0, np.inf))
-    return _bonferroni(law, z, 2.0 * np.minimum(bdtr(hits, reps, probs),
-                                                bdtrc(hits - 1, reps, probs)), tests)
+def closed_edge_count_pmf(law: RenewalLaw, n: int) -> np.ndarray:
+    """P[K = k], k = 0..n, K the number of renewal points from 0 to n-1 of
+    `law` conditioned to hit n-1: P[K = j+1] = w^{*j}(n-1) / C(n-1), j jumps
+    of w landing on n-1.  Under avoiding-1-only, K is the closed-edge count."""
+    pmf, power = np.zeros(n + 1), np.eye(1, n)[0]  # power = w^{*0}, a unit mass at 0
+    for j in range(1, n):
+        power = np.convolve(power, law.w)[:n]
+        pmf[j + 1] = power[n - 1] / law.C[n - 1]
+    return pmf
 
 
 def _laws(ens: SoupEnsemble, model: CircleModel, through1_grid):
@@ -709,12 +684,8 @@ def _laws(ens: SoupEnsemble, model: CircleModel, through1_grid):
         jumps = np.bincount(ens.closed_edges[starts + 1], minlength=n)
         yield cell_check("first jump", np.cumsum(jumps[1:n - 1]),
                          np.cumsum(law.conditioned_jump_pmf(0, n - 1))[:-1], reps)
-        pmf, power = np.zeros(n + 1), np.eye(1, n)[0]  # power = w^{*0}, a unit mass at 0
-        for j in range(1, n):
-            power = np.convolve(power, law.w)[:n]
-            pmf[j + 1] = power[n - 1] / law.C[-1]
         yield cell_check("closed-edge count", np.bincount(ens.closed_edge_count, minlength=n + 1),
-                         pmf, reps, pool=True)
+                         closed_edge_count_pmf(law, n), reps, pool=True)
 
 
 def exact_law_checks(ensemble: SoupEnsemble, model: CircleModel,

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Every tolerance is pinned
 here; seeds are fixed so the suite is deterministic.  Every Monte Carlo
-sample of an exact law is gated by the `oracles.LawCheck` verdicts of its
+sample of an exact law is gated by the `loopsoup.numerics.LawCheck` verdicts of its
 laws: a law fails when its Bonferroni-corrected exact p-value is below 1e-3,
 so on a correct program each law raises a false alarm at most 1e-3 of the
 time (the path-law battery at most 1e-3 in all).
@@ -269,12 +269,15 @@ def test_criterion_9_bridge_properties():
         law, n_approx, paths, (1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10_000, 30_000))
 
     scaling = run_cluster_scaling(default_cluster_scaling_config())
-    ok = ends_at_one and all(c.ok for c in checks.values()) and scaling["k_scaled_stable"]
-    _verdict(9, "bridge termination, exact path laws, cluster-count stability",
+    ok = ends_at_one and all(c.ok for c in checks.values()) and scaling["passed"]
+    _verdict(9, "bridge termination, exact path laws, cluster-scaling verdict",
              ok, f"all paths end at 1: {ends_at_one}, {_law_summary(checks)}, "
                  f"mid-point reversal KS = {ks:.4f} (report only), "
-                 f"k/n^(1-a) spread = {scaling['k_scaled_spread']:.3f} "
-                 f"(means {[round(r['k_scaled_mean'], 3) for r in scaling['per_n']]}), "
+                 f"count mean p {scaling['k_scaled_law_p']:.3g}, exact k/n^(1-a) spread = "
+                 f"{scaling['k_scaled_exact_spread']:.4f} (exact means "
+                 f"{[round(r['k_scaled_exact_mean'], 3) for r in scaling['per_n']]}), "
+                 f"through-1 extent p {scaling['through1_extent_law_p']:.3g}, exact gap "
+                 f"to the limit {scaling['through1_extent_exact_max_gap']:.5f}, "
                  f"{time.time() - t0:.0f}s")
     assert oracles.report_digest(scaling) == (
-        "bb26516f3ef9627ee1f88490bdf95c4ada0304a558604420ae4f430eb8d713e8")
+        "655e27c70d85bbf1c248429a68e5e3558686bca0fe727cbdf86e882d54d7a9d1")

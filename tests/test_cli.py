@@ -202,6 +202,23 @@ def test_memory_error_exits_with_one_line_message(capsys, monkeypatch, text):
     assert captured.err == f"loopsoup bridge: error: {text or 'MemoryError'}\n"
 
 
+def test_bridge_failed_law_keeps_existing_output(tmp_path, capsys, monkeypatch):
+    """A `bridge` call whose renewal law cannot be built leaves the bytes of an
+    existing output file alone."""
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+    monkeypatch.setattr(RenewalLaw, "build", staticmethod(exhausted))
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"0,0.5,1\r\n")
+    code = main(["bridge", "--kappa", "1", "--alpha", "0.5", "--resolution", "3000000000",
+                 "--paths", "1", "--out", str(existing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Unable to allocate" in captured.err
+    assert existing.read_bytes() == b"0,0.5,1\r\n"
+
+
 @pytest.mark.parametrize("c", ["1e-300", "1e-20"])
 def test_sample_runs_as_the_killing_vanishes(capsys, c):
     """kappa = 2c stays positive at p = 1/2 however small c is."""

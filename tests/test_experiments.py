@@ -1,6 +1,9 @@
+import ast
+import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from loopsoup.experiments import (
     default_single_partition_config,
     ensemble_records,
     replicate_lines,
+    run_cluster_scaling,
     run_edge_probability_audit,
     sample_limit_extents,
     symmetric_schedule,
@@ -165,6 +169,25 @@ def test_report_schema_round_trips_through_json():
     again = json.loads(json.dumps(report))
     assert again["passed"] == report["passed"]
     assert ExperimentConfig.from_dict(again["config"]) == cfg
+
+
+def test_cluster_scaling_passes_at_the_benchmark_sizes():
+    """At the benchmark's sizes (the default schedule, 50 and 100 replicates,
+    50 bridge paths) the runner's exact-law verdicts hold on seeds 1-5 and its
+    exact distances to the limit are within the default thresholds whatever
+    the seed, so it passes; its report keeps every key that the benchmark's
+    cluster-scaling workload records as notes."""
+    workloads = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+    workload = next(node for node in workloads.body
+                    if isinstance(node, ast.ClassDef) and node.name == "ClusterScaling")
+    keys = next(ast.literal_eval(node.value) for node in ast.walk(workload)
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "keys")
+    for seed in range(1, 6):
+        cfg = dataclasses.replace(default_cluster_scaling_config(), replicates=50,
+                                  comparison_replicates=100, bridge_paths=50, seed=seed)
+        report = run_cluster_scaling(cfg)
+        assert report["passed"], (seed, {k: v for k, v in report.items() if k != "config"})
+        assert set(keys) <= set(report)
 
 
 def test_ensemble_records_fields():

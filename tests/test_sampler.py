@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from loopsoup.analytics import mass_inside, mass_liftable, mass_liftable_inside
 from loopsoup.circle import Loop, build_model
+from loopsoup.numerics import cell_check, z_check
 from loopsoup.sampler import (
     CONDITIONS, SoupSample, _soup_tables, conditional_experiment, extract_clusters, philox_rng,
     sample_soup,
@@ -275,7 +276,7 @@ def test_object_sampler_winding_sign_law():
     once = [loop.winding for _ in range(4000) for loop in sample_soup(model, rng).loops
             if abs(loop.winding) == 1]
     rho = (model.p / (1.0 - model.p)) ** model.n
-    check = oracles.cell_check("winding sign", [once.count(1)], [rho / (1.0 + rho)], len(once))
+    check = cell_check("winding sign", [once.count(1)], [rho / (1.0 + rho)], len(once))
     assert check.ok, check
 
 
@@ -313,7 +314,7 @@ def test_type_counts_independent():
     Poisson restrictions): corr sqrt(R) is about standard normal."""
     obj, _ = _model_draws()
     corr = np.corrcoef(obj.avoiding_count, _liftable(obj))[0, 1]
-    assert oracles.z_check("type counts", corr * math.sqrt(obj.replicates)).ok
+    assert z_check("type counts", corr * math.sqrt(obj.replicates)).ok
 
 
 @pytest.mark.parametrize("columns", [

@@ -9,6 +9,7 @@ from scipy.fft import next_fast_len
 
 from oracles import (
     QuadratureSpec,
+    closed_edge_count_pmf,
     cluster_extent_limit_density_unnormalized,
     conditioned_draw,
     conditioned_path_checks,
@@ -17,6 +18,7 @@ from oracles import (
     renewal_jumps_by_recursion,
     sample_renewal_overshoot,
 )
+from loopsoup.experiments import asymmetric_schedule, symmetric_schedule
 from loopsoup.numerics import chi_square_pvalue
 from loopsoup.scaling import (
     ConditionedBridgeLaw,
@@ -29,6 +31,7 @@ from loopsoup.scaling import (
     halfline_gap_pgf,
     hitting_coefficients,
     invert_renewal,
+    point_count_moments,
     sample_conditioned_renewal,
     sample_conditioned_renewals,
 )
@@ -110,6 +113,22 @@ def test_invert_renewal_rejects_bad_sequence():
     # w(2) = C(2) - C(1)^2 = 0.1 - 0.81 < 0: not a renewal sequence
     with pytest.raises(ValueError):
         invert_renewal(np.array([1.0, 0.9, 0.1]))
+
+
+@pytest.mark.parametrize("schedule", [symmetric_schedule(1.0, range(3, 51)),
+                                      asymmetric_schedule(1.0, 0.25, range(3, 51))],
+                         ids=["symmetric", "drifted"])
+def test_point_count_moments_match_the_count_pmf(schedule):
+    """At every n <= 50 of the cluster-scaling runner's two schedules, the
+    closed-form mean and variance of the point count equal those of the
+    exact-law battery's closed-edge count pmf, to relative 1e-12."""
+    for entry in schedule:
+        model = entry.model(0.5)
+        pmf = closed_edge_count_pmf(RenewalLaw.build(0.5, model.r, entry.n - 1), entry.n)
+        k = np.arange(entry.n + 1)
+        mean = pmf @ k
+        got = point_count_moments(0.5, model.r, entry.n - 1)
+        assert got == pytest.approx((mean, pmf @ k ** 2 - mean ** 2), rel=1e-12, abs=0), entry
 
 
 def test_generating_function_cross_check():
