@@ -21,6 +21,7 @@ from .numerics import (
     log_cosh_diff,
     log_sinh,
     log_sinh_ratio,
+    require_alpha,
     require_finite,
 )
 
@@ -247,6 +248,7 @@ def prob_no_winding_or_covering(model: CircleModel) -> float:
 def prob_no_winding_or_covering_limit(kappa: float, epsilon: float, alpha: float) -> float:
     """Scaling limit ((cosh sqrt(k) - cosh sqrt(k-2e)) / cosh sqrt(k))^alpha."""
     require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
+    require_alpha(alpha)
     _require_limit_domain(kappa, epsilon)
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
@@ -282,6 +284,7 @@ def covered_extent_cdf(model: CircleModel, m, M):
 def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> float:
     """Limit law of the scaled swept interval: P[A <= a, B <= b]."""
     require_finite(kappa=kappa, alpha=alpha, a=a, b=b)
+    require_alpha(alpha)
     if not kappa > 0.0:
         raise ValueError("limit formulas require kappa > 0")
     if not (a >= 0 and b >= 0):
@@ -311,11 +314,13 @@ def _exp_or_inf(log_val: float) -> float:
 
 
 def covered_extent_limit_density(kappa: float, alpha: float, a: float, b: float) -> float:
-    """Joint density of the scaled swept-interval extents (A, B)."""
+    """Joint density of the scaled swept-interval extents (A, B); 0 at
+    alpha = 0, where the soup is empty and (A, B) = (0, 0)."""
     require_finite(kappa=kappa, alpha=alpha, a=a, b=b)
+    require_alpha(alpha)
     if not kappa > 0.0:
         raise ValueError("limit formulas require kappa > 0")
-    if a <= 0.0 or b <= 0.0:
+    if a <= 0.0 or b <= 0.0 or alpha == 0.0:
         return 0.0
     s = math.sqrt(kappa)
     log_val = (math.log(kappa * alpha * (alpha + 1.0))
@@ -330,7 +335,10 @@ def through1_extent_cdf(model: CircleModel, m: int, M: int) -> float:
 
     Extents are graph distances from vertex 1 to the ends of its cluster,
     which under the conditioning is formed by the loops through vertex 1.
-    Requires m + M <= n - 2.
+    At least 2 clusters means at least 2 closed edges, so the extents sum to
+    at most n - 2, and m + M <= n - 2 is required.  The one-closed-edge soups,
+    whose cluster of n vertices has extents summing to n - 1, are not in the
+    event.
     """
     if m < 0 or M < 0 or m + M > model.n - 2:
         raise ValueError("need m, M >= 0 and m + M <= n - 2")
@@ -349,7 +357,8 @@ def through1_extent_cdf_limit(kappa: float, epsilon: float, alpha: float,
 
 
 def prob_split_given_no_avoiding(model: CircleModel) -> float:
-    """P[>= 2 clusters | no loop avoids vertex 1].
+    """P[>= 2 clusters | no loop avoids vertex 1], that is at least 2 closed
+    edges: a single closed edge leaves one cluster.
 
     The sum over the anti-diagonal m + M = n - 2 of F(m, M) - F(m - 1, M),
     F = covered_extent_cdf taken elementwise and F(-1, M) = 0.

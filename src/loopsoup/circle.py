@@ -16,6 +16,8 @@ from enum import Enum
 
 import numpy as np
 
+from .numerics import require_alpha
+
 
 class InvalidLoopError(ValueError):
     """A vertex sequence that is not a nearest-neighbour cycle on the graph."""
@@ -103,7 +105,8 @@ def build_model(n: int, p: float, c: float, alpha: float) -> CircleModel:
 
     n >= 3 is required (the circulant determinant identity needs it); c = 0
     is accepted and yields kappa = r = 0, where the total loop mass on the
-    circle is infinite and only limit formulas remain meaningful.
+    circle is infinite and only limit formulas remain meaningful.  A (p, c)
+    whose kappa = (c + d^2)/s passes the float range is rejected.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -111,9 +114,10 @@ def build_model(n: int, p: float, c: float, alpha: float) -> CircleModel:
         raise ValueError("p must lie strictly inside (0, 1)")
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"c must be finite and nonnegative, got {c}")
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    require_alpha(alpha)
     kappa, r = derived_killing(p, c)
+    if math.isinf(kappa):
+        raise ValueError(f"kappa overflows at c = {c}, p = {p}")
     return CircleModel(n=n, p=p, c=c, alpha=alpha, kappa=kappa, r=r)
 
 

@@ -26,6 +26,12 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_alpha(alpha: float) -> None:
+    """ValueError unless the soup intensity alpha is finite and nonnegative."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+
+
 def log_gamma(x):
     """log |Gamma(x)| for x > 0."""
     x = np.asarray(x, dtype=float)

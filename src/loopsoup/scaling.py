@@ -31,14 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import log_gamma, log_sinh, polylog, require_finite, riemann_zeta
+from .numerics import (
+    log_gamma, log_sinh, polylog, require_alpha, require_finite, riemann_zeta,
+)
 
 
 def _hitting_coefficient(alpha: float, r: float, m, out=None):
     """C(m) for m >= 0, a float for scalar m and elementwise over an array;
     `out` may be m itself, so a table of N+1 values is one array."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    require_alpha(alpha)
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and nonnegative, got {r}")
     # an array even for scalar m: numpy's scalar math rounds some powers differently
@@ -460,6 +461,8 @@ def bridge_crossing_joint_density(kappa: float, alpha: float, a: float, b: float
     Supported on the chain 0 < a < x < 1-y < 1-b < 1; zero elsewhere.
     """
     require_finite(kappa=kappa, alpha=alpha, a=a, b=b, x=x, y=y)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     if not (0.0 < a and 0.0 < b and a + b < 1.0):
         raise ValueError("need a, b > 0 with a + b < 1")
     if not (a < x < 1.0 - y < 1.0 - b):
@@ -486,6 +489,7 @@ def halfline_gap_pgf(alpha: float, s: float) -> float:
 
     Equals 1 - s / Li_alpha(s) for 0 < s < 1.
     """
+    require_alpha(alpha)
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     return 1.0 - s / polylog(alpha, s)

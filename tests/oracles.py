@@ -6,9 +6,10 @@ no determinants), extended beyond the cutoff by trace power series of the
 one-step matrix.  The tail beyond the final cutoff K is geometrically bounded
 by  size * rho^(K+1) / ((K+1)(1-rho))  with rho = 1/(1+c) an upper bound on
 the spectral radius, so K is chosen to push it below 1e-12.  The mass
-battery `mass_checks` runs every closed-form mass against these oracles.
+battery `mass_checks` runs every closed-form mass against these oracles, and
+the limit battery `limit_checks` every limit law against its finite-n law.
 
-The module also keeps the limit laws and the renewal overshoot sampler that
+The module also keeps the limit laws and the unnormalized extent density that
 serve only as references in the tests, the dense-determinant masses and
 nested-quadrature cell table that the closed forms replaced, the scalar
 anti-diagonal loop that the vectorized split probability replaced, and the
@@ -32,27 +33,33 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
 from scipy.special import chdtrc
 
 from loopsoup.analytics import (
-    cluster_extent_limit_density, covered_extent_cdf, mass_avoiding_edges, mass_inside,
-    mass_liftable, mass_through_vertex1, mass_winding_or_covering, prob_no_winding_or_covering,
-    through1_extent_cdf,
+    cluster_extent_limit_density, covered_extent_cdf, covered_extent_cdf_limit,
+    mass_avoiding_edges, mass_inside, mass_liftable, mass_through_vertex1,
+    mass_winding_or_covering, prob_no_winding_or_covering, prob_no_winding_or_covering_limit,
+    prob_split_given_no_avoiding, prob_split_given_no_avoiding_limit, through1_extent_cdf,
+    through1_extent_cdf_limit,
 )
 from loopsoup.circle import CircleModel, Loop, LoopType, build_model, classify_loop
+from loopsoup.experiments import asymmetric_schedule
 from loopsoup.numerics import (
     LawCheck, _bonferroni, cell_check, chi_square_pvalue, log_cosh, log_sinh, z_check,
 )
 from loopsoup.sampler import (
     CONDITIONS, SoupEnsemble, SoupSample, extract_clusters, philox_rng, sample_soup,
 )
-from loopsoup.scaling import RenewalLaw, sample_conditioned_renewals
+from loopsoup.scaling import (
+    RenewalLaw, SubordinatorLaw, hitting_coefficients, sample_conditioned_renewals,
+)
 
 
 class QuadratureError(RuntimeError):
@@ -477,7 +484,7 @@ def renewal_jumps_by_recursion(C: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# limit laws and renewal overshoots used only as references in the tests
+# limit laws used only as references in the tests
 # ---------------------------------------------------------------------------
 
 def prob_split_given_no_cover_limit(kappa: float, alpha: float) -> float:
@@ -538,23 +545,97 @@ def simplex_cell_probs_nested(kappa: float, alpha: float, bins: int) -> np.ndarr
     return probs
 
 
-def sample_renewal_overshoot(law: RenewalLaw, level: int, n_paths: int, rng) -> np.ndarray:
-    """First renewal points strictly above `level` for unconditioned paths.
+# ---------------------------------------------------------------------------
+# the limit battery
+# ---------------------------------------------------------------------------
 
-    Vectorized over paths; jumps are drawn by inverse cdf of w.  Requires a
-    non-defective w (r > 0).
-    """
-    rng = np.random.default_rng(rng)
-    cum = np.cumsum(law.w)
-    if cum[-1] < 1.0 - 1e-4:
-        raise ValueError("defective jump law: overshoot may never happen")
-    pos = np.zeros(n_paths, dtype=np.int64)
-    active = np.arange(n_paths)
-    while active.size:
-        jumps = np.searchsorted(cum, rng.random(active.size) * cum[-1], side="left")
-        pos[active] += jumps
-        active = active[pos[active] <= level]
-    return pos
+# one limit law, computed by the library's `law`: `gap(n)` is its finite-n
+# closed form minus the limit on the row's cells; see `limit_checks`
+LimitRow = namedtuple("LimitRow", "name law gap ladder order residual folds")
+LimitCheck = namedtuple("LimitCheck", "law slope residual ok failed")
+LADDER, ORDER_MARGIN = (400, 800, 1600, 3200, 6400), 0.1
+
+
+def _cells(finite, limit, cells):
+    """gap(n) = finite(n, *cell) - limit(*cell), one entry per cell."""
+    return lambda n: np.array([finite(n, *cell) - limit(*cell) for cell in cells])
+
+
+def _model(n: int, epsilon: float, alpha: float) -> CircleModel:
+    """The runners' model at n for kappa = 1 (eps = 1/2 is the symmetric one)."""
+    return asymmetric_schedule(1.0, epsilon, [n])[0].model(alpha)
+
+
+def overshoot_gaps(alpha: float, n: int) -> np.ndarray:
+    """X, the first point above L = n/2 of the renewal set from 0 of
+    RenewalLaw.build(alpha, 1/n, 6n), scaled by 1/n, against the first
+    passage over 1/2 of `SubordinatorLaw(1, alpha)`, whose law has no atom:
+    [KS distance, atom P[X = L+1], cdf gaps at x = 0.6, 0.75, 1, 1.5, 2.5].
+    They fall as n^-min(alpha, 1-alpha), n^-alpha and n^-(1-alpha) in turn.
+    P[X > y] = sum_{i <= L} C(i) P[jump > y - i] is one FFT convolution.  The
+    KS distance takes every lattice point up to 6n from both sides, and the
+    two laws' tails at 6n, which bound it beyond."""
+    law = RenewalLaw.build(alpha, 1.0 / n, 6 * n)
+    level, size = n // 2, next_fast_len(7 * n, real=True)
+    tail = np.fft.irfft(np.fft.rfft(law.C[:level + 1], size)
+                        * np.fft.rfft(1.0 - np.cumsum(law.w), size), size)
+    cdf = 1.0 - tail[level + 1:6 * n + 1]
+    limit = SubordinatorLaw(1.0, alpha).hitting_cdf_grid(0.5, np.arange(level + 1, 6 * n + 1) / n)
+    ks = max(np.max(np.abs(cdf - limit)), np.max(np.abs(np.append(0.0, cdf[:-1]) - limit)),
+             1.0 - cdf[-1], 1.0 - limit[-1])
+    at = (np.array([0.6, 0.75, 1.0, 1.5, 2.5]) * n).astype(int) - level - 1
+    return np.concatenate(([ks, cdf[0]], cdf[at] - limit[at]))
+
+
+LIMIT_BATTERY = [
+    LimitRow("no winding", prob_no_winding_or_covering_limit, _cells(
+        lambda n, eps: prob_no_winding_or_covering(_model(n, eps, 0.5)),
+        lambda eps: prob_no_winding_or_covering_limit(1.0, eps, 0.5), [(0.5,), (0.25,)]),
+        LADDER, 2.0, 2e-13, [(10_000, 1e-6)]),
+    LimitRow("split", prob_split_given_no_avoiding_limit, _cells(
+        lambda n, alpha: prob_split_given_no_avoiding(_model(n, 0.5, alpha)),
+        lambda alpha: prob_split_given_no_avoiding_limit(1.0, 0.5, alpha),
+        [(0.3,), (0.5,), (0.8,)]), LADDER, 1.0, 6e-9, [(1600, 2e-3)]),
+    # here and below, the extents at the runners' lattice points (floor(an), floor(bn))
+    LimitRow("through-1 extent", through1_extent_cdf_limit, _cells(
+        lambda n, a, b: through1_extent_cdf(_model(n, 0.4, 0.5), int(a * n), int(b * n)),
+        lambda a, b: through1_extent_cdf_limit(1.0, 0.4, 0.5, a, b), [(0.3, 0.4), (0.4, 0.4)]),
+        LADDER, 1.0, 6e-8, [(n, 0.6 / n) for n in (200, 400, 2000)]),
+    LimitRow("covered extent", covered_extent_cdf_limit, _cells(
+        lambda n, alpha, a, b: covered_extent_cdf(_model(n, 0.4, alpha), int(a * n), int(b * n)),
+        lambda alpha, a, b: covered_extent_cdf_limit(1.0, alpha, a, b),
+        [(alpha, *ab) for alpha in (0.3, 0.5, 0.8)
+         for ab in ((0.1, 0.1), (0.3, 0.4), (0.2, 0.5), (0.7, 0.9))]), LADDER, 1.0, 6e-7, []),
+    LimitRow("potential density", SubordinatorLaw.potential_density, _cells(
+        lambda n, alpha, t: n**alpha * hitting_coefficients(alpha, 1.0 / n, n)[int(t * n)],
+        lambda alpha, t: SubordinatorLaw(1.0, alpha).potential_density(t),
+        list(product((0.3, 0.5, 0.8), (0.1, 0.25, 0.5, 0.9)))), LADDER, 1.0, 5e-5, []),
+    LimitRow("overshoot, alpha = 0.5", SubordinatorLaw.hitting_cdf_grid,
+             partial(overshoot_gaps, 0.5), (100, 1000, 10_000), 0.5, 5e-4, [(10_000, 0.02)]),
+    LimitRow("overshoot, alpha = 0.3", SubordinatorLaw.hitting_cdf_grid,
+             lambda n: overshoot_gaps(0.3, n)[:2], (100, 1000, 10_000), 0.3, 4e-4, []),
+]
+
+
+def limit_checks(row: LimitRow) -> LimitCheck:
+    """The row's gaps on its ladder, checked at every cell: "order", the slope
+    log(gap(n') / gap(n)) / log(q) between the top two rungs n' < n = q n'
+    within ORDER_MARGIN of the order p; "Richardson", the one-step
+    extrapolation's residual (q^p gap(n) - gap(n')) / (q^p - 1) below the
+    row's bound; "decreasing", |gap| falling at every rung; and at each
+    (n, bound) of the folds, |gap(n)| < bound.  The slope reported is the one
+    farthest from p, the residual the largest."""
+    gaps = np.array([row.gap(n) for n in row.ladder])
+    q = row.ladder[-1] / row.ladder[-2]
+    slopes = np.log(np.abs(gaps[-2] / gaps[-1])) / math.log(q)
+    slope = float(slopes[np.argmax(np.abs(slopes - row.order))])
+    residual = float(np.max(np.abs(q**row.order * gaps[-1] - gaps[-2]) / (q**row.order - 1.0)))
+    failed = [check for check, ok in [
+        ("order", abs(slope - row.order) < ORDER_MARGIN), ("Richardson", residual < row.residual),
+        ("decreasing", np.all(np.abs(gaps[1:]) < np.abs(gaps[:-1]))),
+        *((f"gap at n = {n}", np.max(np.abs(row.gap(n))) < bound) for n, bound in row.folds)]
+        if not ok]
+    return LimitCheck(row.name, slope, residual, not failed, failed)
 
 
 def report_digest(report: dict) -> str:

@@ -228,14 +228,17 @@ def test_criterion_8_limit_theorem():
                        0.0, 1.0, QuadratureSpec(tol=1e-10), points=[0.0, 1.0])
     density_ok = abs(val - 1.0) < 1e-6
     escape_ok = abs(escape_probability(2.0) - 6.0 / math.pi ** 2) < 1e-10
-    ok = gap_ok and chi_ok and density_ok and escape_ok
-    _verdict(8, "limit-theorem convergence at n=200 (alpha=0.5, kappa=1, eps=0.5)",
+    limits = [oracles.limit_checks(row) for row in oracles.LIMIT_BATTERY]
+    ok = gap_ok and chi_ok and density_ok and escape_ok and all(c.ok for c in limits)
+    _verdict(8, "limit-theorem convergence at n=200 (alpha=0.5, kappa=1, eps=0.5) "
+                "and the limit battery",
              ok, f"split gap {final['gap']:.4f} (< 0.02 + 3se = "
                  f"{0.02 + 3 * final['se']:.4f}), extent chi2 p = "
                  f"{report['extent_chi2_p']:.4f}, density integral gap "
                  f"{abs(val - 1.0):.1e}, escape gap "
                  f"{abs(escape_probability(2.0) - 6 / math.pi ** 2):.1e}, "
-                 f"{time.time() - t0:.0f}s")
+                 + "".join(f"{c.law}: slope {c.slope:.4f}, residual {c.residual:.1e}; "
+                           for c in limits) + f"{time.time() - t0:.0f}s")
     assert oracles.report_digest(report) == (
         "96dfbb51c7a7b4f07d06ee20596fbb12a0d6561783e724a9f0b59a33ddcc29e4")
 

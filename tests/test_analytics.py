@@ -1,3 +1,4 @@
+import inspect
 import math
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from loopsoup import analytics
 from loopsoup.analytics import (
     DetSpec,
     _circle_mass,
@@ -67,7 +69,7 @@ def test_circulant_known_values():
 
 
 # ---------------------------------------------------------------------------
-# masses vs the enumeration + trace-series oracle
+# masses vs their oracles, limit laws vs their finite-n closed forms
 # ---------------------------------------------------------------------------
 
 MODEL = build_model(4, 0.5, 0.5, 1.0)
@@ -109,6 +111,32 @@ def test_mass_laws(params, max_len, law):
     checks = _mass_checks(params, max_len)
     assert sorted(checks) == sorted(MASS_LAWS + (ENUMERATED_MASS_LAWS if max_len else ()))
     assert checks[law].ok, checks[law]
+
+
+# the limit laws of `analytics` that no `oracles.LIMIT_BATTERY` row runs yet,
+# each with the ROADMAP item whose finite-n law would give it a row
+LIMIT_WAITING = {
+    "prob_not_single_partition_limit": "ROADMAP item 5 (the unconditioned split law)",
+}
+
+
+@pytest.mark.parametrize("row", oracles.LIMIT_BATTERY, ids=lambda row: row.name)
+def test_limit_laws(row):
+    """One limit law against its finite-n closed form on a ladder of n, by
+    its order and Richardson residual (`oracles.limit_checks`)."""
+    check = oracles.limit_checks(row)
+    assert check.ok, check
+
+
+def test_every_limit_law_has_a_battery_row():
+    """Each `analytics.*_limit` function is the law of a battery row or waits
+    for the ROADMAP item named in `LIMIT_WAITING`, so a new limit law cannot
+    land untested, and a waiting one leaves the list once it has a row."""
+    laws = {name for name in dir(analytics) if name.endswith("_limit")
+            and inspect.isfunction(getattr(analytics, name))}
+    covered = {row.law.__name__ for row in oracles.LIMIT_BATTERY}
+    assert sorted(laws - covered) == sorted(LIMIT_WAITING)
+    assert not covered & set(LIMIT_WAITING)
 
 
 def test_mass_inside_trivial_cases():
@@ -214,23 +242,6 @@ def test_prob_no_winding_limit_edge_cases():
     assert val == pytest.approx(((math.cosh(s) - 1.0) / math.cosh(s)) ** alpha, rel=1e-12)
     with pytest.raises(ValueError):
         prob_no_winding_or_covering_limit(kappa, 0.8 * kappa, alpha)
-
-
-@pytest.mark.parametrize("schedule", ["symmetric", "asymmetric"])
-def test_prob_no_winding_finite_n_converges(schedule):
-    kappa, alpha = 1.0, 0.5
-    epsilon = kappa / 2.0 if schedule == "symmetric" else 0.25
-    limit = prob_no_winding_or_covering_limit(kappa, epsilon, alpha)
-    gaps = []
-    for n in (100, 1000, 10_000):
-        if schedule == "symmetric":
-            p, c = 0.5, kappa / (2.0 * n * n)
-        else:
-            p, c = 0.5 - math.sqrt(kappa - 2 * epsilon) / (2.0 * n), epsilon / (n * n)
-        model = build_model(n, p, c, alpha)
-        gaps.append(abs(prob_no_winding_or_covering(model) - limit))
-    assert gaps[2] < gaps[0]
-    assert gaps[2] < 1e-6
 
 
 def test_mass_liftable_keeps_its_digits_at_large_r():
@@ -414,19 +425,6 @@ def test_through1_extent_cdf_zero_extents():
     assert through1_extent_cdf(model, 0, 0) == pytest.approx(expect, rel=1e-12)
 
 
-def test_through1_extent_limit_consistency():
-    """The finite-n cdf at the runners' extents (floor(an), floor(bn)) is
-    within 0.6/n of the limit at every n (the gap is about 0.48/n)."""
-    kappa, epsilon, alpha = 1.0, 0.4, 0.5
-    a, b = 0.3, 0.4
-    limit = through1_extent_cdf_limit(kappa, epsilon, alpha, a, b)
-    for n in (200, 400, 2000):
-        p = 0.5 - math.sqrt(kappa - 2 * epsilon) / (2.0 * n)
-        model = build_model(n, p, epsilon / (n * n), alpha)
-        finite = through1_extent_cdf(model, math.floor(a * n), math.floor(b * n))
-        assert abs(finite - limit) < 0.6 / n, n
-
-
 def test_covered_extent_limit_density_integrates_to_cdf():
     kappa, alpha = 1.0, 0.5
 
@@ -465,17 +463,6 @@ def test_prob_split_given_no_avoiding_matches_scalar_loop(n, p, c, alpha):
     model = build_model(n, p, c, alpha)
     assert prob_split_given_no_avoiding(model) == pytest.approx(
         oracles.prob_split_given_no_avoiding_loop(model), rel=1e-13, abs=1e-15)
-
-
-def test_prob_split_given_no_avoiding_converges_to_limit():
-    kappa, epsilon, alpha = 1.0, 0.5, 0.5
-    limit = prob_split_given_no_avoiding_limit(kappa, epsilon, alpha)
-    vals = []
-    for n in (100, 400, 1600):
-        model = build_model(n, 0.5, kappa / (2.0 * n * n), alpha)
-        vals.append(prob_split_given_no_avoiding(model))
-    assert abs(vals[-1] - limit) < 2e-3
-    assert abs(vals[-1] - limit) < abs(vals[0] - limit)
 
 
 def test_prob_split_limit_equals_extent_density_integral():
@@ -639,15 +626,25 @@ _LIMIT_LAWS = {
 }
 
 
+# an alpha outside each law's domain: -1, or where a law once failed with
+# "math domain error"
+_ALPHA_OUTSIDE = {"bridge_crossing_joint_density": 1.5, "covered_extent_limit_density": -0.5}
+
+
 @pytest.mark.parametrize("law, param", [(law, param) for law, (_, args) in _LIMIT_LAWS.items()
                                         for param in args])
 def test_limit_laws_reject_non_finite_parameters(law, param):
-    """A NaN or infinite argument raises ValueError instead of yielding NaN."""
+    """A NaN or infinite argument raises ValueError instead of yielding NaN,
+    and so does an alpha outside the law's domain, naming alpha (any alpha
+    is in polylog's)."""
     fn, args = _LIMIT_LAWS[law]
     assert math.isfinite(fn(**args))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             fn(**{**args, param: bad})
+    if param == "alpha" and law != "polylog":
+        with pytest.raises(ValueError, match="alpha"):
+            fn(**{**args, "alpha": _ALPHA_OUTSIDE.get(law, -1.0)})
 
 
 @pytest.mark.parametrize("n, p, c", [(8, 0.5, 0.3), (30, 0.7, 0.2), (9, 0.4, 0.0),

@@ -365,6 +365,12 @@ def test_experiment_subcommand(tmp_path, capsys):
       "--alpha", "inf"), "alpha must be finite"),
     (("sample", "--n", "8", "--p", "0.5", "--c", "0.4", "--alpha", "nan",
       "--replicates", "4"), "alpha must be finite"),
+    (("analytic", "--formula", "prob-no-winding-or-covering", "--n", "8", "--p", "0.5",
+      "--c", "1e308", "--alpha", "1.0"), "kappa overflows at c = 1e+308, p = 0.5"),
+    (("analytic", "--formula", "mass-total", "--n", "8", "--p", "1e-300", "--c", "1e200",
+      "--alpha", "1.0"), "kappa overflows at c = 1e+200, p = 1e-300"),
+    (("sample", "--n", "8", "--p", "0.5", "--c", "1e308", "--alpha", "1.0",
+      "--replicates", "4"), "kappa overflows at c = 1e+308, p = 0.5"),
     (("experiment", "--config", "{tmp}/cluster-scaling.json", "--seed", str(2 ** 64 - 3)),
      f"seed must lie in [0, 2^64 - 3) for cluster-scaling, got {2 ** 64 - 3}"),
     (("experiment", "--config", "{tmp}/cluster-scaling-top-seed.json"),

@@ -14,9 +14,7 @@ from oracles import (
     conditioned_draw,
     conditioned_path_checks,
     integrate,
-    ks_distance,
     renewal_jumps_by_recursion,
-    sample_renewal_overshoot,
 )
 from loopsoup.experiments import asymmetric_schedule, symmetric_schedule
 from loopsoup.numerics import chi_square_pvalue
@@ -413,7 +411,7 @@ def test_hitting_density_closed_form_equals_integral_form():
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("a", [0.01, 0.5])
 def test_hitting_cdf_grid_matches_density_tail(kappa, alpha, a):
-    """The incomplete-beta hitting cdf on the overshoot tests' grid is 1 minus
+    """The incomplete-beta hitting cdf on a 0.002 mesh from a to a + 6 is 1 minus
     the quadrature of the density's tail, at x - a = 0.01, 0.3 and 3.  The
     tail avoids the (x - a)^(alpha - 1) pole: at alpha = 0.1, 2.5% of the
     mass lies within 1e-16 a of a, out of reach of quadrature from a.  A
@@ -438,60 +436,6 @@ def test_hitting_cdf_grid_domain(kappa):
     for a in (0.0, -0.5):
         with pytest.raises(ValueError, match="level must be positive"):
             law.hitting_cdf_grid(a, np.array([0.3, 0.5]))
-
-
-def test_overshoot_of_discrete_renewal_converges_to_hitting_law():
-    """Renewal overshoot position over level a*n, scaled by 1/n, approaches the
-    subordinator hitting density (KS below 0.02 at n = 10^4)."""
-    kappa, alpha, a = 1.0, 0.5, 0.5
-    n = 10_000
-    # horizon 6n truncates under 1e-5 of the jump mass (tail ~ e^{-2 r m})
-    law = RenewalLaw.build(alpha, math.sqrt(kappa) / n, 6 * n)
-    sub = SubordinatorLaw(kappa=kappa, alpha=alpha)
-    rng = np.random.default_rng(11)
-    pos = sample_renewal_overshoot(law, int(a * n), 100_000, rng) / n
-
-    xs = np.linspace(a, a + 6.0, 3001)
-    cdf_grid = sub.hitting_cdf_grid(a, xs)
-
-    def cdf(x):
-        return float(np.interp(x, xs, cdf_grid, left=0.0, right=1.0))
-
-    assert ks_distance(pos, cdf) < 0.02
-
-
-def test_overshoot_ks_decreases_in_n():
-    """The scaled overshoot law approaches the hitting density as the lattice
-    refines: KS distance decreasing across three resolutions."""
-    kappa, alpha, a = 1.0, 0.5, 0.5
-    sub = SubordinatorLaw(kappa=kappa, alpha=alpha)
-    xs = np.linspace(a, a + 6.0, 3001)
-    grid = sub.hitting_cdf_grid(a, xs)
-
-    def cdf(x):
-        return float(np.interp(x, xs, grid, left=0.0, right=1.0))
-
-    rng = np.random.default_rng(19)
-    distances = []
-    for n in (100, 1000, 10_000):
-        law = RenewalLaw.build(alpha, math.sqrt(kappa) / n, 6 * n)
-        pos = sample_renewal_overshoot(law, int(a * n), 20_000, rng) / n
-        distances.append(ks_distance(pos, cdf))
-    assert distances[0] > distances[1] > distances[2]
-
-
-def test_no_atom_at_the_level():
-    """The scaled renewal overshoot lands exactly on the level with vanishing
-    frequency as n grows (no atom in the limit)."""
-    kappa, alpha, a = 1.0, 0.5, 0.5
-    freqs = []
-    rng = np.random.default_rng(3)
-    for n in (100, 1000):
-        law = RenewalLaw.build(alpha, math.sqrt(kappa) / n, 60 * n)
-        level = int(a * n)
-        pos = sample_renewal_overshoot(law, level, 4000, rng)
-        freqs.append(np.mean(pos == level + 1))
-    assert freqs[1] < freqs[0]
 
 
 # ---------------------------------------------------------------------------
