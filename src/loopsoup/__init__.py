@@ -34,6 +34,7 @@ from .analytics import (
     mass_liftable,
     mass_through_vertex1,
     mass_winding_or_covering,
+    origin_extent_pmf,
     prob_no_winding_or_covering,
     prob_no_winding_or_covering_limit,
     prob_not_single_partition_limit,

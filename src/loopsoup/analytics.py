@@ -24,6 +24,7 @@ from .numerics import (
     require_alpha,
     require_finite,
 )
+from .scaling import RenewalLaw, _next_fast_len
 
 
 @dataclass(frozen=True)
@@ -246,10 +247,12 @@ def prob_no_winding_or_covering(model: CircleModel) -> float:
 
 
 def prob_no_winding_or_covering_limit(kappa: float, epsilon: float, alpha: float) -> float:
-    """Scaling limit ((cosh sqrt(k) - cosh sqrt(k-2e)) / cosh sqrt(k))^alpha."""
+    """Scaling limit ((cosh sqrt(k) - cosh sqrt(k-2e)) / cosh sqrt(k))^alpha, 1 at alpha = 0."""
     require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
     require_alpha(alpha)
     _require_limit_domain(kappa, epsilon)
+    if alpha == 0.0:  # 0 * log 0 at epsilon = 0 would give nan
+        return 1.0
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
     return _clip_unit(math.exp(alpha * (log_cosh_diff(s, s2) - log_cosh(s))))
@@ -282,7 +285,7 @@ def covered_extent_cdf(model: CircleModel, m, M):
 
 
 def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> float:
-    """Limit law of the scaled swept interval: P[A <= a, B <= b]."""
+    """Limit law of the scaled swept interval: P[A <= a, B <= b]; 1 at alpha = 0."""
     require_finite(kappa=kappa, alpha=alpha, a=a, b=b)
     require_alpha(alpha)
     if not kappa > 0.0:
@@ -292,8 +295,8 @@ def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> 
     s = math.sqrt(kappa)
     # a * s can underflow to 0 for subnormal a; log_sinh(0) = -inf would then
     # give -inf - (-inf) = nan below, so treat it as the a = 0 boundary
-    if a * s == 0.0 or b * s == 0.0:
-        return 0.0
+    if alpha == 0.0 or a * s == 0.0 or b * s == 0.0:
+        return float(alpha == 0.0)
     log_val = (math.log(2.0) + log_cosh(s) - log_sinh(s)
                + log_sinh(a * s) + log_sinh(b * s) - log_sinh((a + b) * s))
     return _clip_unit(math.exp(alpha * log_val))
@@ -370,6 +373,38 @@ def prob_split_given_no_avoiding(model: CircleModel) -> float:
                       * float(np.sum(covered_extent_cdf(model, m, M) - lower)))
 
 
+def origin_extent_pmf(model: CircleModel) -> np.ndarray:
+    """P[origin_left = l, origin_right = x] over the unconditioned soups with
+    a closed edge, an n x n array; its total is P[a closed edge].
+
+    With N = n - 1, the avoiding-1 closed edges are the renewal path 0..N of
+    `RenewalLaw.build(alpha, r, N)`.  A winding or covering loop opens every
+    edge; else the closed edges are the path's points in [R, N - L], (L, R)
+    the liftable loops' extents.  F(R, x) = sum_{i<R} C(i) w(x-i), x >= R,
+    (F(0, x) = [x = 0]) weighs x as the first point at or after R, and by
+    reflection F(L, l) weighs N - l as the last at or before N - L, so with
+    q(L, R) the lift extents' pmf the law is
+        P[no winding or covering] C(N - l - x) (F^T q F)[l, x] / C(N)
+    for l + x <= N.  As sum_{i<x} C(i) w(x-i) = C(x), A F = S - S * w along
+    rows, S = C times A's row cumsums: an FFT convolution, whose bits, unlike
+    a BLAS product's, do not depend on the CPU.
+    """
+    N = model.n - 1
+    law = RenewalLaw.build(model.alpha, model.r, N)
+    size, k = _next_fast_len(2 * N + 1), np.arange(N + 1)
+    w = np.fft.rfft(law.w, size)
+
+    def times_F(A):
+        S = law.C * np.cumsum(A, axis=1)
+        return S - np.fft.irfft(np.fft.rfft(S, size, axis=1) * w, size, axis=1)[:, :N + 1]
+
+    q = np.diff(np.diff(covered_extent_cdf(model, k[:, None], k), axis=0, prepend=0.0),
+                axis=1, prepend=0.0)
+    rest = N - k[:, None] - k  # C[rest] wraps where rest < 0, and is zeroed there
+    pmf = law.C[rest] * (rest >= 0) * times_F(times_F(q).T).T
+    return pmf * (prob_no_winding_or_covering(model) / law.C[N])
+
+
 def prob_split_given_no_avoiding_limit(kappa: float, epsilon: float,
                                        alpha: float) -> float:
     """Scaling limit of P[>= 2 clusters | no loop avoids vertex 1].
@@ -382,16 +417,16 @@ def prob_split_given_no_avoiding_limit(kappa: float, epsilon: float,
         a B(a, a+2) ((1-e^(-(s+s2))) (1-e^(-(s-s2))))^a (2/(1+e^-s))^(2a)
         * 2F1(a, -1/2; a+3/2; tanh(s/2)^2),
     whose terms stay bounded: accurate to 1e-12 up to alpha = 100, beyond which
-    alpha is rejected.
+    alpha is rejected.  At alpha = 0 the soup is empty and the law is 1.
     """
     require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
     _require_limit_domain(kappa, epsilon)
-    if not 0.0 < alpha <= 100.0:
-        raise ValueError("alpha must lie in (0, 100]")
+    if not 0.0 <= alpha <= 100.0:
+        raise ValueError("alpha must lie in [0, 100]")
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
-    if s2 == s:  # epsilon is 0 to rounding, so is the no-winding factor
-        return 0.0
+    if alpha == 0.0 or s2 == s:  # else epsilon is 0 to rounding, so is the no-winding factor
+        return float(alpha == 0.0)
     from scipy.special import hyp2f1
 
     log_pref = (alpha * (math.log(-math.expm1(-(s + s2))) + math.log(-math.expm1(s2 - s))
@@ -407,14 +442,13 @@ def prob_not_single_partition_limit(kappa: float, epsilon: float, alpha: float) 
     """Limit of P[the soup leaves at least one closed edge].
 
     2^a sinh(sqrt(k)(1-a)) (cosh sqrt(k) - cosh sqrt(k-2e))^a / sinh sqrt(k)
-    for 0 < alpha < 1; identically 0 for alpha >= 1 (single cluster a.s.).
+    for 0 < alpha < 1; 1 at alpha = 0 (an empty soup) and 0 for alpha >= 1.
     """
     require_finite(kappa=kappa, epsilon=epsilon, alpha=alpha)
     _require_limit_domain(kappa, epsilon)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if alpha >= 1.0:
-        return 0.0
+    require_alpha(alpha)
+    if alpha == 0.0 or alpha >= 1.0:
+        return float(alpha == 0.0)
     s = math.sqrt(kappa)
     s2 = math.sqrt(kappa - 2.0 * epsilon)
     log_val = (alpha * math.log(2.0) + log_sinh(s * (1.0 - alpha))

@@ -22,7 +22,6 @@ from . import analytics
 from .circle import CircleModel, build_model, derived_killing
 from .numerics import (
     cell_check,
-    chi_square_pvalue,
     hausdorff,
     ks_distance_two_sample,
     require_finite,
@@ -57,12 +56,10 @@ def asymmetric_schedule(kappa: float, epsilon: float, ns) -> list[ScheduleEntry]
 
 DEFAULT_THRESHOLDS = {
     "z_max": 4.0,                # edge-audit z-score gate
-    "gap_allowance": 0.02,       # discretization allowance for limit gaps
-    "chi2_min_p": 1e-3,          # chi-square acceptance for histograms
+    "gap_allowance": 0.02,       # bound on the exact split probability's gap to its limit
     "stability": 0.10,           # relative spread bound on the exact scaled cluster-count means
     "jk_gap": 0.03,              # bound on the exact through-1 extent cdf's gap to its limit
     "drift_rel": 0.05,           # schedule-vs-target relative drift bound
-    "min_cell_prob": 0.005,      # simplex cells below this merge into the rest
 }
 
 
@@ -113,7 +110,6 @@ class ExperimentConfig:
     bridge_paths: int = 1000
     comparison_n: int | None = None       # schedule entry used for law comparisons
     comparison_replicates: int = 3000
-    histogram_replicates: int = 2000      # power-calibrated histogram subsample
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
     def validate(self, seed_offset: int = 0, targets: tuple[str, ...] = ()) -> None:
@@ -130,7 +126,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be set for {self.name}, got null")
         # bridge_paths >= 2: the Hausdorff reference compares two halves of the mixture
         for name, least in (("bridge_resolution", 1), ("bridge_paths", 2),
-                            ("comparison_replicates", 1), ("histogram_replicates", 1)):
+                            ("comparison_replicates", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         sizes = [entry.n for entry in self.schedule]
@@ -349,7 +345,7 @@ def run_edge_probability_audit(config: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment 2: single-partition probability and extent histogram
+# experiment 2: single-partition probability and origin extents
 # ---------------------------------------------------------------------------
 
 def _simplex_cell_probs(kappa: float, alpha: float, bins: int) -> np.ndarray:
@@ -377,69 +373,54 @@ def _simplex_cell_probs(kappa: float, alpha: float, bins: int) -> np.ndarray:
     return np.diff(H, 2)[np.add.outer(cell, cell)]
 
 
-def extent_histogram_pvalue(ensemble: SoupEnsemble, kappa: float, alpha: float,
-                            max_replicates: int, bins: int = 6,
-                            min_cell_prob: float = 0.005) -> tuple[float, float]:
-    """Chi-square p-value of the scaled extent histogram against the limit density.
-
-    Cells with tiny expected probability are merged into a single rest bucket.
-    The test uses the leading `max_replicates` (>= 1) replicates only: the
-    extent law converges without a proven rate, so the histogram test is run
-    at a declared power below which lattice bias stays within noise.
-    """
-    n = int(ensemble.model["n"])
-    split = ensemble.closed_edge_count[:max_replicates] >= 1
-    gx = ensemble.origin_left[:max_replicates][split] / n
-    gy = ensemble.origin_right[:max_replicates][split] / n
-    probs = _simplex_cell_probs(kappa, alpha, bins)
-    # extents lie in [0, (n-1)/n], inside the grid
-    counts, _, _ = np.histogram2d(gx, gy, bins=np.linspace(0.0, 1.0, bins + 1))
-
-    keep = probs >= min_cell_prob
-    obs = list(counts[keep])
-    exp = list(probs[keep])
-    rest_p = probs[~keep].sum()
-    rest_c = counts[~keep].sum()
-    if rest_p > 0:
-        obs.append(rest_c)
-        exp.append(rest_p)
-    return chi_square_pvalue(obs, exp)
-
-
 def run_single_partition_convergence(config: ExperimentConfig) -> dict:
-    """MC split probability per n against the limit law, plus the extent histogram."""
+    """Split soups per n, and the origin extents at the last n, against the
+    exact finite-n law `analytics.origin_extent_pmf`, each a `LawCheck`
+    (false alarm at most 1e-3): "split", one Bonferroni budget over the
+    schedule, and "origin extents", every replicate in one of the 6 x 6 bins
+    of (origin_left, origin_right) / n or in one cell for no closed edge.
+    Passes when both hold and the exact split probability at the last n is
+    within `gap_allowance` of the limit.  Report only: the Monte Carlo gaps
+    to the limit, and the total-variation distance of the exact binned
+    extents of split soups from the limit's cells (`_simplex_cell_probs`).
+    """
     config.validate(targets=("kappa", "epsilon"))
     if not 0.0 < config.alpha < 1.0:
         raise ValueError("needs 0 < alpha < 1")
     limit = analytics.prob_not_single_partition_limit(config.kappa, config.epsilon,
                                                       config.alpha)
-    rows = []
+    rows, hits = [], []
     for entry in config.schedule:
         model = entry.model(config.alpha)
+        pmf = analytics.origin_extent_pmf(model)
         ens = conditional_experiment(model, config.seed, "unconditioned", config.replicates)
-        frac = ens.split_fraction
-        se = math.sqrt(max(frac * (1 - frac), 1e-30) / config.replicates)
-        rows.append({"n": entry.n, "mc_split": frac, "limit": limit,
-                     "gap": abs(frac - limit), "se": se})
-
-    allowance = config.thresholds["gap_allowance"]
-    final = rows[-1]
-    gap_ok = final["gap"] < allowance + 3.0 * final["se"]
-    # the histogram is of the last schedule entry's ensemble
-    stat, pval = extent_histogram_pvalue(ens, config.kappa, config.alpha,
-                                         config.histogram_replicates,
-                                         min_cell_prob=config.thresholds["min_cell_prob"])
-    chi_ok = pval > config.thresholds["chi2_min_p"]
+        split = ens.closed_edge_count >= 1
+        hits.append(int(split.sum()))
+        rows.append({"n": entry.n, "mc_split": ens.split_fraction, "exact_split": pmf.sum(),
+                     "limit": limit, "gap": abs(ens.split_fraction - limit),
+                     "exact_gap": abs(pmf.sum() - limit)})
+    split_law = cell_check("split", hits, [r["exact_split"] for r in rows], config.replicates)
+    bins = 6  # the last entry's extents in bins of l * bins // n; cell bins^2 is unsplit
+    bin_of = np.arange(model.n) * bins // model.n
+    cell = np.add.outer(bins * bin_of, bin_of)
+    counts = np.bincount(np.where(split, cell[ens.origin_left, ens.origin_right], bins * bins),
+                         minlength=bins * bins + 1)
+    binned = np.bincount(cell.ravel(), weights=pmf.ravel(), minlength=bins * bins)
+    extent_law = cell_check("origin extents", counts, np.append(binned, 1.0 - pmf.sum()),
+                            config.replicates, pool=True)
+    tv = 0.5 * float(np.abs(binned / pmf.sum()
+                            - _simplex_cell_probs(config.kappa, config.alpha, bins).ravel()).sum())
+    gap_ok = rows[-1]["exact_gap"] < config.thresholds["gap_allowance"]
     report = _jsonable({
         "experiment": config.name,
         "config": config.to_dict(),
         "per_n": rows,
         "limit": limit,
+        "split_law_p": split_law.p,
+        "origin_extent_law_p": extent_law.p,
+        "origin_extent_exact_tv": tv,
         "final_gap_ok": bool(gap_ok),
-        "extent_chi2_stat": stat,
-        "extent_chi2_p": pval,
-        "extent_chi2_ok": bool(chi_ok),
-        "passed": bool(gap_ok and chi_ok),
+        "passed": bool(split_law.ok and extent_law.ok and gap_ok),
     })
     _write_outputs(config, report, report["per_n"], replicate_lines(ens))
     return report

@@ -1,10 +1,10 @@
 """Shared numerical substrate: special functions, series, stable log-hyperbolic
-helpers, the distances and chi-square test the experiments report, and the
-exact-law verdicts (`LawCheck`) that judge a sample against its exact law.
+helpers, the distances the experiments report, and the exact-law verdicts
+(`LawCheck`) that judge a sample against its exact law.
 
 Everything here is a pure function of its inputs.  Quadrature, the one-sample
-KS statistic and its critical value, and the two-sample chi-square test serve
-only as test references, so they live in `tests/oracles.py`.
+KS statistic and its critical value, and the chi-square tests serve only as
+test references, so they live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def log_cosh_diff(big: float, small: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# statistical distances and tests
+# statistical distances and exact-law verdicts
 # ---------------------------------------------------------------------------
 
 def ks_distance_two_sample(a, b) -> float:
@@ -167,26 +167,6 @@ def ks_distance_two_sample(a, b) -> float:
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def chi_square_pvalue(observed, expected) -> tuple[float, float]:
-    """Pearson chi-square statistic and p-value for observed vs expected counts.
-
-    Expected counts are rescaled to the observed total, so `expected` may be
-    given as probabilities; degrees of freedom are len(observed) - 1.
-    """
-    from scipy.special import chdtrc
-
-    obs = np.asarray(observed, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    if obs.shape != exp.shape:
-        raise ValueError("shape mismatch")
-    exp = exp * (obs.sum() / exp.sum())
-    if np.any(exp <= 0):
-        raise ValueError("expected counts must be positive")
-    stat = float(np.sum((obs - exp) ** 2 / exp))
-    dof = obs.size - 1
-    return stat, float(chdtrc(dof, stat))
 
 
 # one exact law's verdict: the worst |z| of its cells, its p-value and whether

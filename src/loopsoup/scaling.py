@@ -67,13 +67,14 @@ def point_count_moments(alpha: float, r: float, N: int) -> tuple[float, float]:
     C(j) C(k-j) C(N-k) / C(N), so the mean is sum_k C(k) C(N-k) / C(N) and the
     second moment is 2 (C*C*C)(N) / C(N) - mean, the diagonal j = k counted
     once.  The triple convolution at N is one real FFT of length > 2N, past
-    which its wrapped terms cannot reach N.
+    which its wrapped terms cannot reach N.  The variance cancels terms of
+    order mean^2, so it is floored at their roundoff, eps mean^2.
     """
     C = hitting_coefficients(alpha, r, N)
     size = _next_fast_len(2 * N + 1)
     triple = np.fft.irfft(np.fft.rfft(C, size) ** 3, size)[N]
     mean = float(C @ C[::-1]) / C[N]
-    return mean, 2.0 * triple / C[N] - mean - mean * mean
+    return mean, max(2.0 * triple / C[N] - mean - mean * mean, np.finfo(float).eps * mean * mean)
 
 
 def _fast_lengths(limit: int) -> list[int]:
@@ -446,9 +447,11 @@ class ConditionedBridgeLaw:
 
     def sample_bridge_paths(self, n_approx: int, n_paths: int, rng,
                             law: RenewalLaw | None = None) -> list[np.ndarray]:
-        """`n_paths` sampled path ranges, drawn in lockstep from one renewal law."""
+        """`n_paths` path ranges drawn in lockstep from the renewal law at `n_approx`."""
         if law is None:
             law = self.renewal_approximation(n_approx)
+        elif law.horizon != n_approx:
+            raise ValueError(f"law has horizon {law.horizon}, but n_approx is {n_approx}")
         return [path / float(n_approx)
                 for path in sample_conditioned_renewals(law, n_approx, n_paths, rng)]
 

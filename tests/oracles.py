@@ -13,8 +13,8 @@ The module also keeps the limit laws and the unnormalized extent density that
 serve only as references in the tests, the dense-determinant masses and
 nested-quadrature cell table that the closed forms replaced, the scalar
 anti-diagonal loop that the vectorized split probability replaced, and the
-adaptive quadrature, one-sample KS and two-sample chi-square helpers the tests
-check against.
+adaptive quadrature, one-sample KS and chi-square helpers the tests check
+against.
 
 It ends with the exact-law batteries: `exact_law_checks` runs the exact laws
 against any soup engine's ensembles, `object_ensemble` turns one draw of the
@@ -45,14 +45,15 @@ from scipy.special import chdtrc
 from loopsoup.analytics import (
     cluster_extent_limit_density, covered_extent_cdf, covered_extent_cdf_limit,
     mass_avoiding_edges, mass_inside, mass_liftable, mass_through_vertex1,
-    mass_winding_or_covering, prob_no_winding_or_covering, prob_no_winding_or_covering_limit,
+    mass_winding_or_covering, origin_extent_pmf, prob_no_winding_or_covering,
+    prob_no_winding_or_covering_limit, prob_not_single_partition_limit,
     prob_split_given_no_avoiding, prob_split_given_no_avoiding_limit, through1_extent_cdf,
     through1_extent_cdf_limit,
 )
 from loopsoup.circle import CircleModel, Loop, LoopType, build_model, classify_loop
-from loopsoup.experiments import asymmetric_schedule
+from loopsoup.experiments import _simplex_cell_probs, asymmetric_schedule
 from loopsoup.numerics import (
-    LawCheck, _bonferroni, cell_check, chi_square_pvalue, log_cosh, log_sinh, z_check,
+    LawCheck, _bonferroni, cell_check, log_cosh, log_sinh, z_check,
 )
 from loopsoup.sampler import (
     CONDITIONS, SoupEnsemble, SoupSample, extract_clusters, philox_rng, sample_soup,
@@ -135,6 +136,23 @@ def ks_critical(n: int, m: int | None = None, level: float = 0.01) -> float:
     if m is None:
         return coeff / math.sqrt(n)
     return coeff * math.sqrt((n + m) / (n * m))
+
+
+def chi_square_pvalue(observed, expected) -> tuple[float, float]:
+    """Pearson chi-square statistic and p-value for observed vs expected counts.
+
+    Expected counts are rescaled to the observed total, so `expected` may be
+    given as probabilities; degrees of freedom are len(observed) - 1.
+    """
+    obs = np.asarray(observed, dtype=float)
+    exp = np.asarray(expected, dtype=float)
+    if obs.shape != exp.shape:
+        raise ValueError("shape mismatch")
+    exp = exp * (obs.sum() / exp.sum())
+    if np.any(exp <= 0):
+        raise ValueError("expected counts must be positive")
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    return stat, float(chdtrc(obs.size - 1, stat))
 
 
 def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
@@ -566,6 +584,19 @@ def _model(n: int, epsilon: float, alpha: float) -> CircleModel:
     return asymmetric_schedule(1.0, epsilon, [n])[0].model(alpha)
 
 
+@lru_cache(maxsize=None)
+def _origin_pmf(n: int, alpha: float) -> np.ndarray:
+    """`origin_extent_pmf` of the symmetric runners' model, cached per (n, alpha)."""
+    return origin_extent_pmf(_model(n, 0.5, alpha))
+
+
+def _split_extent_cdf(n: int, alpha: float, a: float, b: float) -> float:
+    """P[origin_left <= a n, origin_right <= b n | a closed edge], at the
+    lattice points (floor(an), floor(bn))."""
+    pmf = _origin_pmf(n, alpha)
+    return pmf[:int(a * n) + 1, :int(b * n) + 1].sum() / pmf.sum()
+
+
 def overshoot_gaps(alpha: float, n: int) -> np.ndarray:
     """X, the first point above L = n/2 of the renewal set from 0 of
     RenewalLaw.build(alpha, 1/n, 6n), scaled by 1/n, against the first
@@ -614,6 +645,19 @@ LIMIT_BATTERY = [
              partial(overshoot_gaps, 0.5), (100, 1000, 10_000), 0.5, 5e-4, [(10_000, 0.02)]),
     LimitRow("overshoot, alpha = 0.3", SubordinatorLaw.hitting_cdf_grid,
              lambda n: overshoot_gaps(0.3, n)[:2], (100, 1000, 10_000), 0.3, 4e-4, []),
+    # the unconditioned law at order 1 - alpha: P[a closed edge], and the cdf of
+    # the scaled origin extents given one at (1/4, 1/4) and (1/2, 1/4)
+    *(row for alpha, split_bound, extent_bound in ((0.3, 1e-5, 3e-4), (0.5, 6e-5, 6e-5))
+      for row in (
+        LimitRow(f"unconditioned split, alpha = {alpha}", prob_not_single_partition_limit,
+                 _cells(lambda n, alpha: _origin_pmf(n, alpha).sum(),
+                        lambda alpha: prob_not_single_partition_limit(1.0, 0.5, alpha),
+                        [(alpha,)]), (200, 400, 800, 1600), 1.0 - alpha, split_bound, []),
+        LimitRow(f"origin extent, alpha = {alpha}", cluster_extent_limit_density,
+                 _cells(_split_extent_cdf, lambda alpha, a, b: _simplex_cell_probs(
+                     1.0, alpha, 4)[:round(4 * a), :round(4 * b)].sum(),
+                        [(alpha, 0.25, 0.25), (alpha, 0.5, 0.25)]),
+                 (200, 400, 800, 1600), 1.0 - alpha, extent_bound, []))),
 ]
 
 
@@ -743,6 +787,11 @@ def _laws(ens: SoupEnsemble, model: CircleModel, through1_grid):
                          [math.exp(-alpha * mass_through_vertex1(model))], reps)
         yield cell_check("no liftable loop", [np.sum(through1 == ens.winding_or_cover_count)],
                          [math.exp(-alpha * mass_liftable(model))], reps)
+        pmf, split = origin_extent_pmf(model), ens.closed_edge_count >= 1
+        yield cell_check("split", [np.sum(split)], [pmf.sum()], reps)
+        cells = np.where(split, ens.origin_left * n + ens.origin_right, n * n)
+        yield cell_check("origin extents", np.bincount(cells, minlength=n * n + 1),
+                         np.append(pmf.ravel(), 1.0 - pmf.sum()), reps, pool=True)
     if ens.condition != "avoiding-1-only":
         yield cell_check("no winding loop", [np.sum(ens.winding_or_cover_count == 0)],
                          [prob_no_winding_or_covering(model)], reps)
@@ -779,7 +828,10 @@ def exact_law_checks(ensemble: SoupEnsemble, model: CircleModel,
     closed with probability exp(-alpha (total mass - mass avoiding e));
     "loop count", Poisson of mean lam = alpha * total mass, by the sample
     mean (variance lam / R) and variance (variance (lam + 2 lam^2) / R);
-    "no loop through 1" and "no liftable loop", exp(-alpha * their mass).
+    "no loop through 1" and "no liftable loop", exp(-alpha * their mass);
+    "split", a closed edge, with probability the total of
+    `origin_extent_pmf`, and "origin extents", one cell per pair
+    (origin_left, origin_right) and one for no closed edge, against it.
     Unconditioned or through-1-only: "no winding loop",
     `prob_no_winding_or_covering`.  Through-1-only: "through-1 extent",
     `through1_extent_cdf` on `through1_grid` (by default five points from 0

@@ -113,13 +113,6 @@ def test_mass_laws(params, max_len, law):
     assert checks[law].ok, checks[law]
 
 
-# the limit laws of `analytics` that no `oracles.LIMIT_BATTERY` row runs yet,
-# each with the ROADMAP item whose finite-n law would give it a row
-LIMIT_WAITING = {
-    "prob_not_single_partition_limit": "ROADMAP item 5 (the unconditioned split law)",
-}
-
-
 @pytest.mark.parametrize("row", oracles.LIMIT_BATTERY, ids=lambda row: row.name)
 def test_limit_laws(row):
     """One limit law against its finite-n closed form on a ladder of n, by
@@ -129,14 +122,11 @@ def test_limit_laws(row):
 
 
 def test_every_limit_law_has_a_battery_row():
-    """Each `analytics.*_limit` function is the law of a battery row or waits
-    for the ROADMAP item named in `LIMIT_WAITING`, so a new limit law cannot
-    land untested, and a waiting one leaves the list once it has a row."""
+    """Each `analytics.*_limit` function is the law of a battery row, so a
+    new limit law cannot land untested."""
     laws = {name for name in dir(analytics) if name.endswith("_limit")
             and inspect.isfunction(getattr(analytics, name))}
-    covered = {row.law.__name__ for row in oracles.LIMIT_BATTERY}
-    assert sorted(laws - covered) == sorted(LIMIT_WAITING)
-    assert not covered & set(LIMIT_WAITING)
+    assert sorted(laws - {row.law.__name__ for row in oracles.LIMIT_BATTERY}) == []
 
 
 def test_mass_inside_trivial_cases():
@@ -645,6 +635,20 @@ def test_limit_laws_reject_non_finite_parameters(law, param):
     if param == "alpha" and law != "polylog":
         with pytest.raises(ValueError, match="alpha"):
             fn(**{**args, "alpha": _ALPHA_OUTSIDE.get(law, -1.0)})
+
+
+@pytest.mark.parametrize("law", ["prob_no_winding_or_covering_limit",
+                                 "prob_not_single_partition_limit",
+                                 "prob_split_given_no_avoiding_limit",
+                                 "through1_extent_cdf_limit", "covered_extent_cdf_limit"])
+def test_limit_laws_at_alpha_zero(law):
+    """At alpha = 0 the soup is empty: no loop winds or sweeps, and every
+    edge is closed, so each law is 1, also at epsilon = 0, where 0 * log 0
+    gave nan, and at zero extents."""
+    fn, args = _LIMIT_LAWS[law]
+    for epsilon, extent in ((0.3, 0.2), (0.0, 0.2), (0.0, 0.0)):
+        at = {"alpha": 0.0, "epsilon": epsilon, "a": extent, "b": extent}
+        assert fn(**{**args, **{key: v for key, v in at.items() if key in args}}) == 1.0
 
 
 @pytest.mark.parametrize("n, p, c", [(8, 0.5, 0.3), (30, 0.7, 0.2), (9, 0.4, 0.0),

@@ -52,6 +52,10 @@ def test_law_subcommand(capsys):
     rec = json.loads(out)
     assert rec["value"] == pytest.approx(
         prob_not_single_partition_limit(1.0, 0.5, 0.5), rel=1e-12)
+    # alpha = 0: the soup is empty, so every edge is closed
+    code, out = run_cli(capsys, "law", "--formula", "prob-not-single-partition-limit",
+                        "--kappa", "1.0", "--epsilon", "0.5", "--alpha", "0")
+    assert code == 0 and json.loads(out)["value"] == 1.0
 
 
 def test_law_density_past_the_float_range_prints_infinity(capsys):
@@ -388,10 +392,6 @@ def test_experiment_subcommand(tmp_path, capsys):
      "comparison_n must be null or one of the schedule sizes [100, 400, 1600], got 0"),
     (("experiment", "--config", "{tmp}/comparison-replicates-0.json"),
      "comparison_replicates must be at least 1, got 0"),
-    (("experiment", "--config", "{tmp}/histogram-replicates-minus-3.json"),
-     "histogram_replicates must be at least 1, got -3"),
-    (("experiment", "--config", "{tmp}/histogram-replicates-0.json"),
-     "histogram_replicates must be at least 1, got 0"),
     (("experiment", "--config", "{tmp}/z-max-nan.json"),
      "threshold 'z_max' must be finite, got nan"),
     (("experiment", "--config", "{tmp}/one-comparison-replicate.json", "--seed", "3"),
@@ -420,9 +420,6 @@ def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
             ("bridge-paths-1", dataclasses.replace(scaling, bridge_paths=1)),
             ("comparison-n-0", dataclasses.replace(scaling, comparison_n=0)),
             ("comparison-replicates-0", dataclasses.replace(scaling, comparison_replicates=0)),
-            ("histogram-replicates-minus-3",
-             dataclasses.replace(partition, histogram_replicates=-3)),
-            ("histogram-replicates-0", dataclasses.replace(partition, histogram_replicates=0)),
             ("z-max-nan", dataclasses.replace(
                 audit, thresholds={**audit.thresholds, "z_max": math.nan})),
             ("one-comparison-replicate", dataclasses.replace(scaling, comparison_replicates=1)),

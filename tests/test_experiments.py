@@ -27,7 +27,6 @@ from loopsoup.experiments import (
     sample_limit_extents,
     symmetric_schedule,
 )
-from loopsoup.numerics import chi_square_pvalue
 from loopsoup.sampler import CONDITIONS, conditional_experiment
 from loopsoup.circle import build_model
 
@@ -120,7 +119,7 @@ def test_edge_audit_default_scale():
     assert report["passed"]
     assert max(abs(r["z"]) for r in report["edges"]) <= 4.0
     assert oracles.report_digest(report) == (
-        "fc55e5b1fca1b0caa3e01ee1547804ce9a79907d4663f7814353769a2e631822")
+        "e526d8799715256e337c15487091fda0cc1cf39ca7c41f66dc153cc33439f8a7")
 
 
 def test_edge_audit_reference_matches_dense_edge_masses():
@@ -190,6 +189,18 @@ def test_cluster_scaling_passes_at_the_benchmark_sizes():
         assert set(keys) <= set(report)
 
 
+def test_cluster_scaling_reaches_a_verdict_where_every_edge_is_closed():
+    """At kappa = 3e13 every edge is closed to rounding and the exact count
+    variance cancelled to a negative number, so the count z-test ended in
+    "math domain error"; with the variance floored the count law holds
+    (p = 1) and the run fails only because the scaled means n^alpha spread."""
+    config = dataclasses.replace(default_cluster_scaling_config(), kappa=3e13, epsilon=1.5e13,
+                                 schedule=symmetric_schedule(3e13, (100, 400, 1600)))
+    report = run_cluster_scaling(config)
+    assert report["k_scaled_law_p"] == 1.0
+    assert not report["k_scaled_stable"] and not report["passed"]
+
+
 def test_ensemble_records_fields():
     model = build_model(8, 0.5, 0.3, 0.7)
     ens = conditional_experiment(model, 4, "unconditioned", 50, keep_closed_edges=True)
@@ -247,7 +258,7 @@ def test_sample_limit_extents_matches_cell_law(kappa, alpha):
     counts, _, _ = np.histogram2d(gd[:, 0], gd[:, 1], bins=np.linspace(0.0, 1.0, 7))
     positive = probs > 0.0
     assert counts[positive].sum() == gd.shape[0]
-    _, pval = chi_square_pvalue(counts[positive], probs[positive])
+    _, pval = oracles.chi_square_pvalue(counts[positive], probs[positive])
     assert pval > 1e-6
 
 

@@ -15,13 +15,13 @@ from scipy.special import zeta as scipy_zeta
 import loopsoup
 from oracles import (
     QuadratureSpec,
+    chi_square_pvalue,
     chi_square_two_sample,
     integrate,
     ks_critical,
     ks_distance,
 )
 from loopsoup.numerics import (
-    chi_square_pvalue,
     hausdorff,
     ks_distance_two_sample,
     log_beta,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup.analytics import mass_inside, mass_liftable, mass_liftable_inside
+from loopsoup.analytics import mass_inside, mass_liftable, mass_liftable_inside, origin_extent_pmf
 from loopsoup.circle import Loop, build_model
 from loopsoup.numerics import cell_check, z_check
 from loopsoup.sampler import (
@@ -249,7 +249,22 @@ BATTERY = [
     ((100, 0.5, 1.0 / 20_000, 0.5), 3, ("avoiding-1-only",), {"range-law": 5000}),
     ((200, 0.5, 1.0 / 80_000, 0.5), 61, ("avoiding-1-only",), {"range-law": 10_000}),
     ((20, 0.5, 0.02, 0.7), 83, ("through-1-only",), {"range-law": 30_000}),
+    # the single-partition runner's first model
+    ((50, 0.5, 1.0 / 5000, 0.5), 5, ("unconditioned",), {"range-law": 20_000}),
 ]
+
+
+@pytest.mark.parametrize("params", [params for params, *_ in BATTERY if params[0] <= 7])
+def test_origin_extent_pmf_sums_the_configuration_law(params):
+    """`origin_extent_pmf` is the inclusion-exclusion configuration law summed
+    by first closed edge x and last closed edge y, at origin_left = n - 1 - y
+    and origin_right = x."""
+    model = build_model(*params)
+    n = model.n
+    expect = np.zeros((n, n))
+    for mask, prob in enumerate(oracles.edge_config_probabilities(model)[1:], start=1):
+        expect[n - mask.bit_length(), (mask & -mask).bit_length() - 1] += prob
+    np.testing.assert_allclose(origin_extent_pmf(model), expect, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("engine, params, seed, condition, reps", [

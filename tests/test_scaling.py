@@ -9,6 +9,7 @@ from scipy.fft import next_fast_len
 
 from oracles import (
     QuadratureSpec,
+    chi_square_pvalue,
     closed_edge_count_pmf,
     cluster_extent_limit_density_unnormalized,
     conditioned_draw,
@@ -17,7 +18,6 @@ from oracles import (
     renewal_jumps_by_recursion,
 )
 from loopsoup.experiments import asymmetric_schedule, symmetric_schedule
-from loopsoup.numerics import chi_square_pvalue
 from loopsoup.scaling import (
     ConditionedBridgeLaw,
     RenewalLaw,
@@ -127,6 +127,16 @@ def test_point_count_moments_match_the_count_pmf(schedule):
         mean = pmf @ k
         got = point_count_moments(0.5, model.r, entry.n - 1)
         assert got == pytest.approx((mean, pmf @ k ** 2 - mean ** 2), rel=1e-12, abs=0), entry
+
+
+@pytest.mark.parametrize("N", [99, 399, 1599])
+def test_point_count_variance_stays_positive_where_the_count_is_nearly_sure(N):
+    """Past r of about 14 every edge is closed to rounding, and the variance,
+    which cancels terms of order mean^2, came out -2.5e-11 at (0.5, 17, 99)
+    and exactly 0 at (0.5, 19, 399); it is floored at eps mean^2."""
+    for r in np.arange(1.0, 30.0):
+        mean, var = point_count_moments(0.5, r, N)
+        assert var >= np.finfo(float).eps * mean * mean > 0.0, r
 
 
 def test_generating_function_cross_check():
@@ -460,6 +470,16 @@ def test_bridge_paths_terminate_at_one():
         assert pts[0] == 0.0
         assert pts[-1] == 1.0
         assert np.all(np.diff(pts) > 0.0)
+
+
+def test_bridge_paths_reject_a_law_of_another_resolution():
+    """A law built at resolution 1000 has killing 1/1000 per step: passed at
+    500 it drew bridges of the wrong law, and at 2000 it failed in the sampler."""
+    bridge = ConditionedBridgeLaw(SubordinatorLaw(kappa=1.0, alpha=0.5))
+    law = bridge.renewal_approximation(1000)
+    for n_approx in (500, 2000):
+        with pytest.raises(ValueError, match=f"law has horizon 1000, but n_approx is {n_approx}"):
+            bridge.sample_bridge_paths(n_approx, 5, np.random.default_rng(1), law=law)
 
 
 def test_bridge_time_reversal_symmetry():
