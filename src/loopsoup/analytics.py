@@ -237,8 +237,11 @@ def _clip_unit(x: float) -> float:
 def prob_no_winding_or_covering(model: CircleModel) -> float:
     """P[soup contains no winding and no circuit-sweeping loop].
 
-    Equals (cosh(nr) / (cosh(nr) - cosh(n d)))^(-alpha); 0 at c = 0.
+    Equals (cosh(nr) / (cosh(nr) - cosh(n d)))^(-alpha); 1 at alpha = 0 (an
+    empty soup), else 0 at c = 0.
     """
+    if model.alpha == 0.0:
+        return 1.0
     n, r = model.n, model.r
     big, small = n * r, n * _half_log_drift(model)
     if model.c == 0.0 or big <= small:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -122,15 +123,28 @@ def _probe(*paths) -> None:
             open(path, "a").close()
 
 
-def _output(path, default, newline=None):
-    """Context giving `path` opened for writing, which truncates it, or
-    `default` if no path is given.
+def _output(path, default, mode="w", newline=None):
+    """Context giving `path` opened in `mode` for writing, which truncates
+    it, or `default` if no path is given.
 
     `sample` and `bridge` `_probe` their outputs first and open them only
     once the checks and the law that can fail are behind them, so a rejected
     call leaves an existing file as it was.
     """
-    return open(path, "w", newline=newline) if path else contextlib.nullcontext(default)
+    return open(path, mode, newline=newline) if path else contextlib.nullcontext(default)
+
+
+def _write_bytes(out, blocks) -> None:
+    """Write byte blocks to a binary file, or to a text stream: to its byte
+    buffer once its text is flushed, or decoded where it has none (as a
+    StringIO under contextlib.redirect_stdout)."""
+    if isinstance(out, io.TextIOBase):
+        if hasattr(out, "buffer"):
+            out.flush()
+            out = out.buffer
+        else:
+            blocks = (block.decode() for block in blocks)
+    out.writelines(blocks)
 
 
 def _cmd_sample(args) -> int:
@@ -140,11 +154,11 @@ def _cmd_sample(args) -> int:
     # both paths are probed before either is truncated: an unwritable one
     # leaves the other as it was
     _probe(args.out, args.summary)
-    with (_output(args.out, sys.stdout) as out,
+    with (_output(args.out, sys.stdout, "wb") as out,
           _output(args.summary, None, newline="") as summary):
         ens = conditional_experiment(model, args.seed, args.condition,
                                      args.replicates, keep_closed_edges=True)
-        out.writelines(experiments.replicate_lines(ens))
+        _write_bytes(out, experiments.replicate_lines(ens))
         if summary is not None:
             writer = csv.writer(summary)
             writer.writerow(["statistic", "mean"])

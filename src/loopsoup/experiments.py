@@ -225,7 +225,7 @@ def _jsonable(obj):
 
 
 def _write_outputs(config: ExperimentConfig, report: dict, rows: list[dict],
-                   blocks: Iterable[str] | None) -> None:
+                   blocks: Iterable[bytes] | None) -> None:
     """Write config.json, report.json, summary.csv from `rows` and, when
     `blocks` is given, replicates.jsonl from those blocks of lines (see
     replicate_lines)."""
@@ -242,65 +242,101 @@ def _write_outputs(config: ExperimentConfig, report: dict, rows: list[dict],
             writer.writeheader()
             writer.writerows(rows)
     if blocks is not None:
-        with open(os.path.join(config.out_dir, "replicates.jsonl"), "w") as fh:
+        with open(os.path.join(config.out_dir, "replicates.jsonl"), "wb") as fh:
             fh.writelines(blocks)
 
 
-_LINE_BLOCK = 512  # replicates formatted per `%` call
+_LINE_BLOCK = 1024  # replicates per block of lines
 
 
-def _row_template(closed: int | None, through: bool) -> str:
+def _row_template(closed: int | None, through: bool, slot: bytes = b"%d") -> bytes:
     """`%` template of one replicate's JSON line: `closed` kept edges
-    (None when the ensemble keeps none), through extents null or not."""
-    edges = "" if closed is None else (
-        '"closed_left_endpoints": [' + ", ".join(["%d"] * closed) + '], ')
-    extent = "%d" if through else "null"
-    return ('{"closed_edges": %d, ' + edges + '"clusters": %d, "lift_left": %d, '
-            '"lift_right": %d, "loops": %d, "origin_left": %d, "origin_right": %d, '
-            f'"replicate": %d, "through_left": {extent}, "through_right": {extent}}}\n')
+    (None when the ensemble keeps none), through extents null or not, and
+    `slot` in place of the replicate index and of each kept edge."""
+    edges = b"" if closed is None else (
+        b'"closed_left_endpoints": [' + b", ".join([slot] * closed) + b"], ")
+    extent = b"%d" if through else b"null"
+    return (b'{"closed_edges": %d, ' + edges + b'"clusters": %d, "lift_left": %d, '
+            b'"lift_right": %d, "loops": %d, "origin_left": %d, "origin_right": %d, '
+            b'"replicate": ' + slot + b', "through_left": ' + extent
+            + b', "through_right": ' + extent + b"}\n")
 
 
-def replicate_lines(ensemble: SoupEnsemble) -> Iterator[str]:
-    """JSON lines of the replicates, keys sorted, made lazily from the
-    ensemble's columns, a block of whole lines at a time.
+def _profile_ids(columns: np.ndarray):
+    """Ids of the distinct columns of an int array, numbered in sorted order,
+    with the index of one column per id; None when a packed key of the rows'
+    spans would pass int64."""
+    low = columns.min(axis=1)
+    span = (columns.max(axis=1) - low + 1).tolist()
+    if math.prod(span) >= 2 ** 63:
+        return None
+    place = np.cumprod([1, *span[:0:-1]])[::-1]  # mixed radix, the first row most significant
+    key = place @ (columns - low[:, None])
+    order = key.argsort()
+    new = np.concatenate(([True], key[order[1:]] != key[order[:-1]]))
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
 
-    A block is one `%` call: its template joins the rows' templates (one per
-    closed-edge count and through-extent nullity), and its values are one
-    flat int column laid out row-major by numpy and converted by one
-    `tolist()`.  So every line is `json.dumps(record, sort_keys=True) + "\n"`
-    without building the record.  Extent fields are -1 / null when their
-    defining event does not hold (origin extents need a closed edge; through
-    extents additionally need a replicate free of loops avoiding vertex 1).
-    `closed_left_endpoints` (1-based) is present when the ensemble kept its
-    closed edges.
+
+def replicate_lines(ensemble: SoupEnsemble) -> Iterator[bytes]:
+    """JSON lines of the replicates as bytes, keys sorted, made lazily from
+    the ensemble's columns, a block of whole lines at a time.
+
+    A line's profile is every field but the replicate index and the kept
+    edges.  Where at most half a block's profiles are distinct, one `%` call
+    formats each distinct profile once, with the replicate and kept-edge slots
+    written `%%d`, and a second stamps each row's index and edges into its
+    profile's line.  Else one `%` call formats the block: its template joins
+    the rows' templates (one per closed-edge count and through-extent nullity)
+    and its values are one flat int column.  So every line is
+    `json.dumps(record, sort_keys=True) + "\n"` without building the record.
+    Extent fields are -1 / null when their defining event does not hold
+    (origin extents need a closed edge; through extents additionally need a
+    replicate free of loops avoiding vertex 1).  `closed_left_endpoints`
+    (1-based) is present when the ensemble kept its closed edges.
     """
     keep = ensemble.closed_edges is not None
     count = ensemble.closed_edge_count
-    # the template of row key 2k + through, k the kept-edge count (0 without kept edges)
+    # the templates of row key 2k + through, k the kept-edge count (0 without
+    # kept edges): whole lines, and profiles with the stamped slots left open
     ks = np.flatnonzero(np.bincount(count)).tolist() if keep else [0]
-    templates = {2 * k + through: _row_template(k if keep else None, through)
-                 for k in ks for through in (False, True)}
+    whole, profile = ({2 * k + through: _row_template(k if keep else None, through, slot)
+                       for k in ks for through in (False, True)} for slot in (b"%d", b"%%d"))
     edges_before = 0
     for lo in range(0, ensemble.replicates, _LINE_BLOCK):
         part = slice(lo, lo + _LINE_BLOCK)
         closed = count[part]
         through = (ensemble.avoiding_count[part] == 0) & (closed >= 1)
         left, right = ensemble.origin_left[part], ensemble.origin_right[part]
+        index = np.arange(lo, lo + closed.size)
         rows = np.stack((closed, np.maximum(closed, 1), ensemble.lift_left[part],
                          ensemble.lift_right[part], ensemble.loop_count[part], left, right,
-                         np.arange(lo, lo + closed.size), left, right), axis=1)
+                         index, left, right), axis=1)
         shown = np.ones(rows.shape, dtype=bool)
         shown[:, 8:] = through[:, None]
-        values, key = rows[shown], through.astype(np.int64)
+        key = through.astype(np.int64)
         if keep:
-            edges = ensemble.closed_edges[edges_before:edges_before + int(closed.sum())]
+            edges = ensemble.closed_edges[edges_before:edges_before + int(closed.sum())] + 1
             edges_before += edges.size
+            key += 2 * closed
+        # the profile: closed count, lift extents, loops, origin extents, through
+        grouped = _profile_ids(np.vstack((rows[:, [0, 2, 3, 4, 5, 6]].T, through)))
+        if grouped is not None and 2 * grouped[1].size <= closed.size:
+            ids, first = grouped
+            # a row's stamps are its kept edges, then its index
+            stamps = np.insert(edges, np.cumsum(closed), index) if keep else index
+            shown[:, 7] = False
+            lines = (b"".join(map(profile.__getitem__, key[first].tolist()))
+                     % tuple(rows[first][shown[first]].tolist())).splitlines(keepends=True)
+            yield b"".join(map(lines.__getitem__, ids.tolist())) % tuple(stamps.tolist())
+            continue
+        values = rows[shown]
+        if keep:
             # a row's edges go right after its count, in their order
             width = 8 + 2 * through
-            values = np.insert(values, np.repeat(np.cumsum(width) - width + 1, closed),
-                               edges + 1)
-            key += 2 * closed
-        yield "".join(map(templates.__getitem__, key.tolist())) % tuple(values.tolist())
+            values = np.insert(values, np.repeat(np.cumsum(width) - width + 1, closed), edges)
+        yield b"".join(map(whole.__getitem__, key.tolist())) % tuple(values.tolist())
 
 
 def ensemble_records(ensemble: SoupEnsemble) -> list[dict]:

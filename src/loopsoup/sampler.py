@@ -337,50 +337,74 @@ class SoupEnsemble:
         return float(np.mean(self.closed_edge_count >= 1))
 
 
-def _run_block(model: CircleModel, tables: _SoupTables, condition: str,
-               seed: int, block_index: int, block_reps: int,
-               keep_closed: bool):
-    """Simulate one block of replicates: its columns by `SoupEnsemble` field
-    name, and the per-edge closed totals.
+_CHUNK_CELLS = 2 ** 15  # most replicate x edge cells one `_reduce_blocks` call holds
 
-    Draw order on the block's stream: avoiding counts, avoiding reaches,
-    winding counts, liftable counts, one right-end uniform per liftable loop,
-    one left-end uniform per liftable loop.  "through-1-only" skips the first
-    two and "avoiding-1-only" the last four.
+
+def _draw_block(model: CircleModel, tables: _SoupTables, condition: str,
+                seed: int, block_index: int, block_reps: int) -> dict:
+    """The draws of one block of replicates by name, on the Philox stream
+    keyed (seed, block_index + 1), in this order: avoiding counts, one reach
+    uniform per nonzero count, winding counts, liftable counts, one right-end
+    and one left-end uniform per liftable loop (drawn as one 2-row array).
+    "through-1-only" skips the first two and "avoiding-1-only" the last four.
     """
-    n, B = model.n, block_reps
     gen = philox_rng(seed, stream=block_index + 1)
+    draws = {}
+    if condition != "through-1-only":
+        # loops with minimal vertex x = 1..n-2, of mass D(n-1-x)
+        counts = gen.poisson(model.alpha * tables.masses[1:], size=(block_reps, model.n - 2))
+        draws.update(counts=counts, reach_u=gen.random(np.count_nonzero(counts)))
+    if condition != "avoiding-1-only":
+        winding = gen.poisson(model.alpha * tables.winding_mass, block_reps)
+        liftable = gen.poisson(model.alpha * tables.liftable_mass, block_reps)
+        draws.update(winding=winding, liftable=liftable)
+        draws["right_u"], draws["left_u"] = gen.random((2, liftable.sum()))
+    return draws
+
+
+def _concat(parts: list[dict]) -> dict:
+    """Arrays by name, each concatenated along its first axis over `parts`;
+    a lone part is returned uncopied."""
+    if len(parts) == 1:
+        return parts[0]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _reduce_blocks(model: CircleModel, tables: _SoupTables, draws: dict,
+                   reps: int, keep_closed: bool):
+    """Columns by `SoupEnsemble` field name, and the per-edge closed totals,
+    of `reps` replicates from their `_draw_block` draws, concatenated over
+    consecutive blocks, in one pass of array operations."""
+    n = model.n
     edges = np.arange(n)
-    open_mask = np.zeros((B, n), dtype=bool)
-    zeros = np.zeros(B, dtype=np.int64)
+    open_mask = np.zeros((reps, n), dtype=bool)
+    zeros = np.zeros(reps, dtype=np.int64)
     avoiding = winding = liftable = lift_left = lift_right = zeros
 
-    if condition != "through-1-only":
+    if "counts" in draws:
         # loops with minimal vertex x = 1..n-2 reach x + K with K <= n-1-x;
         # edge e is open iff some base x <= e reaches beyond e
         x, mass = np.arange(1, n - 1), tables.masses[1:]  # mass = D(n-1-x)
-        counts = gen.poisson(model.alpha * mass, size=(B, x.size))
-        rep, col = np.nonzero(counts)
-        u = 1.0 - gen.random(col.size)
-        reach = np.broadcast_to(edges, (B, n)).copy()
+        counts, u = draws["counts"], 1.0 - draws["reach_u"]
+        rep, col = np.divmod(np.flatnonzero(counts), n - 2)
+        reach = np.broadcast_to(edges, (reps, n)).copy()
         reach[rep, x[col]] += np.searchsorted(tables.reach_mass,
                                               mass[col] * u ** (1.0 / counts[rep, col]))
         open_mask |= np.maximum.accumulate(reach, axis=1, out=reach) > edges
         avoiding = counts.sum(axis=1)
 
-    if condition != "avoiding-1-only":
-        winding = gen.poisson(model.alpha * tables.winding_mass, B)
-        liftable = gen.poisson(model.alpha * tables.liftable_mass, B)
+    if "liftable" in draws:
+        winding, liftable = draws["winding"], draws["liftable"]
         # each lift's right end b is the smallest with W(b) >= u W(n-1), its
         # left end a the smallest with D(a+b) >= D(b-1) + v (D(n-1+b) - D(b-1))
         # (D(-1) = D(0) = 0), clipped to 0..n-1 where roundoff or a saturated D
         # puts the target at an end; a row's extents are its lifts' maxima
         D, W = tables.reach_mass, tables.lift_right_mass
-        u, v = 1.0 - gen.random((2, liftable.sum()))
+        u, v = 1.0 - draws["right_u"], 1.0 - draws["left_u"]
         right = np.searchsorted(W, u * W[-1])
         lo, hi = D[np.maximum(right - 1, 0)], D[right + n - 1]
         left = np.clip(np.searchsorted(D, lo + v * (hi - lo)) - right, 0, n - 1)
-        owner = np.repeat(np.arange(B), liftable)
+        owner = np.repeat(np.arange(reps), liftable)
         lift_left, lift_right = zeros.copy(), zeros.copy()
         np.maximum.at(lift_left, owner, left)
         np.maximum.at(lift_right, owner, right)
@@ -407,21 +431,27 @@ def conditional_experiment(model: CircleModel, seed: int, condition: str,
     Conditioning keeps only the loops through vertex 1 ("through-1-only") or
     only the loops avoiding it ("avoiding-1-only"): on a Poisson soup that is
     the complementary independent sub-soup, so no rejection is involved.
-    Replicates are processed in fixed blocks; block b draws from the Philox
+    Replicates are drawn in fixed blocks; block b draws from the Philox
     stream keyed (seed, b+1), so results are reproducible for a given seed.
-    Blocks return columns by `SoupEnsemble` field name, concatenated here; the
-    closed edges are one flat column, held only with keep_closed_edges.
+    Consecutive blocks are reduced together in chunks, whose columns by
+    `SoupEnsemble` field name are concatenated here; the closed edges are one
+    flat column, held only with keep_closed_edges.
     """
     check_experiment_args(model, seed, condition, replicates)
     tables = _soup_tables(model)
-    # a block holds several B x n arrays, so B * n is capped at 2^22 cells
+    # a block's draws hold a B x n array, so B * n is capped at 2^22 cells;
+    # a chunk of blocks reduced together holds at most _CHUNK_CELLS, or one block
     B = min(1024, max(1, 2 ** 22 // model.n))
-    blocks = [_run_block(model, tables, condition, seed, b,
-                         min(B, replicates - b * B), keep_closed_edges)
-              for b in range((replicates + B - 1) // B)]
-    columns = {name: np.concatenate([cols[name] for cols, _ in blocks])
-               for name in blocks[0][0]}
+    per_chunk = max(1, _CHUNK_CELLS // (B * model.n))
+    chunks = []
+    for first in range(0, replicates, B * per_chunk):
+        reps = min(B * per_chunk, replicates - first)
+        draws = _concat([_draw_block(model, tables, condition, seed, b,
+                                     min(B, replicates - b * B))
+                         for b in range(first // B, (first + reps + B - 1) // B)])
+        chunks.append(_reduce_blocks(model, tables, draws, reps, keep_closed_edges))
+    columns = _concat([cols for cols, _ in chunks])
     return SoupEnsemble(
         model=model.to_dict(), condition=condition, replicates=replicates,
-        seed=int(seed), closed_edge_totals=np.sum([totals for _, totals in blocks], axis=0),
+        seed=int(seed), closed_edge_totals=np.sum([totals for _, totals in chunks], axis=0),
         **columns)

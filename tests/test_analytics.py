@@ -659,3 +659,16 @@ def test_circle_mass_is_the_full_circle_mass_inside(n, p, c):
     model = build_model(n, p, c, 0.7)
     assert _circle_mass(model) == mass_inside(model, range(1, n + 1))
     assert math.isfinite(_circle_mass(build_model(10 ** 12, p, c + 0.1, 0.7)))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_finite_n_laws_at_alpha_zero(c):
+    """At alpha = 0 the soup is empty, so no loop winds or sweeps and every
+    edge is closed, also at c = 0, where the no-winding probability read 0:
+    the split probability is 1 and the origin extents sit at (0, 0)."""
+    model = build_model(8, 0.5, c, 0.0)
+    assert analytics.prob_no_winding_or_covering(model) == 1.0
+    assert analytics.prob_split_given_no_avoiding(model) == 1.0
+    pmf = analytics.origin_extent_pmf(model)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+    assert pmf[0, 0] == pytest.approx(1.0, abs=1e-15)

@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,10 @@ def test_analytic_subcommand(capsys):
     model = build_model(8, 0.5, 0.3, 1.0)
     assert rec["value"] == pytest.approx(mass_through_vertex1(model), rel=1e-12)
     assert rec["params"]["n"] == 8
+    # alpha = 0: the soup is empty, so no loop winds or sweeps, also at c = 0
+    code, out = run_cli(capsys, "analytic", "--formula", "prob-no-winding-or-covering",
+                        "--n", "8", "--p", "0.5", "--c", "0", "--alpha", "0")
+    assert code == 0 and json.loads(out)["value"] == 1.0
 
 
 def test_law_subcommand(capsys):
@@ -298,6 +307,27 @@ def test_sample_jsonl_bytes_are_pinned(tmp_path, capsys):
     assert b'"closed_left_endpoints": []' in data and b'"through_left": null' in data
     assert hashlib.sha256(data).hexdigest() == (
         "22df938d48c7486e3779c394928851651f5715a42aa4bea1953dd1fbebe0cc61")
+
+
+_SAMPLE_PIN = ["sample", "--n", "12", "--p", "0.55", "--c", "0.1", "--alpha", "0.7",
+               "--replicates", "9000", "--seed", "3"]
+
+
+def test_sample_prints_pinned_bytes_to_text_stdout():
+    """Without --out, `sample` prints the pinned JSONL bytes to a real
+    stdout, whose byte buffer takes them after any text printed first, and
+    to a StringIO under contextlib.redirect_stdout, which has no buffer."""
+    pinned = "22df938d48c7486e3779c394928851651f5715a42aa4bea1953dd1fbebe0cc61"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; from loopsoup.cli import main; print('x'); sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *_SAMPLE_PIN],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True)
+    assert proc.stdout[:2] == b"x\n"
+    assert hashlib.sha256(proc.stdout[2:]).hexdigest() == pinned
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(_SAMPLE_PIN) == 0
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest() == pinned
 
 
 def test_help_lists_every_subcommand(capsys):

@@ -27,7 +27,7 @@ from loopsoup.experiments import (
     sample_limit_extents,
     symmetric_schedule,
 )
-from loopsoup.sampler import CONDITIONS, conditional_experiment
+from loopsoup.sampler import CONDITIONS, SoupEnsemble, conditional_experiment
 from loopsoup.circle import build_model
 
 import oracles
@@ -213,28 +213,81 @@ def test_ensemble_records_fields():
             assert key in rec
 
 
+def _profiles(ens) -> np.ndarray:
+    """Each replicate's profile, one row each: every field of its line but the
+    replicate index and the kept edges."""
+    through = (ens.avoiding_count == 0) & (ens.closed_edge_count >= 1)
+    return np.stack((ens.closed_edge_count, ens.lift_left, ens.lift_right, ens.loop_count,
+                     ens.origin_left, ens.origin_right, through), axis=1)
+
+
+def _check_lines_against_oracle(n, c, replicates, repeats, condition, keep):
+    """The ensemble's lines are byte-identical to json.dumps of the dict
+    records; `repeats` says whether at most half of each block's profiles
+    are distinct, so each profile is formatted once and its rows stamped
+    into it, or more than half, so the block is formatted in one pass."""
+    model = build_model(n, 0.5, c, 0.7)
+    ens = conditional_experiment(model, 5, condition, replicates, keep_closed_edges=keep)
+    block = experiments._LINE_BLOCK
+    starts = range(0, replicates, block)
+    profiles = _profiles(ens)
+    blocks_of = [profiles[lo:lo + block] for lo in starts]
+    assert len(starts) >= 3  # the last block is partial
+    assert all((2 * len(np.unique(rows, axis=0)) <= len(rows)) == repeats
+               for rows in blocks_of)
+    if repeats:
+        # the first block mixes the row templates: null and non-null through
+        # extents and, but for avoiding-1-only, rows without a closed edge
+        through = profiles[:block, 6].astype(bool)
+        assert through.any() and not through.all()
+        if condition != "avoiding-1-only":
+            assert np.any(ens.closed_edge_count[:block] == 0)
+        # and the first block boundary cuts through rows sharing a profile
+        assert set(map(tuple, blocks_of[0].tolist())) & set(map(tuple, blocks_of[1].tolist()))
+    expect = oracles.ensemble_records_oracle(ens)
+    blocks = list(replicate_lines(ens))
+    assert len(blocks) == len(starts)
+    lines = b"".join(blocks).splitlines(keepends=True)
+    assert len(lines) == len(expect) == replicates
+    for line, rec in zip(lines, expect):
+        assert line == (json.dumps(rec, sort_keys=True) + "\n").encode()
+    assert ensemble_records(ens) == expect
+
+
 @pytest.mark.parametrize("keep", [False, True], ids=["no-closed-edges", "closed-edges"])
 @pytest.mark.parametrize("condition", CONDITIONS)
 def test_replicate_lines_match_dict_oracle(condition, keep):
-    """Each templated line is byte-identical to json.dumps of the dict record."""
-    model = build_model(8, 0.5, 0.3, 0.7)
-    # 5000 replicates span ten blocks of lines, the last one partial
-    ens = conditional_experiment(model, 5, condition, 5000, keep_closed_edges=keep)
-    through = (ens.avoiding_count == 0) & (ens.closed_edge_count >= 1)
-    # the first block mixes the row templates: null and non-null through
-    # extents and, but for avoiding-1-only, rows without a closed edge
-    first = slice(0, experiments._LINE_BLOCK)
-    assert through[first].any() and not through[first].all()
-    if condition != "avoiding-1-only":
-        assert np.any(ens.closed_edge_count[first] == 0)
-    expect = oracles.ensemble_records_oracle(ens)
-    blocks = list(replicate_lines(ens))
-    assert len(blocks) == 10
-    lines = "".join(blocks).splitlines(keepends=True)
-    assert len(lines) == len(expect) == 5000
-    for line, rec in zip(lines, expect):
-        assert line == json.dumps(rec, sort_keys=True) + "\n"
-    assert ensemble_records(ens) == expect
+    """Each templated line is byte-identical to json.dumps of the dict
+    record where profiles repeat: n = 8."""
+    _check_lines_against_oracle(8, 0.3, 5000, True, condition, keep)
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["no-closed-edges", "closed-edges"])
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_distinct_replicate_lines_match_dict_oracle(condition, keep):
+    """The same where nearly every profile is distinct: n = 200, kappa = 1."""
+    _check_lines_against_oracle(200, 1.0 / (2 * 200 ** 2), 2500, False, condition, keep)
+
+
+def test_replicate_lines_past_a_packed_profile_key():
+    """Profiles whose fields span more than an int64 key can pack are
+    formatted in one pass, also where every profile repeats: here each of
+    one block's profiles is on two rows."""
+    rng = np.random.default_rng(0)
+    half = experiments._LINE_BLOCK // 2
+    closed = rng.integers(0, 4, half)
+    wide = [rng.integers(0, 2 ** 20, half) for _ in range(3)]
+    columns = [np.tile(col, 2) for col in (closed, *wide, rng.integers(0, 2, half))]
+    closed, lift_left, lift_right, loops, avoiding = columns[0], *columns[1:]
+    edges = np.concatenate([rng.choice(16, k, replace=False) for k in closed])
+    ens = SoupEnsemble(model={}, condition="unconditioned", replicates=2 * half, seed=0,
+                       loop_count=loops, avoiding_count=avoiding, winding_or_cover_count=loops,
+                       closed_edge_count=closed, origin_left=np.where(closed > 0, loops, -1),
+                       origin_right=np.where(closed > 0, lift_left, -1), lift_left=lift_left,
+                       lift_right=lift_right, closed_edge_totals=np.zeros(16, dtype=np.int64),
+                       closed_edges=edges)
+    assert experiments._profile_ids(_profiles(ens).T) is None
+    assert ensemble_records(ens) == oracles.ensemble_records_oracle(ens)
 
 
 def test_edge_audit_replicate_lines_are_pinned(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsoup import sampler
 from loopsoup.analytics import mass_inside, mass_liftable, mass_liftable_inside, origin_extent_pmf
 from loopsoup.circle import Loop, build_model
 from loopsoup.numerics import cell_check, z_check
@@ -139,6 +140,30 @@ def test_closed_edge_column_invariants(condition):
     assert np.array_equal(flat[(ends - count)[some]], kept.origin_right[some])
     assert np.array_equal(flat[ends[some] - 1], n - 1 - kept.origin_left[some])
     assert np.array_equal(np.bincount(flat, minlength=n), kept.closed_edge_totals)
+
+
+_COLUMNS = ("loop_count", "avoiding_count", "winding_or_cover_count", "closed_edge_count",
+            "origin_left", "origin_right", "lift_left", "lift_right")
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+@pytest.mark.parametrize("n", [12, 601])
+def test_chunked_engine_is_prefix_stable(n, condition):
+    """Blocks are drawn on their own streams and reduced in chunks, so the
+    first k blocks of a run spanning more than three chunks are a k-block
+    run, column by column and in the closed edges, whether the k blocks end
+    inside a chunk or on its boundary."""
+    B = 1024  # the block size below n = 4096
+    chunk = max(1, sampler._CHUNK_CELLS // (B * n)) * B
+    reps = max(3 * chunk, 4 * B) + 500
+    model = build_model(n, 0.5, 0.3 / n, 0.7)
+    full = conditional_experiment(model, 23, condition, reps, keep_closed_edges=True)
+    for k in (1, 3, 4):
+        part = conditional_experiment(model, 23, condition, k * B, keep_closed_edges=True)
+        for name in _COLUMNS:
+            assert np.array_equal(getattr(part, name), getattr(full, name)[:k * B]), (k, name)
+        edges = int(part.closed_edge_count.sum())
+        assert np.array_equal(part.closed_edges, full.closed_edges[:edges]), k
 
 
 # ---------------------------------------------------------------------------
