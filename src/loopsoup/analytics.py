@@ -1,9 +1,12 @@
 """Closed-form loop-measure masses and cluster probability formulas.
 
-All finite-n quantities reduce to log-determinants of tridiagonal or circulant
+Finite-n masses reduce to log-determinants of tridiagonal or circulant
 restrictions of the walk generator, evaluated in the log domain so that large
 n*r never overflows; the mass inside any vertex subset is a sum of arc masses.
-The r -> 0 degenerate cases go through series limits.
+The r -> 0 degenerate cases go through series limits.  The closed edges of
+the unconditioned soup are a cyclic renewal of the renewal law's own jump
+pmf, so the joint law of vertex 1's cluster extents is a product of that pmf
+and the hitting probabilities.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .numerics import (
     require_alpha,
     require_finite,
 )
-from .scaling import RenewalLaw, _next_fast_len
+from .scaling import RenewalLaw
 
 
 @dataclass(frozen=True)
@@ -380,32 +383,22 @@ def origin_extent_pmf(model: CircleModel) -> np.ndarray:
     """P[origin_left = l, origin_right = x] over the unconditioned soups with
     a closed edge, an n x n array; its total is P[a closed edge].
 
-    With N = n - 1, the avoiding-1 closed edges are the renewal path 0..N of
-    `RenewalLaw.build(alpha, r, N)`.  A winding or covering loop opens every
-    edge; else the closed edges are the path's points in [R, N - L], (L, R)
-    the liftable loops' extents.  F(R, x) = sum_{i<R} C(i) w(x-i), x >= R,
-    (F(0, x) = [x = 0]) weighs x as the first point at or after R, and by
-    reflection F(L, l) weighs N - l as the last at or before N - L, so with
-    q(L, R) the lift extents' pmf the law is
-        P[no winding or covering] C(N - l - x) (F^T q F)[l, x] / C(N)
-    for l + x <= N.  As sum_{i<x} C(i) w(x-i) = C(x), A F = S - S * w along
-    rows, S = C times A's row cumsums: an FFT convolution, whose bits, unlike
-    a BLAS product's, do not depend on the CPU.
+    The closed edges are a cyclic renewal of the jump pmf w of
+    `RenewalLaw.build(alpha, r, n)`: a nonempty closed set with cyclic gaps
+    k_1 .. k_m has probability Pi_n w(k_1) ... w(k_m), where
+    Pi_n = (2 e^(-nr) (cosh nr - cosh nd))^alpha, d the half log-drift, is
+    the no-winding probability times (1 + e^(-2nr))^alpha.  Vertex 1's gap
+    is l + x + 1, and the others sum over the renewal paths across the other
+    n - l - x - 1 edges to C(n - l - x - 1), so
+        pmf[l, x] = Pi_n w(l + x + 1) C(n - l - x - 1)   for l + x <= n - 1.
     """
-    N = model.n - 1
-    law = RenewalLaw.build(model.alpha, model.r, N)
-    size, k = _next_fast_len(2 * N + 1), np.arange(N + 1)
-    w = np.fft.rfft(law.w, size)
-
-    def times_F(A):
-        S = law.C * np.cumsum(A, axis=1)
-        return S - np.fft.irfft(np.fft.rfft(S, size, axis=1) * w, size, axis=1)[:, :N + 1]
-
-    q = np.diff(np.diff(covered_extent_cdf(model, k[:, None], k), axis=0, prepend=0.0),
-                axis=1, prepend=0.0)
-    rest = N - k[:, None] - k  # C[rest] wraps where rest < 0, and is zeroed there
-    pmf = law.C[rest] * (rest >= 0) * times_F(times_F(q).T).T
-    return pmf * (prob_no_winding_or_covering(model) / law.C[N])
+    n = model.n
+    law = RenewalLaw.build(model.alpha, model.r, n)
+    pi = prob_no_winding_or_covering(model) * (1.0 + math.exp(-2.0 * n * model.r)) ** model.alpha
+    by_sum = np.zeros(2 * n - 1)  # the pmf by l + x, 0 past n - 1
+    by_sum[:n] = pi * law.w[1:] * law.C[n - 1::-1]
+    k = np.arange(n)
+    return by_sum[k[:, None] + k]
 
 
 def prob_split_given_no_avoiding_limit(kappa: float, epsilon: float,

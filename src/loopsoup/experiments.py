@@ -13,6 +13,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -62,6 +63,8 @@ DEFAULT_THRESHOLDS = {
     "drift_rel": 0.05,           # schedule-vs-target relative drift bound
 }
 
+_field_hints = cache(get_type_hints)  # a dataclass's annotations, resolved once
+
 
 def _check_fields(what: str, d, cls) -> None:
     """ValueError naming the first unknown, missing or mistyped field of a
@@ -79,7 +82,7 @@ def _check_fields(what: str, d, cls) -> None:
     for name, f in names.items():
         if name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{what} is missing field {name!r}")
-    hints = get_type_hints(cls)
+    hints = _field_hints(cls)
     for key, value in d.items():
         _check_type(f"{what} field {key!r}", value, hints[key])
 

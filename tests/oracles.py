@@ -12,7 +12,8 @@ the limit battery `limit_checks` every limit law against its finite-n law.
 The module also keeps the limit laws and the unnormalized extent density that
 serve only as references in the tests, the dense-determinant masses and
 nested-quadrature cell table that the closed forms replaced, the scalar
-anti-diagonal loop that the vectorized split probability replaced, and the
+anti-diagonal loop that the vectorized split probability replaced, the
+lift-extent mixture that the origin-extent closed form replaced, and the
 adaptive quadrature, one-sample KS and chi-square helpers the tests check
 against.
 
@@ -482,6 +483,38 @@ def prob_split_given_no_avoiding_loop(model: CircleModel) -> float:
         lower = covered_extent_cdf(model, m - 1, M) if m >= 1 else 0.0
         total += upper - lower
     return min(max(prob_no_winding_or_covering(model) * total, 0.0), 1.0)
+
+
+def origin_extent_pmf_by_lift_mixture(model: CircleModel) -> np.ndarray:
+    """`origin_extent_pmf` as the lift extents' pmf mixed over the first and
+    last points of the avoiding-1 renewal path: the finite-n twin of the
+    crossing-mixture identity.
+
+    With N = n - 1, the avoiding-1 closed edges are the renewal path 0..N of
+    `RenewalLaw.build(alpha, r, N)`.  A winding or covering loop opens every
+    edge; else the closed edges are the path's points in [R, N - L], (L, R)
+    the liftable loops' extents.  F(R, x) = sum_{i<R} C(i) w(x-i), x >= R,
+    (F(0, x) = [x = 0]) weighs x as the first point at or after R, and by
+    reflection F(L, l) weighs N - l as the last at or before N - L, so with
+    q(L, R) the lift extents' pmf the law is
+        P[no winding or covering] C(N - l - x) (F^T q F)[l, x] / C(N)
+    for l + x <= N.  As sum_{i<x} C(i) w(x-i) = C(x), A F = S - S * w along
+    rows, S = C times A's row cumsums: one FFT convolution per row.
+    """
+    N = model.n - 1
+    law = RenewalLaw.build(model.alpha, model.r, N)
+    size, k = next_fast_len(2 * N + 1, real=True), np.arange(N + 1)
+    w = np.fft.rfft(law.w, size)
+
+    def times_F(A):
+        S = law.C * np.cumsum(A, axis=1)
+        return S - np.fft.irfft(np.fft.rfft(S, size, axis=1) * w, size, axis=1)[:, :N + 1]
+
+    q = np.diff(np.diff(covered_extent_cdf(model, k[:, None], k), axis=0, prepend=0.0),
+                axis=1, prepend=0.0)
+    rest = N - k[:, None] - k  # C[rest] wraps where rest < 0, and is zeroed there
+    pmf = law.C[rest] * (rest >= 0) * times_F(times_F(q).T).T
+    return pmf * (prob_no_winding_or_covering(model) / law.C[N])
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def test_criterion_8_limit_theorem():
                  + "".join(f"{c.law}: slope {c.slope:.4f}, residual {c.residual:.1e}; "
                            for c in limits) + f"{time.time() - t0:.0f}s")
     assert oracles.report_digest(report) == (
-        "3069b7bfa0af6612f902dd6f85b0b90abc5549b5b75ef71facfa944e45efc61b")
+        "66c29fcd6a7b97f0c9000dd26a275ce8d52bcc5572948679c2a694cb21e2b287")
 
 
 # ---------------------------------------------------------------------------

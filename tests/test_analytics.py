@@ -672,3 +672,34 @@ def test_finite_n_laws_at_alpha_zero(c):
     pmf = analytics.origin_extent_pmf(model)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
     assert pmf[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [7, 50, 200, 1600])
+@pytest.mark.parametrize("epsilon", [0.5, 0.25], ids=["symmetric", "drifted"])
+def test_origin_extent_pmf_is_the_lift_extent_mixture(n, epsilon):
+    """The closed form Pi_n w(l+x+1) C(n-l-x-1) equals the lift extents' pmf
+    mixed over the first and last points of the avoiding-1 renewal path, the
+    finite-n twin of the crossing-mixture identity, to 1e-14 at every n."""
+    model = oracles._model(n, epsilon, 0.5)
+    np.testing.assert_allclose(analytics.origin_extent_pmf(model),
+                               oracles.origin_extent_pmf_by_lift_mixture(model),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("params", [
+    (200, 0.3, 1.0, 0.5),        # strong drift and killing
+    (60, 0.5, 50.0, 2.0),        # n r = 235
+    (1000, 0.5, 5e-15, 0.5),     # the kappa = 1 schedule's killing at n = 1e7
+    (300, 0.5, 1e-17, 0.7),      # below where the old kappa cancelled to 0
+    (100, 0.001, 1e-3, 1.5),     # p near 0
+    (8, 0.5, 0.0, 0.0),          # alpha = 0 at c = 0
+    (40, 0.6, 0.1, 0.0),         # alpha = 0 at c > 0
+])
+def test_origin_extent_pmf_in_edge_regimes(params):
+    """The closed form stays finite and nonnegative, and within 1e-13 of the
+    lift-extent mixture, at large n r, c -> 0, p near 0 and alpha = 0."""
+    model = build_model(*params)
+    pmf = analytics.origin_extent_pmf(model)
+    assert np.all(np.isfinite(pmf)) and pmf.min() >= 0.0
+    np.testing.assert_allclose(pmf, oracles.origin_extent_pmf_by_lift_mixture(model),
+                               rtol=0, atol=1e-13)

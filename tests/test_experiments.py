@@ -82,6 +82,17 @@ def test_config_values_match_field_annotations():
             ExperimentConfig.from_dict(bad)
 
 
+def test_config_check_resolves_each_class_annotations_once():
+    """Checking configs calls `get_type_hints` once per dataclass, not once
+    per config and per schedule entry: two configs of three entries each make
+    two calls, not eight."""
+    experiments._field_hints.cache_clear()
+    d = default_single_partition_config().to_dict()
+    for _ in range(2):
+        ExperimentConfig.from_dict(d)
+    assert experiments._field_hints.cache_info().misses == 2
+
+
 def test_config_validate_rejects_target_miss():
     cfg = default_single_partition_config()
     cfg.schedule = [ScheduleEntry(n=100, p=0.5, c=0.3)]  # way off kappa = 1

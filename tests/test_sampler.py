@@ -14,6 +14,7 @@ from loopsoup.sampler import (
     CONDITIONS, SoupSample, _soup_tables, conditional_experiment, extract_clusters, philox_rng,
     sample_soup,
 )
+from loopsoup.scaling import RenewalLaw
 
 import oracles
 
@@ -290,6 +291,25 @@ def test_origin_extent_pmf_sums_the_configuration_law(params):
     for mask, prob in enumerate(oracles.edge_config_probabilities(model)[1:], start=1):
         expect[n - mask.bit_length(), (mask & -mask).bit_length() - 1] += prob
     np.testing.assert_allclose(origin_extent_pmf(model), expect, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("params", [params for params, *_ in BATTERY if params[0] <= 7]
+                         + [(8, 0.3, 0.4, 1.6)])
+def test_closed_edges_are_a_cyclic_renewal(params):
+    """Every nonempty closed-edge set, with cyclic gaps k_1 .. k_m, has
+    probability Pi_n w(k_1) ... w(k_m): w the jump pmf of
+    `RenewalLaw.build(alpha, r, n)`, Pi_n = (2 e^(-nr) (cosh nr - cosh nd))^alpha
+    and d the half log-drift.  This is the inclusion-exclusion configuration
+    law to 1e-14, set by set, and the identity `origin_extent_pmf` sums."""
+    model = build_model(*params)
+    n, r = model.n, model.r
+    d = abs(math.log(model.p / (1.0 - model.p))) / 2.0
+    pi = (2.0 * math.exp(-n * r) * (math.cosh(n * r) - math.cosh(n * d))) ** model.alpha
+    w = RenewalLaw.build(model.alpha, r, n).w
+    expect = [pi * np.prod(w[np.diff(closed + [closed[0] + n])])
+              for closed in ([e for e in range(n) if mask >> e & 1] for mask in range(1, 1 << n))]
+    np.testing.assert_allclose(oracles.edge_config_probabilities(model)[1:], expect,
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("engine, params, seed, condition, reps", [

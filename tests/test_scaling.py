@@ -100,9 +100,23 @@ def test_invert_renewal_matches_recursion(alpha, r, N):
     assert np.max(np.abs(invert_renewal(C) - renewal_jumps_by_recursion(C))) <= 1e-13
 
 
-def test_invert_renewal_matches_recursion_at_1e5():
-    C = hitting_coefficients(0.5, 1e-5, 100_000)
-    assert np.max(np.abs(invert_renewal(C) - renewal_jumps_by_recursion(C))) <= 1e-14
+@pytest.mark.parametrize("N", [100_000, 1_000_000])
+def test_invert_renewal_a_posteriori_bound(N):
+    """w is within 1e-14 of the true jump law w* at N = 1e5 and 1e6.
+
+    With res = (delta - w) * C - delta mod z^(N+1) and (delta - w*) * C = delta,
+    w* - w = res * (delta - w*), so ||w - w*||_inf <= ||delta - w*||_1 ||res||_inf
+    <= 2 ||res||_inf.  res comes from one real FFT of length > 2N, which
+    rounds at about 1e-16 (3.3e-16 at 1e5 and 2.2e-16 at 1e6, about all of
+    the residual).
+    """
+    C = hitting_coefficients(0.5, 1e-5, N)
+    delta_minus_w = -invert_renewal(C)
+    delta_minus_w[0] = 1.0
+    size = next_fast_len(2 * N + 1, real=True)
+    res = np.fft.irfft(np.fft.rfft(delta_minus_w, size) * np.fft.rfft(C, size), size)[:N + 1]
+    res[0] -= 1.0
+    assert 2.0 * np.max(np.abs(res)) <= 1e-14
 
 
 def test_invert_renewal_rejects_bad_sequence():
