@@ -76,9 +76,6 @@ LAW_FORMULAS = {
 
 _BRIDGE_CHUNK = 1000
 
-_PARAM_NAMES = ("kappa", "epsilon", "alpha", "a", "b", "x", "y", "t", "lam",
-                "s", "r", "m", "M")
-
 
 def _add_model_args(parser):
     parser.add_argument("--n", type=int, required=True)
@@ -94,12 +91,21 @@ def _emit(formula: str, args, value: float) -> None:
                      sort_keys=True))
 
 
+def _param_names(formulas) -> list[str]:
+    """Every parameter the formulas take, in order of first use."""
+    return list(dict.fromkeys(name for _, needed in formulas.values() for name in needed))
+
+
 def _evaluate(formulas, args, *leading) -> int:
     """Check the formula's parameters, then print fn(*leading, *parameters)."""
     fn, needed = formulas[args.formula]
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
         raise ValueError(f"formula {args.formula} needs {' '.join(missing)}")
+    extra = [f"--{name}" for name in _param_names(formulas)
+             if name not in needed and getattr(args, name) is not None]
+    if extra:
+        raise ValueError(f"formula {args.formula} does not take {' '.join(extra)}")
     for name in needed:
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
@@ -223,14 +229,14 @@ def main(argv=None) -> int:
         p_analytic = sub.add_parser("analytic", help="finite-n closed forms")
         p_analytic.add_argument("--formula", choices=sorted(ANALYTIC_FORMULAS), required=True)
         _add_model_args(p_analytic)
-        p_analytic.add_argument("--m", type=int, default=None)
-        p_analytic.add_argument("--M", type=int, default=None)
+        for name in _param_names(ANALYTIC_FORMULAS):
+            p_analytic.add_argument(f"--{name}", type=int, default=None)
         p_analytic.set_defaults(func=_cmd_analytic)
 
     if "law" in wanted:
         p_law = sub.add_parser("law", help="limit-law formulas")
         p_law.add_argument("--formula", choices=sorted(LAW_FORMULAS), required=True)
-        for name in _PARAM_NAMES:
+        for name in _param_names(LAW_FORMULAS):
             p_law.add_argument(f"--{name}", type=float, default=None)
         p_law.set_defaults(func=_cmd_law)
 

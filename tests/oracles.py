@@ -6,13 +6,14 @@ no determinants), extended beyond the cutoff by trace power series of the
 one-step matrix.  The tail beyond the final cutoff K is geometrically bounded
 by  size * rho^(K+1) / ((K+1)(1-rho))  with rho = 1/(1+c) an upper bound on
 the spectral radius, so K is chosen to push it below 1e-12.  The mass
-battery `mass_checks` runs every closed-form mass against these oracles, and
-the limit battery `limit_checks` every limit law against its finite-n law.
+battery `mass_checks` runs every closed-form mass against these oracles, the
+subordinator battery `subordinator_checks` every subordinator closed form
+against quadrature, and the limit battery `limit_checks` every limit law
+against its finite-n law.
 
 The module also keeps the limit laws and the unnormalized extent density that
 serve only as references in the tests, the dense-determinant masses and
-nested-quadrature cell table that the closed forms replaced, the scalar
-anti-diagonal loop that the vectorized split probability replaced, the
+nested-quadrature cell table that the closed forms replaced, the
 lift-extent mixture that the origin-extent closed form replaced, and the
 adaptive quadrature, one-sample KS and chi-square helpers the tests check
 against.
@@ -60,7 +61,8 @@ from loopsoup.sampler import (
     CONDITIONS, SoupEnsemble, SoupSample, extract_clusters, philox_rng, sample_soup,
 )
 from loopsoup.scaling import (
-    RenewalLaw, SubordinatorLaw, hitting_coefficients, sample_conditioned_renewals,
+    ConditionedBridgeLaw, RenewalLaw, SubordinatorLaw, bridge_crossing_joint_density,
+    hitting_coefficients, sample_conditioned_renewals,
 )
 
 
@@ -337,6 +339,7 @@ def _mass_check(law: str, closed, oracle, bound: float, relative: bool = False) 
     return MassCheck(law, gap, bound, gap < bound)
 
 
+@lru_cache(maxsize=None)
 def mass_checks(model: CircleModel, max_len: int | None = None) -> dict[str, MassCheck]:
     """Every closed-form mass of `analytics` against its oracles, by law name.
 
@@ -356,7 +359,8 @@ def mass_checks(model: CircleModel, max_len: int | None = None) -> dict[str, Mas
     bound max(the series tail past max_len, 1e-12), the tail from
     `geometric_tail_bound` at rho = 1/(1+c); and "enumeration vs series to
     max_len" checks the enumeration against the series cut at the same
-    length, to 1e-12.  Every check passes when its gap is below its bound."""
+    length, to 1e-12.  Every check passes when its gap is below its bound.
+    Cached: `test_mass_laws` and criterion 1 read the same run."""
     n = model.n
     full, rest = list(range(1, n + 1)), list(range(2, n + 1))
     if n <= 5:
@@ -417,6 +421,55 @@ def mass_checks(model: CircleModel, max_len: int | None = None) -> dict[str, Mas
     return {check.law: check for check in checks}
 
 
+# (kappa, alpha, lambda) of the transform checks, the last on the kappa -> 0
+# series branch, and (kappa, alpha, t) of the Levy-density checks
+SUBORDINATOR_POINTS = [(1.0, 0.5, 2.0), (0.25, 0.3, 1.5), (1e-14, 0.5, 2.0)]
+LEVY_DENSITY_POINTS = [(1.0, 0.5, 0.7), (0.25, 0.3, 1.1), (1e-14, 0.5, 0.8),
+                       (1.0, 0.5, 0.8), (0.25, 0.3, 0.8)]
+
+
+@lru_cache(maxsize=None)
+def subordinator_checks() -> dict[str, MassCheck]:
+    """Every closed form of `SubordinatorLaw` against quadrature or a
+    difference quotient, by name, under absolute bounds.  At each point
+    k-a-l of SUBORDINATOR_POINTS, "potential transform k-a-l": Phi(lambda)
+    times the transform of u is 1, and "levy tail transform k-a-l": lambda
+    times the transform of the Levy tail is Phi(lambda); at each k-a-t of
+    LEVY_DENSITY_POINTS, "levy density k-a-t": the central difference of
+    minus the tail is the Levy density (1e-8 each).  At kappa = 1,
+    alpha = 0.3, level a = 0.5: "hitting normalization", the hitting density
+    integrates to 1 (1e-6), and "hitting integral form", at x = 0.7, 0.9,
+    1.1, 1.4 it equals the integral of u(x - z) against the Levy density over
+    z in (x - a, x) (1e-8).  Cached: the unit tests and criterion 5 read the
+    same run."""
+    spec, checks = QuadratureSpec(tol=1e-12, limit=400), []
+    for kappa, alpha, lam in SUBORDINATOR_POINTS:
+        law = SubordinatorLaw(kappa=kappa, alpha=alpha)
+        phi = law.laplace_exponent(lam)
+        checks.append(_mass_check(f"potential transform {kappa}-{alpha}-{lam}", phi * integrate(
+            lambda x: math.exp(-lam * x) * law.potential_density(x), 0.0, math.inf, spec)[0],
+            1.0, 1e-8))
+        checks.append(_mass_check(f"levy tail transform {kappa}-{alpha}-{lam}", lam * integrate(
+            lambda x: math.exp(-lam * x) * law.levy_tail(x), 0.0, math.inf, spec)[0], phi, 1e-8))
+    for kappa, alpha, t in LEVY_DENSITY_POINTS:
+        law = SubordinatorLaw(kappa=kappa, alpha=alpha)
+        checks.append(_mass_check(f"levy density {kappa}-{alpha}-{t}",
+                                  -(law.levy_tail(t + 1e-5) - law.levy_tail(t - 1e-5)) / 2e-5,
+                                  law.levy_density(t), 1e-8))
+    law, a, xs = SubordinatorLaw(kappa=1.0, alpha=0.3), 0.5, (0.7, 0.9, 1.1, 1.4)
+    norm = (integrate(lambda x: law.hitting_density(a, x), a, a + 2.0,
+                      QuadratureSpec(tol=1e-10), points=[a])[0]
+            + integrate(lambda x: law.hitting_density(a, x), a + 2.0, math.inf,
+                        QuadratureSpec(tol=1e-12))[0])
+    integral_form = [integrate(lambda z: law.potential_density(x - z) * law.levy_density(z),
+                               x - a, x, QuadratureSpec(tol=1e-12), points=[x - a, x])[0]
+                     for x in xs]
+    checks += [_mass_check("hitting normalization", norm, 1.0, 1e-6),
+               _mass_check("hitting integral form", integral_form,
+                           [law.hitting_density(a, x) for x in xs], 1e-8)]
+    return {check.law: check for check in checks}
+
+
 def return_probability(model: CircleModel, base0: int) -> float:
     """P[the killed walk from the base returns to it before leaving the arc].
 
@@ -471,18 +524,6 @@ def edge_config_probabilities(model: CircleModel) -> np.ndarray:
             if not mask >> bit & 1:
                 probs[mask] -= probs[mask | 1 << bit]
     return probs
-
-
-def prob_split_given_no_avoiding_loop(model: CircleModel) -> float:
-    """P[>= 2 clusters | no loop avoids vertex 1] by 2(n-1) scalar calls of
-    the joint extent cdf along the anti-diagonal m + M = n - 2."""
-    total = 0.0
-    for m in range(0, model.n - 1):
-        M = model.n - 2 - m
-        upper = covered_extent_cdf(model, m, M)
-        lower = covered_extent_cdf(model, m - 1, M) if m >= 1 else 0.0
-        total += upper - lower
-    return min(max(prob_no_winding_or_covering(model) * total, 0.0), 1.0)
 
 
 def origin_extent_pmf_by_lift_mixture(model: CircleModel) -> np.ndarray:
@@ -651,33 +692,58 @@ def overshoot_gaps(alpha: float, n: int) -> np.ndarray:
     return np.concatenate(([ks, cdf[0]], cdf[at] - limit[at]))
 
 
+CROSSING_CELLS = [(0.2, 0.1, 0.35, 0.3), (0.3, 0.15, 0.5, 0.2), (0.1, 0.1, 0.3, 0.4)]
+
+
+def crossing_gaps(alpha: float, n: int) -> np.ndarray:
+    """The crossing pmf of the bridge's renewal law at resolution n, times
+    n^2, against `bridge_crossing_joint_density` at kappa = 1, one entry per
+    cell (a, b, x, y) of CROSSING_CELLS.
+
+    F(R, x) = sum_{i<R} C(i) w(x-i) weighs x n as the path's first point at
+    or past R = a n, and by reflection F(b n, y n) weighs n - y n as its last
+    point at or before n - b n; the path between them has weight C(n - xn - yn),
+    so the pmf is F(an, xn) F(bn, yn) C(n - xn - yn) / C(n)."""
+    law = ConditionedBridgeLaw(SubordinatorLaw(1.0, alpha)).renewal_approximation(n)
+
+    def F(R, x):
+        return law.C[:R] @ law.w[x:x - R:-1]
+
+    gaps = []
+    for cell in CROSSING_CELLS:
+        a, b, x, y = (round(v * n) for v in cell)
+        pmf = F(a, x) * F(b, y) * law.C[n - x - y] / law.C[n]
+        gaps.append(n * n * pmf - bridge_crossing_joint_density(1.0, alpha, *cell))
+    return np.array(gaps)
+
+
 LIMIT_BATTERY = [
     LimitRow("no winding", prob_no_winding_or_covering_limit, _cells(
         lambda n, eps: prob_no_winding_or_covering(_model(n, eps, 0.5)),
         lambda eps: prob_no_winding_or_covering_limit(1.0, eps, 0.5), [(0.5,), (0.25,)]),
-        LADDER, 2.0, 2e-13, [(10_000, 1e-6)]),
+        LADDER, 2.0, 2e-13, ((10_000, 1e-6),)),
     LimitRow("split", prob_split_given_no_avoiding_limit, _cells(
         lambda n, alpha: prob_split_given_no_avoiding(_model(n, 0.5, alpha)),
         lambda alpha: prob_split_given_no_avoiding_limit(1.0, 0.5, alpha),
-        [(0.3,), (0.5,), (0.8,)]), LADDER, 1.0, 6e-9, [(1600, 2e-3)]),
+        [(0.3,), (0.5,), (0.8,)]), LADDER, 1.0, 6e-9, ((1600, 2e-3),)),
     # here and below, the extents at the runners' lattice points (floor(an), floor(bn))
     LimitRow("through-1 extent", through1_extent_cdf_limit, _cells(
         lambda n, a, b: through1_extent_cdf(_model(n, 0.4, 0.5), int(a * n), int(b * n)),
         lambda a, b: through1_extent_cdf_limit(1.0, 0.4, 0.5, a, b), [(0.3, 0.4), (0.4, 0.4)]),
-        LADDER, 1.0, 6e-8, [(n, 0.6 / n) for n in (200, 400, 2000)]),
+        LADDER, 1.0, 6e-8, tuple((n, 0.6 / n) for n in (200, 400, 2000))),
     LimitRow("covered extent", covered_extent_cdf_limit, _cells(
         lambda n, alpha, a, b: covered_extent_cdf(_model(n, 0.4, alpha), int(a * n), int(b * n)),
         lambda alpha, a, b: covered_extent_cdf_limit(1.0, alpha, a, b),
         [(alpha, *ab) for alpha in (0.3, 0.5, 0.8)
-         for ab in ((0.1, 0.1), (0.3, 0.4), (0.2, 0.5), (0.7, 0.9))]), LADDER, 1.0, 6e-7, []),
+         for ab in ((0.1, 0.1), (0.3, 0.4), (0.2, 0.5), (0.7, 0.9))]), LADDER, 1.0, 6e-7, ()),
     LimitRow("potential density", SubordinatorLaw.potential_density, _cells(
         lambda n, alpha, t: n**alpha * hitting_coefficients(alpha, 1.0 / n, n)[int(t * n)],
         lambda alpha, t: SubordinatorLaw(1.0, alpha).potential_density(t),
-        list(product((0.3, 0.5, 0.8), (0.1, 0.25, 0.5, 0.9)))), LADDER, 1.0, 5e-5, []),
+        list(product((0.3, 0.5, 0.8), (0.1, 0.25, 0.5, 0.9)))), LADDER, 1.0, 5e-5, ()),
     LimitRow("overshoot, alpha = 0.5", SubordinatorLaw.hitting_cdf_grid,
-             partial(overshoot_gaps, 0.5), (100, 1000, 10_000), 0.5, 5e-4, [(10_000, 0.02)]),
+             partial(overshoot_gaps, 0.5), (100, 1000, 10_000), 0.5, 5e-4, ((10_000, 0.02),)),
     LimitRow("overshoot, alpha = 0.3", SubordinatorLaw.hitting_cdf_grid,
-             lambda n: overshoot_gaps(0.3, n)[:2], (100, 1000, 10_000), 0.3, 4e-4, []),
+             lambda n: overshoot_gaps(0.3, n)[:2], (100, 1000, 10_000), 0.3, 4e-4, ()),
     # the unconditioned law at order 1 - alpha: P[a closed edge], and the cdf of
     # the scaled origin extents given one at (1/4, 1/4) and (1/2, 1/4)
     *(row for alpha, split_bound, extent_bound in ((0.3, 1e-5, 3e-4), (0.5, 6e-5, 6e-5))
@@ -685,15 +751,21 @@ LIMIT_BATTERY = [
         LimitRow(f"unconditioned split, alpha = {alpha}", prob_not_single_partition_limit,
                  _cells(lambda n, alpha: _origin_pmf(n, alpha).sum(),
                         lambda alpha: prob_not_single_partition_limit(1.0, 0.5, alpha),
-                        [(alpha,)]), (200, 400, 800, 1600), 1.0 - alpha, split_bound, []),
+                        [(alpha,)]), (200, 400, 800, 1600), 1.0 - alpha, split_bound, ()),
         LimitRow(f"origin extent, alpha = {alpha}", cluster_extent_limit_density,
                  _cells(_split_extent_cdf, lambda alpha, a, b: _simplex_cell_probs(
                      1.0, alpha, 4)[:round(4 * a), :round(4 * b)].sum(),
                         [(alpha, 0.25, 0.25), (alpha, 0.5, 0.25)]),
-                 (200, 400, 800, 1600), 1.0 - alpha, extent_bound, []))),
+                 (200, 400, 800, 1600), 1.0 - alpha, extent_bound, ()))),
+    # the crossing law of the bridge's renewal law, also at order 1 - alpha;
+    # below 6400 the residual is 4e-3, too loose to catch a 1% defect
+    *(LimitRow(f"bridge crossing, alpha = {alpha}", bridge_crossing_joint_density,
+               partial(crossing_gaps, alpha), (6400, 12800, 25600, 51200, 102400),
+               1.0 - alpha, 4e-4, ()) for alpha in (0.3, 0.5)),
 ]
 
 
+@lru_cache(maxsize=None)
 def limit_checks(row: LimitRow) -> LimitCheck:
     """The row's gaps on its ladder, checked at every cell: "order", the slope
     log(gap(n') / gap(n)) / log(q) between the top two rungs n' < n = q n'
@@ -701,7 +773,8 @@ def limit_checks(row: LimitRow) -> LimitCheck:
     extrapolation's residual (q^p gap(n) - gap(n')) / (q^p - 1) below the
     row's bound; "decreasing", |gap| falling at every rung; and at each
     (n, bound) of the folds, |gap(n)| < bound.  The slope reported is the one
-    farthest from p, the residual the largest."""
+    farthest from p, the residual the largest.  Cached: `test_limit_laws` and
+    criterion 8 read the same run."""
     gaps = np.array([row.gap(n) for n in row.ladder])
     q = row.ladder[-1] / row.ladder[-2]
     slopes = np.log(np.abs(gaps[-2] / gaps[-1])) / math.log(q)

@@ -140,35 +140,16 @@ def test_criterion_4_renewal_inversion_and_sampler():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_subordinator_identities():
-    points = [(1.0, 0.5, 2.0), (0.25, 0.3, 1.5), (1e-14, 0.5, 2.0)]
-    worst = 0.0
-    for kappa, alpha, lam in points:
-        law = SubordinatorLaw(kappa=kappa, alpha=alpha)
-        lap_u, _ = integrate(lambda x: math.exp(-lam * x) * law.potential_density(x),
-                             0.0, math.inf, QuadratureSpec(tol=1e-12, limit=400))
-        worst = max(worst, abs(law.laplace_exponent(lam) * lap_u - 1.0))
-        lap_tail, _ = integrate(lambda t: math.exp(-lam * t) * law.levy_tail(t),
-                                0.0, math.inf, QuadratureSpec(tol=1e-12, limit=400))
-        worst = max(worst, abs(lam * lap_tail - law.laplace_exponent(lam)))
-        t0, h = 0.8, 1e-5
-        numeric = -(law.levy_tail(t0 + h) - law.levy_tail(t0 - h)) / (2.0 * h)
-        worst = max(worst, abs(numeric - law.levy_density(t0)))
-    law = SubordinatorLaw(kappa=1.0, alpha=0.3)
-    a = 0.5
-    v1, _ = integrate(lambda x: law.hitting_density(a, x), a, a + 2.0,
-                      QuadratureSpec(tol=1e-10), points=[a])
-    v2, _ = integrate(lambda x: law.hitting_density(a, x), a + 2.0, math.inf,
-                      QuadratureSpec(tol=1e-12))
-    norm_gap = abs(v1 + v2 - 1.0)
-    form_gap = 0.0
-    for x in (0.7, 1.1):
-        integral, _ = integrate(lambda z: law.potential_density(x - z) * law.levy_density(z),
-                                x - a, x, QuadratureSpec(tol=1e-12), points=[x - a, x])
-        form_gap = max(form_gap, abs(integral - law.hitting_density(a, x)))
-    ok = worst < 1e-8 and norm_gap < 1e-6 and form_gap < 1e-8
+    """`oracles.subordinator_checks`, the battery the unit tests read: the
+    Laplace exponent against the transforms of the potential density and the
+    Levy tail and the Levy density against the tail's derivative (each 1e-8),
+    the hitting density's normalization (1e-6) and its integral form (1e-8)."""
+    checks = oracles.subordinator_checks()
+    worst = max(checks.values(), key=lambda check: check.gap / check.bound)
     _verdict(5, "subordinator identity suite",
-             ok, f"worst transform identity gap {worst:.2e}, hitting-density "
-                 f"normalization gap {norm_gap:.2e}, closed-vs-integral {form_gap:.2e}")
+             all(check.ok for check in checks.values()),
+             f"{len(checks)} checks, nearest its bound: {worst.law} gap "
+             f"{worst.gap:.2e} (< {worst.bound:g})")
 
 
 # ---------------------------------------------------------------------------

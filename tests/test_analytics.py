@@ -1,7 +1,6 @@
 import inspect
 import math
 from decimal import Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -95,11 +94,6 @@ ENUMERATED_MASS_LAWS = ("enumeration vs series to max_len", "inside vs enumerati
                         "winding or covering class vs enumeration")
 
 
-@lru_cache(maxsize=None)
-def _mass_checks(params, max_len):
-    return oracles.mass_checks(build_model(*params), max_len)
-
-
 @pytest.mark.parametrize("params, max_len, law", [
     pytest.param(params, max_len, law, id=f"{params}-{law}")
     for params, max_len in MASS_BATTERY
@@ -108,7 +102,7 @@ def test_mass_laws(params, max_len, law):
     """One closed-form mass against one brute-force oracle: the enumeration,
     the trace series or the dense log-determinant.  Each row's battery runs
     once; the law list must name every law it returns."""
-    checks = _mass_checks(params, max_len)
+    checks = oracles.mass_checks(build_model(*params), max_len)
     assert sorted(checks) == sorted(MASS_LAWS + (ENUMERATED_MASS_LAWS if max_len else ()))
     assert checks[law].ok, checks[law]
 
@@ -123,10 +117,13 @@ def test_limit_laws(row):
 
 def test_every_limit_law_has_a_battery_row():
     """Each `analytics.*_limit` function is the law of a battery row, so a
-    new limit law cannot land untested."""
+    new limit law cannot land untested; so is the bridge's crossing law,
+    through which the loop soup on the circle predicts the extent limit."""
     laws = {name for name in dir(analytics) if name.endswith("_limit")
             and inspect.isfunction(getattr(analytics, name))}
-    assert sorted(laws - {row.law.__name__ for row in oracles.LIMIT_BATTERY}) == []
+    rows = {row.law for row in oracles.LIMIT_BATTERY}
+    assert sorted(laws - {law.__name__ for law in rows}) == []
+    assert bridge_crossing_joint_density in rows
 
 
 def test_mass_inside_trivial_cases():
@@ -430,18 +427,19 @@ def test_covered_extent_limit_density_integrates_to_cdf():
 
 
 def test_prob_split_given_no_avoiding_matches_anti_diagonal_sum():
-    model = build_model(30, 0.5, 0.002, 0.5)
-    total = prob_split_given_no_avoiding(model)
-    # direct summation of the joint pmf over the whole admissible triangle
-    acc = 0.0
-    for m in range(0, 29):
-        for M in range(0, 29 - m):
-            pmm = (through1_extent_cdf(model, m, M)
-                   - (through1_extent_cdf(model, m - 1, M) if m else 0.0)
-                   - (through1_extent_cdf(model, m, M - 1) if M else 0.0)
-                   + (through1_extent_cdf(model, m - 1, M - 1) if m and M else 0.0))
-            acc += pmm
-    assert total == pytest.approx(acc, abs=1e-10)
+    """The anti-diagonal pass equals the no-winding probability times the
+    joint extent pmf, the double differences of `covered_extent_cdf`, summed
+    over the whole triangle m + M <= n - 2, on eight models up to n = 1000."""
+    for n, p, c, alpha in [(30, 0.5, 0.002, 0.5), (3, 0.5, 0.3, 0.5), (10, 0.5, 0.002, 0.5),
+                           (30, 0.7, 0.2, 0.8), (41, 0.35, 0.05, 1.7), (12, 0.5, 0.0, 0.7),
+                           (300, 0.6, 0.01, 2.5), (1000, 0.5, 1e-6, 0.3)]:
+        model = build_model(n, p, c, alpha)
+        k = np.arange(n - 1)
+        pmf = np.diff(np.diff(covered_extent_cdf(model, k[:, None], k), axis=0, prepend=0.0),
+                      axis=1, prepend=0.0)
+        total = prob_no_winding_or_covering(model) * pmf[k[:, None] + k <= n - 2].sum()
+        assert prob_split_given_no_avoiding(model) == pytest.approx(
+            total, rel=1e-13, abs=1e-15), (n, p, c, alpha)
 
 
 @pytest.mark.parametrize("n, p, c, alpha", [(3, 0.5, 0.3, 0.5), (10, 0.5, 0.002, 0.5),
@@ -449,10 +447,14 @@ def test_prob_split_given_no_avoiding_matches_anti_diagonal_sum():
                                             (12, 0.5, 0.0, 0.7), (300, 0.6, 0.01, 2.5),
                                             (1000, 0.5, 1e-6, 0.3)])
 def test_prob_split_given_no_avoiding_matches_scalar_loop(n, p, c, alpha):
-    """The numpy pass equals the scalar anti-diagonal loop it replaced."""
+    """The numpy pass equals 2(n-1) scalar calls of the joint extent cdf
+    along the anti-diagonal m + M = n - 2."""
     model = build_model(n, p, c, alpha)
+    total = sum(covered_extent_cdf(model, m, n - 2 - m)
+                - (covered_extent_cdf(model, m - 1, n - 2 - m) if m else 0.0)
+                for m in range(n - 1))
     assert prob_split_given_no_avoiding(model) == pytest.approx(
-        oracles.prob_split_given_no_avoiding_loop(model), rel=1e-13, abs=1e-15)
+        prob_no_winding_or_covering(model) * total, rel=1e-13, abs=1e-15)
 
 
 def test_prob_split_limit_equals_extent_density_integral():

@@ -337,6 +337,13 @@ def test_help_lists_every_subcommand(capsys):
     assert "{analytic,law,sample,bridge,experiment}" in capsys.readouterr().out
 
 
+def test_law_has_no_option_that_no_formula_takes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["law", "--formula", "escape-probability", "--alpha", "2", "--M", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --M 5" in capsys.readouterr().err
+
+
 def test_experiment_without_config_prints_its_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment"])
@@ -438,6 +445,10 @@ def test_experiment_subcommand(tmp_path, capsys):
      "needs finite kappa > 0 and 0 < alpha < 1, got kappa=0.0, alpha=0.5"),
     (("experiment", "--config", "{tmp}/cluster-scaling-kappa-inf.json"),
      "needs finite kappa > 0 and 0 < alpha < 1, got kappa=inf, alpha=0.5"),
+    (("law", "--formula", "escape-probability", "--alpha", "2", "--x", "0.3"),
+     "formula escape-probability does not take --x"),
+    (("analytic", "--formula", "mass-total", "--n", "8", "--p", "0.5", "--c", "0.3",
+      "--alpha", "1.0", "--m", "3"), "formula mass-total does not take --m"),
 ])
 def test_bad_input_exits_with_one_line_message(tmp_path, capsys, argv, message):
     audit, scaling = default_edge_audit_config(), default_cluster_scaling_config()

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from oracles import (
+    LEVY_DENSITY_POINTS,
     QuadratureSpec,
+    SUBORDINATOR_POINTS,
     chi_square_pvalue,
     closed_edge_count_pmf,
-    cluster_extent_limit_density_unnormalized,
     conditioned_draw,
     conditioned_path_checks,
     integrate,
     renewal_jumps_by_recursion,
+    subordinator_checks,
 )
 from loopsoup.experiments import asymmetric_schedule, symmetric_schedule
 from loopsoup.scaling import (
@@ -366,32 +368,31 @@ def test_conditioned_sampler_stream_is_pinned(alpha, r):
 # subordinator identities
 # ---------------------------------------------------------------------------
 
-POINTS = [(1.0, 0.5, 2.0), (0.25, 0.3, 1.5), (1e-14, 0.5, 2.0)]  # last: series branch
+# each test reads its check from the battery criterion 5 reads whole,
+# `oracles.subordinator_checks`, so every quadrature runs once per session
+def _assert_subordinator_check(name):
+    check = subordinator_checks()[name]
+    assert check.ok, check
 
 
-@pytest.mark.parametrize("kappa,alpha,lam", POINTS)
+@pytest.mark.parametrize("kappa,alpha,lam", SUBORDINATOR_POINTS)
 def test_laplace_exponent_inverts_potential_transform(kappa, alpha, lam):
-    law = SubordinatorLaw(kappa=kappa, alpha=alpha)
-    val, _ = integrate(lambda x: math.exp(-lam * x) * law.potential_density(x),
-                       0.0, math.inf, QuadratureSpec(tol=1e-12, limit=400))
-    assert law.laplace_exponent(lam) * val == pytest.approx(1.0, abs=1e-8)
+    _assert_subordinator_check(f"potential transform {kappa}-{alpha}-{lam}")
 
 
-@pytest.mark.parametrize("kappa,alpha,lam", POINTS)
+@pytest.mark.parametrize("kappa,alpha,lam", SUBORDINATOR_POINTS)
 def test_laplace_exponent_from_levy_tail(kappa, alpha, lam):
-    law = SubordinatorLaw(kappa=kappa, alpha=alpha)
-    val, _ = integrate(lambda t: math.exp(-lam * t) * law.levy_tail(t),
-                       0.0, math.inf, QuadratureSpec(tol=1e-12, limit=400))
-    assert lam * val == pytest.approx(law.laplace_exponent(lam), abs=1e-8)
+    _assert_subordinator_check(f"levy tail transform {kappa}-{alpha}-{lam}")
 
 
-@pytest.mark.parametrize("kappa,alpha,t0", [(1.0, 0.5, 0.7), (0.25, 0.3, 1.1),
-                                            (1e-14, 0.5, 0.8)])
+@pytest.mark.parametrize("kappa,alpha,t0", LEVY_DENSITY_POINTS)
 def test_levy_density_is_minus_tail_derivative(kappa, alpha, t0):
-    law = SubordinatorLaw(kappa=kappa, alpha=alpha)
-    h = 1e-5
-    numeric = -(law.levy_tail(t0 + h) - law.levy_tail(t0 - h)) / (2 * h)
-    assert numeric == pytest.approx(law.levy_density(t0), rel=1e-7)
+    _assert_subordinator_check(f"levy density {kappa}-{alpha}-{t0}")
+
+
+@pytest.mark.parametrize("law", ["hitting normalization", "hitting integral form"])
+def test_subordinator_laws(law):
+    _assert_subordinator_check(law)
 
 
 def test_potential_density_zero_drift():
@@ -406,29 +407,6 @@ def test_laplace_exponent_vanishes_at_zero():
     assert law.laplace_exponent(1e-8) < 1e-3
     with pytest.raises(ValueError):
         law.laplace_exponent(0.0)
-
-
-def test_hitting_density_normalizes():
-    law = SubordinatorLaw(kappa=1.0, alpha=0.3)
-    a = 0.5
-    v1, _ = integrate(lambda x: law.hitting_density(a, x), a, a + 2.0,
-                      QuadratureSpec(tol=1e-10), points=[a])
-    v2, _ = integrate(lambda x: law.hitting_density(a, x), a + 2.0, math.inf,
-                      QuadratureSpec(tol=1e-12))
-    assert v1 + v2 == pytest.approx(1.0, abs=1e-6)
-    assert law.hitting_density(a, 0.3) == 0.0  # no mass below the level
-
-
-def test_hitting_density_closed_form_equals_integral_form():
-    """Closed form versus the first-principles integral of u(x-z) against the
-    jump density over z in (x-a, x)."""
-    law = SubordinatorLaw(kappa=1.0, alpha=0.3)
-    a = 0.5
-    for x in (0.7, 0.9, 1.4):
-        val, _ = integrate(lambda z: law.potential_density(x - z) * law.levy_density(z),
-                           x - a, x, QuadratureSpec(tol=1e-12), points=[x - a, x])
-        assert val == pytest.approx(law.hitting_density(a, x), abs=1e-8)
-
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 25.0])
@@ -451,11 +429,12 @@ def test_hitting_cdf_grid_matches_density_tail(kappa, alpha, a):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 def test_hitting_cdf_grid_domain(kappa):
-    """The hitting cdf is 0 at and below the level, and a level that is not
-    positive is rejected, as `hitting_density` rejects it."""
+    """The hitting cdf and density are 0 at and below the level, and a level
+    that is not positive is rejected, as `hitting_density` rejects it."""
     law = SubordinatorLaw(kappa=kappa, alpha=0.5)
     grid = law.hitting_cdf_grid(0.5, np.array([0.0, 0.3, 0.4, 0.5, 0.6]))
     assert np.array_equal(grid[:4], np.zeros(4))
+    assert law.hitting_density(0.5, 0.3) == law.hitting_density(0.5, 0.5) == 0.0
     assert 0.0 < grid[4] < 1.0
     for a in (0.0, -0.5):
         with pytest.raises(ValueError, match="level must be positive"):
@@ -535,19 +514,3 @@ def test_crossing_joint_marginal_matches_weighted_hitting():
         expect = law.hitting_density(a, x) * u(1.0 - x) / u(1.0)
         assert marg == pytest.approx(expect, abs=1e-8)
 
-
-def test_crossing_joint_mixture_reproduces_extent_density():
-    """Mixing the joint crossing density over the swept-extent limit law gives
-    the unnormalized cluster-extent density."""
-    from scipy.integrate import dblquad
-
-    from loopsoup.analytics import covered_extent_limit_density
-
-    kappa, alpha = 1.0, 0.4
-    for (x0, y0) in [(0.35, 0.3), (0.5, 0.2)]:
-        val, err = dblquad(
-            lambda bb, aa: covered_extent_limit_density(kappa, alpha, aa, bb)
-            * bridge_crossing_joint_density(kappa, alpha, aa, bb, x0, y0),
-            0.0, x0, 0.0, y0, epsabs=1e-10, epsrel=1e-10)
-        expect = cluster_extent_limit_density_unnormalized(kappa, alpha, x0, y0)
-        assert val == pytest.approx(expect, abs=1e-6)
