@@ -252,27 +252,29 @@ def _write_outputs(config: ExperimentConfig, report: dict, rows: list[dict],
 _LINE_BLOCK = 1024  # replicates per block of lines
 
 
-def _row_template(closed: int | None, through: bool, slot: bytes = b"%d") -> bytes:
-    """`%` template of one replicate's JSON line: `closed` kept edges
-    (None when the ensemble keeps none), through extents null or not, and
-    `slot` in place of the replicate index and of each kept edge."""
+def _row_template(closed: int | None, through: bool) -> bytes:
+    """`%` template of one profile's JSON line: `closed` kept edges (None
+    when the ensemble keeps none), through extents null or not, and `%%d` in
+    place of the replicate index and of each kept edge, left for the rows."""
     edges = b"" if closed is None else (
-        b'"closed_left_endpoints": [' + b", ".join([slot] * closed) + b"], ")
+        b'"closed_left_endpoints": [' + b", ".join([b"%%d"] * closed) + b"], ")
     extent = b"%d" if through else b"null"
     return (b'{"closed_edges": %d, ' + edges + b'"clusters": %d, "lift_left": %d, '
             b'"lift_right": %d, "loops": %d, "origin_left": %d, "origin_right": %d, '
-            b'"replicate": ' + slot + b', "through_left": ' + extent
+            b'"replicate": %%d, "through_left": ' + extent
             + b', "through_right": ' + extent + b"}\n")
 
 
-def _profile_ids(columns: np.ndarray):
+def _profile_ids(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the distinct columns of an int array, numbered in sorted order,
-    with the index of one column per id; None when a packed key of the rows'
-    spans would pass int64."""
+    with the index of one column per id.  One sort of a packed int64 key of
+    the rows' spans finds them; where that key would pass int64,
+    `np.unique(axis=1)` does, about 15 times slower."""
     low = columns.min(axis=1)
     span = (columns.max(axis=1) - low + 1).tolist()
     if math.prod(span) >= 2 ** 63:
-        return None
+        _, first, ids = np.unique(columns, axis=1, return_index=True, return_inverse=True)
+        return ids, first
     place = np.cumprod([1, *span[:0:-1]])[::-1]  # mixed radix, the first row most significant
     key = place @ (columns - low[:, None])
     order = key.argsort()
@@ -287,12 +289,10 @@ def replicate_lines(ensemble: SoupEnsemble) -> Iterator[bytes]:
     the ensemble's columns, a block of whole lines at a time.
 
     A line's profile is every field but the replicate index and the kept
-    edges.  Where at most half a block's profiles are distinct, one `%` call
-    formats each distinct profile once, with the replicate and kept-edge slots
-    written `%%d`, and a second stamps each row's index and edges into its
-    profile's line.  Else one `%` call formats the block: its template joins
-    the rows' templates (one per closed-edge count and through-extent nullity)
-    and its values are one flat int column.  So every line is
+    edges.  Each block takes two `%` calls: the first formats each of its
+    distinct profiles once (see `_profile_ids`), with the replicate and
+    kept-edge slots written `%%d`, and the second stamps each row's index and
+    edges into its profile's line.  So every line is
     `json.dumps(record, sort_keys=True) + "\n"` without building the record.
     Extent fields are -1 / null when their defining event does not hold
     (origin extents need a closed edge; through extents additionally need a
@@ -301,45 +301,36 @@ def replicate_lines(ensemble: SoupEnsemble) -> Iterator[bytes]:
     """
     keep = ensemble.closed_edges is not None
     count = ensemble.closed_edge_count
-    # the templates of row key 2k + through, k the kept-edge count (0 without
-    # kept edges): whole lines, and profiles with the stamped slots left open
+    # the template of profile key 2k + through, k the kept-edge count (0
+    # without kept edges)
     ks = np.flatnonzero(np.bincount(count)).tolist() if keep else [0]
-    whole, profile = ({2 * k + through: _row_template(k if keep else None, through, slot)
-                       for k in ks for through in (False, True)} for slot in (b"%d", b"%%d"))
+    template = {2 * k + through: _row_template(k if keep else None, through)
+                for k in ks for through in (False, True)}
     edges_before = 0
     for lo in range(0, ensemble.replicates, _LINE_BLOCK):
         part = slice(lo, lo + _LINE_BLOCK)
         closed = count[part]
         through = (ensemble.avoiding_count[part] == 0) & (closed >= 1)
-        left, right = ensemble.origin_left[part], ensemble.origin_right[part]
-        index = np.arange(lo, lo + closed.size)
-        rows = np.stack((closed, np.maximum(closed, 1), ensemble.lift_left[part],
-                         ensemble.lift_right[part], ensemble.loop_count[part], left, right,
-                         index, left, right), axis=1)
-        shown = np.ones(rows.shape, dtype=bool)
-        shown[:, 8:] = through[:, None]
-        key = through.astype(np.int64)
+        columns = np.stack((closed, ensemble.lift_left[part], ensemble.lift_right[part],
+                            ensemble.loop_count[part], ensemble.origin_left[part],
+                            ensemble.origin_right[part], through))
+        ids, first = _profile_ids(columns)
+        stamps = np.arange(lo, lo + closed.size)
         if keep:
             edges = ensemble.closed_edges[edges_before:edges_before + int(closed.sum())] + 1
             edges_before += edges.size
-            key += 2 * closed
-        # the profile: closed count, lift extents, loops, origin extents, through
-        grouped = _profile_ids(np.vstack((rows[:, [0, 2, 3, 4, 5, 6]].T, through)))
-        if grouped is not None and 2 * grouped[1].size <= closed.size:
-            ids, first = grouped
             # a row's stamps are its kept edges, then its index
-            stamps = np.insert(edges, np.cumsum(closed), index) if keep else index
-            shown[:, 7] = False
-            lines = (b"".join(map(profile.__getitem__, key[first].tolist()))
-                     % tuple(rows[first][shown[first]].tolist())).splitlines(keepends=True)
-            yield b"".join(map(lines.__getitem__, ids.tolist())) % tuple(stamps.tolist())
-            continue
-        values = rows[shown]
-        if keep:
-            # a row's edges go right after its count, in their order
-            width = 8 + 2 * through
-            values = np.insert(values, np.repeat(np.cumsum(width) - width + 1, closed), edges)
-        yield b"".join(map(whole.__getitem__, key.tolist())) % tuple(values.tolist())
+            stamps = np.insert(edges, np.cumsum(closed), stamps)
+        # each distinct profile's fields, its through extents only where shown
+        closed, lift_left, lift_right, loops, left, right, through = columns[:, first]
+        fields = np.stack((closed, np.maximum(closed, 1), lift_left, lift_right, loops,
+                           left, right, left, right), axis=1)
+        shown = np.ones(fields.shape, dtype=bool)
+        shown[:, 7:] = through[:, None] == 1
+        key = through + 2 * closed if keep else through
+        lines = (b"".join(map(template.__getitem__, key.tolist()))
+                 % tuple(fields[shown].tolist())).splitlines(keepends=True)
+        yield b"".join(map(lines.__getitem__, ids.tolist())) % tuple(stamps.tolist())
 
 
 def ensemble_records(ensemble: SoupEnsemble) -> list[dict]:

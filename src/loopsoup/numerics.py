@@ -54,10 +54,11 @@ def log_beta(a: float, b: float) -> float:
 
 
 _POLYLOG_MAX_TERMS = 10_000_000
+_POLYLOG_TOL = 1e-14  # the series' tail bound at which it stops
 _ZETA_EXPANSION_TERMS = 40
 
 
-def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
+def polylog(alpha: float, s: float) -> float:
     """Polylogarithm sum_{k>=1} s^k / k^alpha for |s| < 1.
 
     For s >= 1/2 it uses the expansion about s = 1, valid for |mu| < 2 pi,
@@ -65,7 +66,7 @@ def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
     poles at a positive integer a = k cancel into mu^(k-1)/(k-1)! (H_(k-1) -
     log(-mu)); here |mu| <= log 2, so 40 terms leave a remainder far below
     double precision.  Otherwise terms are summed until the geometric tail bound
-    |s|^(K+1) / ((K+1)^alpha (1-|s|)) drops below tol; a ValueError is
+    |s|^(K+1) / ((K+1)^alpha (1-|s|)) drops below 1e-14; a ValueError is
     raised up front when that needs more than 10^7 terms.
     """
     require_finite(alpha=alpha)
@@ -87,7 +88,7 @@ def polylog(alpha: float, s: float, *, tol: float = 1e-14) -> float:
             head = gamma(1.0 - alpha) * (-mu) ** (alpha - 1.0)
         return float(head + np.sum(coef * mu_pow))
     a = abs(s)
-    cap = _POLYLOG_MAX_TERMS
+    cap, tol = _POLYLOG_MAX_TERMS, _POLYLOG_TOL
     if (cap + 1) * math.log(a) - alpha * math.log(cap + 1) - math.log1p(-a) >= math.log(tol):
         raise ValueError(f"polylog series at alpha={alpha}, s={s} needs more than "
                          f"{cap} terms")

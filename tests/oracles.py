@@ -8,8 +8,9 @@ by  size * rho^(K+1) / ((K+1)(1-rho))  with rho = 1/(1+c) an upper bound on
 the spectral radius, so K is chosen to push it below 1e-12.  The mass
 battery `mass_checks` runs every closed-form mass against these oracles, the
 subordinator battery `subordinator_checks` every subordinator closed form
-against quadrature, and the limit battery `limit_checks` every limit law
-against its finite-n law.
+against quadrature, `limit_identity_checks` two identities of the limit
+laws, and the limit battery `limit_checks` every limit law against its
+finite-n law.
 
 The module also keeps the limit laws and the unnormalized extent density that
 serve only as references in the tests, the dense-determinant masses and
@@ -62,7 +63,7 @@ from loopsoup.sampler import (
 )
 from loopsoup.scaling import (
     ConditionedBridgeLaw, RenewalLaw, SubordinatorLaw, bridge_crossing_joint_density,
-    hitting_coefficients, sample_conditioned_renewals,
+    escape_probability, hitting_coefficients, sample_conditioned_renewals,
 )
 
 
@@ -467,6 +468,27 @@ def subordinator_checks() -> dict[str, MassCheck]:
     checks += [_mass_check("hitting normalization", norm, 1.0, 1e-6),
                _mass_check("hitting integral form", integral_form,
                            [law.hitting_density(a, x) for x in xs], 1e-8)]
+    return {check.law: check for check in checks}
+
+
+# (kappa, alpha) of the extent-density normalization checks
+EXTENT_DENSITY_POINTS = [(1.0, 0.5), (4.0, 0.3), (0.25, 0.7)]
+
+
+@lru_cache(maxsize=None)
+def limit_identity_checks() -> dict[str, MassCheck]:
+    """Two identities of the limit laws, by name, under absolute bounds.  At
+    each k-a of EXTENT_DENSITY_POINTS, "extent density normalization k-a":
+    the integral of z times `cluster_extent_limit_density(k, a, z/2, z/2)`
+    over (0, 1) is 1 (1e-6); "escape probability": `escape_probability(2)`
+    is 6/pi^2 (1e-10).  Cached: the unit tests and criterion 8 read the same
+    run."""
+    spec = QuadratureSpec(tol=1e-10)
+    checks = [_mass_check(f"extent density normalization {kappa}-{alpha}", integrate(
+        lambda z: z * cluster_extent_limit_density(kappa, alpha, z / 2, z / 2), 0.0, 1.0,
+        spec, points=[0.0, 1.0])[0], 1.0, 1e-6) for kappa, alpha in EXTENT_DENSITY_POINTS]
+    checks.append(_mass_check("escape probability", escape_probability(2.0),
+                              6.0 / math.pi ** 2, 1e-10))
     return {check.law: check for check in checks}
 
 

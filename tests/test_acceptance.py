@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import QuadratureSpec, integrate
-from loopsoup.analytics import DetSpec, circulant_det, cluster_extent_limit_density, toeplitz_det
+from loopsoup.analytics import DetSpec, circulant_det, toeplitz_det
 from loopsoup.circle import build_model
 from loopsoup.experiments import (
     default_cluster_scaling_config,
@@ -30,7 +29,6 @@ from loopsoup.scaling import (
     ConditionedBridgeLaw,
     RenewalLaw,
     SubordinatorLaw,
-    escape_probability,
     hitting_coefficients,
     invert_renewal,
     sample_conditioned_renewals,
@@ -201,26 +199,28 @@ def test_criterion_8_limit_theorem():
     """The single-partition runner at its default config: the split
     probability at n = 50, 100, 200 and the origin extents at n = 200 fit the
     exact finite-n law (each a `LawCheck`), whose split probability at 200 is
-    within 0.02 of the limit; plus the limit battery."""
+    within 0.02 of the limit; plus the limit battery and
+    `oracles.limit_identity_checks`, the battery its unit tests read: the
+    extent density's normalization (1e-6) and the escape probability at
+    alpha = 2 (1e-10)."""
     t0 = time.time()
     config = default_single_partition_config()
     report = run_single_partition_convergence(config)
     final = report["per_n"][-1]
 
-    val, _ = integrate(lambda z: z * cluster_extent_limit_density(1.0, 0.5, z / 2, z / 2),
-                       0.0, 1.0, QuadratureSpec(tol=1e-10), points=[0.0, 1.0])
-    density_ok = abs(val - 1.0) < 1e-6
-    escape_ok = abs(escape_probability(2.0) - 6.0 / math.pi ** 2) < 1e-10
+    identities = oracles.limit_identity_checks()
+    density = identities["extent density normalization 1.0-0.5"]
+    escape = identities["escape probability"]
     limits = [oracles.limit_checks(row) for row in oracles.LIMIT_BATTERY]
-    ok = report["passed"] and density_ok and escape_ok and all(c.ok for c in limits)
+    ok = (report["passed"] and all(c.ok for c in identities.values())
+          and all(c.ok for c in limits))
     _verdict(8, "limit-theorem convergence at n=200 (alpha=0.5, kappa=1, eps=0.5) "
                 "and the limit battery",
              ok, f"split law p = {report['split_law_p']:.3g}, origin extent law p = "
                  f"{report['origin_extent_law_p']:.3g}, exact split gap {final['exact_gap']:.4f} "
                  f"(< 0.02; Monte Carlo {final['gap']:.4f}, report only), exact extent TV to "
                  f"the limit {report['origin_extent_exact_tv']:.4f} (report only), density "
-                 f"integral gap {abs(val - 1.0):.1e}, escape gap "
-                 f"{abs(escape_probability(2.0) - 6 / math.pi ** 2):.1e}, "
+                 f"integral gap {density.gap:.1e}, escape gap {escape.gap:.1e}, "
                  + "".join(f"{c.law}: slope {c.slope:.4f}, residual {c.residual:.1e}; "
                            for c in limits) + f"{time.time() - t0:.0f}s")
     assert oracles.report_digest(report) == (

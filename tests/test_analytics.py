@@ -527,10 +527,11 @@ def test_prob_not_single_partition_limit():
 
 
 def test_cluster_extent_density_normalization():
-    for kappa, alpha in ((1.0, 0.5), (4.0, 0.3), (0.25, 0.7)):
-        val, _ = integrate(lambda z: z * cluster_extent_limit_density(kappa, alpha, z / 2, z / 2),
-                           0.0, 1.0, QuadratureSpec(tol=1e-10), points=[0.0, 1.0])
-        assert val == pytest.approx(1.0, abs=1e-6)
+    """`oracles.limit_identity_checks`, which criterion 8 reads too."""
+    checks = oracles.limit_identity_checks()
+    for kappa, alpha in oracles.EXTENT_DENSITY_POINTS:
+        check = checks[f"extent density normalization {kappa}-{alpha}"]
+        assert check.ok, check
 
 
 def test_cluster_extent_density_depends_on_sum_only():

@@ -235,8 +235,8 @@ def _profiles(ens) -> np.ndarray:
 def _check_lines_against_oracle(n, c, replicates, repeats, condition, keep):
     """The ensemble's lines are byte-identical to json.dumps of the dict
     records; `repeats` says whether at most half of each block's profiles
-    are distinct, so each profile is formatted once and its rows stamped
-    into it, or more than half, so the block is formatted in one pass."""
+    are distinct, so most rows are stamped into a profile line formatted for
+    another row, or more than half, so most profile lines serve one row."""
     model = build_model(n, 0.5, c, 0.7)
     ens = conditional_experiment(model, 5, condition, replicates, keep_closed_edges=keep)
     block = experiments._LINE_BLOCK
@@ -282,8 +282,8 @@ def test_distinct_replicate_lines_match_dict_oracle(condition, keep):
 
 def test_replicate_lines_past_a_packed_profile_key():
     """Profiles whose fields span more than an int64 key can pack are
-    formatted in one pass, also where every profile repeats: here each of
-    one block's profiles is on two rows."""
+    grouped by `np.unique` and formatted like any others: here each of one
+    block's profiles is on two rows."""
     rng = np.random.default_rng(0)
     half = experiments._LINE_BLOCK // 2
     closed = rng.integers(0, 4, half)
@@ -297,7 +297,11 @@ def test_replicate_lines_past_a_packed_profile_key():
                        origin_right=np.where(closed > 0, lift_left, -1), lift_left=lift_left,
                        lift_right=lift_right, closed_edge_totals=np.zeros(16, dtype=np.int64),
                        closed_edges=edges)
-    assert experiments._profile_ids(_profiles(ens).T) is None
+    columns = _profiles(ens).T
+    ids, first = experiments._profile_ids(columns)
+    assert math.prod((np.ptp(columns, axis=1) + 1).tolist()) >= 2 ** 63
+    assert np.array_equal(columns[:, first[ids]], columns)
+    assert np.unique(columns[:, first], axis=1).shape[1] == first.size == ids.max() + 1
     assert ensemble_records(ens) == oracles.ensemble_records_oracle(ens)
 
 

@@ -16,6 +16,7 @@ from oracles import (
     conditioned_draw,
     conditioned_path_checks,
     integrate,
+    limit_identity_checks,
     renewal_jumps_by_recursion,
     subordinator_checks,
 )
@@ -185,7 +186,9 @@ def test_halfline_gap_pgf_small_s():
 
 
 def test_escape_probability():
-    assert escape_probability(2.0) == pytest.approx(6.0 / math.pi ** 2, abs=1e-10)
+    # 6/pi^2 at alpha = 2, from the battery criterion 8 reads too
+    check = limit_identity_checks()["escape probability"]
+    assert check.ok, check
     with pytest.raises(ValueError):
         escape_probability(0.9)
     # defective total jump mass at r=0, alpha>1 approaches 1 - 1/zeta(alpha)
