@@ -19,9 +19,11 @@ import numpy as np
 
 from .circle import CircleModel
 from .numerics import (
+    exp_or_inf,
     log_beta,
     log_cosh,
     log_cosh_diff,
+    log_gap,
     log_sinh,
     log_sinh_ratio,
     require_alpha,
@@ -308,20 +310,6 @@ def covered_extent_cdf_limit(kappa: float, alpha: float, a: float, b: float) -> 
     return _clip_unit(math.exp(alpha * log_val))
 
 
-def _log_sinh_scaled(s: float, x: float) -> float:
-    """log sinh(s x) for s, x > 0; below s x = 1e-8 it is log s + log x, which
-    stays finite where s x underflows."""
-    return math.log(s) + math.log(x) if s * x < 1e-8 else log_sinh(s * x)
-
-
-def _exp_or_inf(log_val: float) -> float:
-    """exp(log_val), or inf once that passes the float range."""
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return math.inf
-
-
 def covered_extent_limit_density(kappa: float, alpha: float, a: float, b: float) -> float:
     """Joint density of the scaled swept-interval extents (A, B); 0 at
     alpha = 0, where the soup is empty and (A, B) = (0, 0)."""
@@ -332,11 +320,12 @@ def covered_extent_limit_density(kappa: float, alpha: float, a: float, b: float)
     if a <= 0.0 or b <= 0.0 or alpha == 0.0:
         return 0.0
     s = math.sqrt(kappa)
-    log_val = (math.log(kappa * alpha * (alpha + 1.0))
-               + alpha * (math.log(2.0) + log_cosh(s) - log_sinh(s))
-               + alpha * (_log_sinh_scaled(s, a) + _log_sinh_scaled(s, b))
-               - (alpha + 2.0) * _log_sinh_scaled(s, a + b))
-    return _exp_or_inf(log_val)
+    # k a (a+1) (2 coth s)^a (sinh(sa) sinh(sb))^a / sinh(s(a+b))^(a+2), where
+    # log sinh(sy) = log s + sy + log_gap(s, y) and the log s terms cancel
+    return exp_or_inf(math.log(alpha * (alpha + 1.0)), -2.0 * s * (a + b),
+                      alpha * math.log1p(math.exp(-2.0 * s)), -alpha * log_gap(s, 1.0),
+                      alpha * log_gap(s, a), alpha * log_gap(s, b),
+                      -(alpha + 2.0) * log_gap(s, a + b))
 
 
 def through1_extent_cdf(model: CircleModel, m: int, M: int) -> float:
@@ -464,13 +453,13 @@ def cluster_extent_limit_density(kappa: float, alpha: float, x: float, y: float)
         raise ValueError("limit formulas require kappa > 0")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if x <= 0.0 or y <= 0.0 or x + y >= 1.0:
+    rest = math.fsum((1.0, -x, -y))  # 1 - x - y rounded once, as x + y < 1 is judged
+    if x <= 0.0 or y <= 0.0 or rest <= 0.0:
         return 0.0
     s = math.sqrt(kappa)
     z = x + y
-    log_val = (math.log(math.sin(alpha * math.pi) / math.pi)
-               + math.log((1.0 - alpha) * kappa) + log_sinh(s)
-               - log_sinh(s * (1.0 - alpha))
-               - alpha * _log_sinh_scaled(s, 1.0 - z)
-               - (2.0 - alpha) * _log_sinh_scaled(s, z))
-    return _exp_or_inf(log_val)
+    # (sin(a pi) / pi) (1 - a) k sinh(s) / (sinh(s(1-a)) sinh(s rest)^a
+    # sinh(sz)^(2-a)), through log_gap as in `covered_extent_limit_density`
+    return exp_or_inf(math.log(math.sin(alpha * math.pi) / math.pi * (1.0 - alpha)),
+                      -2.0 * (1.0 - alpha) * s * z, log_gap(s, 1.0), -log_gap(s, 1.0 - alpha),
+                      -alpha * log_gap(s, rest), -(2.0 - alpha) * log_gap(s, z))

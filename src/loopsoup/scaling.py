@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    log_gamma, log_sinh, polylog, require_alpha, require_finite, riemann_zeta,
+    exp_or_inf, log_gamma, log_gap, polylog, require_alpha, require_finite, riemann_zeta,
 )
 
 
@@ -289,13 +289,11 @@ def sample_conditioned_renewal(law: RenewalLaw, n: int, rng) -> np.ndarray:
 # limiting subordinator
 # ---------------------------------------------------------------------------
 
-_SERIES_SWITCH = 1e-6  # use kappa -> 0 expansions when sqrt(kappa)*scale < this
-
-
 @dataclass(frozen=True)
 class SubordinatorLaw:
     """Increasing pure-jump process with potential density
-    u(x) = (2 sqrt(k) / (1 - e^{-2 sqrt(k) x}))^alpha (x^{-alpha} at k = 0)."""
+    u(x) = (2 sqrt(k) / (1 - e^{-2 sqrt(k) x}))^alpha (x^{-alpha} at k = 0).
+    Each density is one `exp_or_inf` of log terms in `log_gap`, from kappa = 0 up."""
 
     kappa: float
     alpha: float
@@ -315,11 +313,7 @@ class SubordinatorLaw:
         require_finite(x=x)
         if not x > 0.0:
             raise ValueError("x must be positive")
-        s = self._s
-        if s * x < _SERIES_SWITCH:
-            # (2s/(1-e^{-2sx}))^a = x^{-a} (1 + sx + O((sx)^2))^a
-            return x ** -self.alpha * math.exp(self.alpha * s * x)
-        return (2.0 * s / -math.expm1(-2.0 * s * x)) ** self.alpha
+        return exp_or_inf(-self.alpha * log_gap(self._s, x))
 
     def levy_density(self, t: float) -> float:
         """Density of the jump intensity measure at t > 0."""
@@ -327,11 +321,9 @@ class SubordinatorLaw:
         if not t > 0.0:
             raise ValueError("t must be positive")
         a, s = self.alpha, self._s
-        pref = (1.0 - a) * math.sin(a * math.pi) / math.pi
-        if s * t < _SERIES_SWITCH:
-            # e^{2s(a-1)t} (2s/(1-e^{-2st}))^{2-a} = t^{a-2} e^{a s t} (1 + O((st)^2))
-            return pref * t ** (a - 2.0) * math.exp(a * s * t)
-        return pref * math.exp(2.0 * s * (a - 1.0) * t) * (2.0 * s / -math.expm1(-2.0 * s * t)) ** (2.0 - a)
+        # (1 - a) (sin(a pi) / pi) e^{2s(a-1)t} (2s / (1 - e^{-2st}))^{2-a}
+        return exp_or_inf(math.log((1.0 - a) * math.sin(a * math.pi) / math.pi),
+                          2.0 * s * (a - 1.0) * t, -(2.0 - a) * log_gap(s, t))
 
     def levy_tail(self, t: float) -> float:
         """Mass of jumps exceeding t > 0."""
@@ -339,14 +331,9 @@ class SubordinatorLaw:
         if not t > 0.0:
             raise ValueError("t must be positive")
         a, s = self.alpha, self._s
-        pref = math.sin(a * math.pi) / math.pi
-        if s * t < _SERIES_SWITCH:
-            ratio = t * math.exp(s * t)  # expm1(2st)/(2s) to first order
-        elif 2.0 * s * t > 700.0:
-            return pref * math.exp((a - 1.0) * 2.0 * s * t) * (2.0 * s) ** (1.0 - a)
-        else:
-            ratio = math.expm1(2.0 * s * t) / (2.0 * s)
-        return pref * ratio ** (a - 1.0)
+        # (sin(a pi) / pi) (expm1(2st) / (2s))^{a-1}
+        return exp_or_inf(math.log(math.sin(a * math.pi) / math.pi),
+                          (a - 1.0) * 2.0 * s * t, (a - 1.0) * log_gap(s, t))
 
     def laplace_exponent(self, lam: float) -> float:
         """Phi(lambda) = (2 sqrt(k))^{1-alpha} / Beta(lambda/(2 sqrt(k)), 1-alpha).
@@ -385,12 +372,9 @@ class SubordinatorLaw:
         if x <= a:
             return 0.0
         al, s = self.alpha, self._s
-        pref = math.sin(al * math.pi) / math.pi
-        if s * x < _SERIES_SWITCH:
-            return pref * a ** (1.0 - al) / (x * (x - a) ** (1.0 - al))
-        log_val = (math.log(s) + al * s * x + (1.0 - al) * log_sinh(s * a)
-                   - log_sinh(s * x) - (1.0 - al) * log_sinh(s * (x - a)))
-        return pref * math.exp(log_val)
+        return exp_or_inf(math.log(math.sin(al * math.pi) / math.pi),
+                          -2.0 * (1.0 - al) * s * (x - a), -log_gap(s, x),
+                          (1.0 - al) * log_gap(s, a), -(1.0 - al) * log_gap(s, x - a))
 
     def hitting_cdf_grid(self, a: float, xs: np.ndarray) -> np.ndarray:
         """Cumulative hitting law P[position when first exceeding a <= x], 0 at x <= a.
@@ -468,19 +452,20 @@ def bridge_crossing_joint_density(kappa: float, alpha: float, a: float, b: float
         raise ValueError("alpha must lie in (0, 1)")
     if not (0.0 < a and 0.0 < b and a + b < 1.0):
         raise ValueError("need a, b > 0 with a + b < 1")
-    if not (a < x < 1.0 - y < 1.0 - b):
+    # the chain a < x < 1 - y < 1 - b, judged on 1 - x - y rounded once: 1 - y
+    # and 1 - b both round to 1 for tiny b < y
+    rest = math.fsum((1.0, -x, -y))
+    if not (a < x and b < y and rest > 0.0):
         return 0.0
     s = math.sqrt(kappa)
     if s == 0.0:
         raise ValueError("requires kappa > 0")
-    sin_a = math.sin(alpha * math.pi)
-    log_val = (math.log(kappa) - 2.0 * math.log(math.pi) + 2.0 * math.log(sin_a)
-               + alpha * log_sinh(s)
-               - alpha * log_sinh(s * (1.0 - x - y))
-               - log_sinh(s * x) - log_sinh(s * y)
-               + (1.0 - alpha) * (log_sinh(s * a) + log_sinh(s * b)
-                                  - log_sinh(s * (x - a)) - log_sinh(s * (y - b))))
-    return math.exp(log_val)
+    c = 1.0 - alpha
+    return exp_or_inf(2.0 * math.log(math.sin(alpha * math.pi) / math.pi),
+                      -2.0 * c * s * (x - a + y - b), alpha * log_gap(s, 1.0),
+                      -alpha * log_gap(s, rest), -log_gap(s, x), -log_gap(s, y),
+                      c * log_gap(s, a), c * log_gap(s, b), -c * log_gap(s, x - a),
+                      -c * log_gap(s, y - b))
 
 
 # ---------------------------------------------------------------------------

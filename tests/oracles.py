@@ -13,7 +13,8 @@ laws, and the limit battery `limit_checks` every limit law against its
 finite-n law.
 
 The module also keeps the limit laws and the unnormalized extent density that
-serve only as references in the tests, the dense-determinant masses and
+serve only as references in the tests, the limit densities in 80-digit
+decimal arithmetic (`decimal_limit_densities`), the dense-determinant masses and
 nested-quadrature cell table that the closed forms replaced, the
 lift-extent mixture that the origin-extent closed form replaced, and the
 adaptive quadrature, one-sample KS and chi-square helpers the tests check
@@ -36,6 +37,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from decimal import Context, Decimal, getcontext, localcontext
 from functools import lru_cache, partial
 from itertools import product
 
@@ -422,8 +424,8 @@ def mass_checks(model: CircleModel, max_len: int | None = None) -> dict[str, Mas
     return {check.law: check for check in checks}
 
 
-# (kappa, alpha, lambda) of the transform checks, the last on the kappa -> 0
-# series branch, and (kappa, alpha, t) of the Levy-density checks
+# (kappa, alpha, lambda) of the transform checks, the last near the kappa -> 0
+# limit, and (kappa, alpha, t) of the Levy-density checks
 SUBORDINATOR_POINTS = [(1.0, 0.5, 2.0), (0.25, 0.3, 1.5), (1e-14, 0.5, 2.0)]
 LEVY_DENSITY_POINTS = [(1.0, 0.5, 0.7), (0.25, 0.3, 1.1), (1e-14, 0.5, 0.8),
                        (1.0, 0.5, 0.8), (0.25, 0.3, 0.8)]
@@ -629,6 +631,66 @@ def cluster_extent_limit_density_unnormalized(kappa: float, alpha: float,
                - alpha * log_sinh(s * (1.0 - z))
                - (2.0 - alpha) * log_sinh(s * z))
     return math.exp(log_val)
+
+
+_DECIMAL = Context(prec=80, Emax=10 ** 8, Emin=-10 ** 8)
+_DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+                      "582097494459230781640628620899862803482534211706798")
+
+
+def _decimal_series(z: Decimal, sign: int) -> Decimal:
+    """sum_k sign^k z^(2k+1) / (2k+1)!, sin for sign -1 and sinh for +1, to
+    the context's precision; the series for sinh cancels nothing."""
+    total, term, k = z, z, 1
+    while abs(term) > abs(total).scaleb(-getcontext().prec - 2):
+        term *= sign * z * z / ((2 * k) * (2 * k + 1))
+        total, k = total + term, k + 1
+    return total
+
+
+def decimal_limit_densities(kappa: float, alpha: float) -> dict:
+    """The seven limit densities of the package in 80-digit decimal
+    arithmetic, by name, each a function of its float arguments, written
+    with q(y) = sinh(sqrt(k) y) / sqrt(k) (y at kappa = 0), whose powers of
+    sqrt(k) cancel in every one.  sin and sinh below 1 come from their
+    series, and differences such as x - a are taken exactly, so the values
+    hold 70 or more digits for any arguments of a double."""
+    with localcontext(_DECIMAL):
+        s, al = Decimal(kappa).sqrt(), Decimal(alpha)
+        p = _decimal_series(al * _DECIMAL_PI, -1) / _DECIMAL_PI
+        cosh_s = (s.exp() + (-s).exp()) / 2
+
+    def q(y):
+        z = s * y
+        if z == 0:
+            return y
+        return (_decimal_series(z, 1) if z < 1 else (z.exp() - (-z).exp()) / 2) / s
+
+    def exact(fn):
+        """fn over the Decimal values of its float arguments, as a float."""
+        def run(*args):
+            with localcontext(_DECIMAL):
+                return float(fn(*map(Decimal, args)))
+        return run
+
+    one = Decimal(1)
+    return {
+        "potential_density": exact(lambda x: ((s * x).exp() / q(x)) ** al),
+        "levy_density": exact(lambda t: (1 - al) * p * (2 * s * (al - 1) * t).exp()
+                              * ((s * t).exp() / q(t)) ** (2 - al)),
+        "levy_tail": exact(lambda t: p * ((s * t).exp() * q(t)) ** (al - 1)),
+        "hitting_density": exact(lambda a, x: p * (al * s * x).exp()
+                                 * (q(a) / q(x - a)) ** (1 - al) / q(x)),
+        "bridge_crossing_joint_density": exact(
+            lambda a, b, x, y: p * p * (q(one) / q(1 - x - y)) ** al / (q(x) * q(y))
+            * (q(a) * q(b) / (q(x - a) * q(y - b))) ** (1 - al)),
+        "covered_extent_limit_density": exact(
+            lambda a, b: al * (al + 1) * (2 * cosh_s / q(one)) ** al
+            * (q(a) * q(b)) ** al / q(a + b) ** (al + 2)),
+        "cluster_extent_limit_density": exact(
+            lambda x, y: p * (1 - al) * q(one) / q(1 - al)
+            / (q(1 - x - y) ** al * q(x + y) ** (2 - al))),
+    }
 
 
 def simplex_cell_probs_nested(kappa: float, alpha: float, bins: int) -> np.ndarray:

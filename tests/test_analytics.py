@@ -628,14 +628,13 @@ _ALPHA_OUTSIDE = {"bridge_crossing_joint_density": 1.5, "covered_extent_limit_de
                                         for param in args])
 def test_limit_laws_reject_non_finite_parameters(law, param):
     """A NaN or infinite argument raises ValueError instead of yielding NaN,
-    and so does an alpha outside the law's domain, naming alpha (any alpha
-    is in polylog's)."""
+    and so does an alpha outside the law's domain, naming alpha."""
     fn, args = _LIMIT_LAWS[law]
     assert math.isfinite(fn(**args))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             fn(**{**args, param: bad})
-    if param == "alpha" and law != "polylog":
+    if param == "alpha":
         with pytest.raises(ValueError, match="alpha"):
             fn(**{**args, "alpha": _ALPHA_OUTSIDE.get(law, -1.0)})
 

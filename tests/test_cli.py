@@ -76,6 +76,23 @@ def test_law_density_past_the_float_range_prints_infinity(capsys):
     assert json.loads(out)["value"] == math.inf
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("potential-density", "--kappa", "0", "--alpha", "0.99", "--x", "5e-324"), math.inf),
+    (("levy-density", "--kappa", "0", "--alpha", "1e-300", "--t", "5e-324"), math.inf),
+    (("levy-tail", "--kappa", "0", "--alpha", "1e-300", "--t", "5e-324"), 2.024022533073e23),
+    (("hitting-density", "--kappa", "1", "--alpha", "0.1", "--a", "4e-301", "--x", "1e-300"),
+     6.82889379104729e298),
+    (("bridge-crossing-joint-density", "--kappa", "1e-300", "--alpha", "0.5", "--a", "1e-200",
+      "--b", "0.1", "--x", "2e-200", "--y", "0.2"), 2.83201317731258e199),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_law_densities_at_tiny_arguments(capsys, argv, value):
+    """Each call once ended in an OverflowError or ZeroDivisionError
+    traceback, or printed NaN (the bridge density); each prints its number."""
+    code, out = run_cli(capsys, "law", "--formula", *argv)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(value, rel=1e-12)
+
+
 def test_closed_forms_of_one_value_build_no_table(capsys):
     """hitting-coefficient is the table's entry, mass-total the full-circle
     mass_inside; at m = 1e15 and n = 1e12 both answer at once, finite."""

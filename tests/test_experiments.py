@@ -283,13 +283,16 @@ def test_distinct_replicate_lines_match_dict_oracle(condition, keep):
 def test_replicate_lines_past_a_packed_profile_key():
     """Profiles whose fields span more than an int64 key can pack are
     grouped by `np.unique` and formatted like any others: here each of one
-    block's profiles is on two rows."""
+    block's profiles is on two rows, but rows 0 and `half`, whose profiles
+    differ only in the through flag (the last field)."""
     rng = np.random.default_rng(0)
     half = experiments._LINE_BLOCK // 2
     closed = rng.integers(0, 4, half)
+    closed[0] = 1
     wide = [rng.integers(0, 2 ** 20, half) for _ in range(3)]
     columns = [np.tile(col, 2) for col in (closed, *wide, rng.integers(0, 2, half))]
     closed, lift_left, lift_right, loops, avoiding = columns[0], *columns[1:]
+    avoiding[half] = 1 - avoiding[0]
     edges = np.concatenate([rng.choice(16, k, replace=False) for k in closed])
     ens = SoupEnsemble(model={}, condition="unconditioned", replicates=2 * half, seed=0,
                        loop_count=loops, avoiding_count=avoiding, winding_or_cover_count=loops,
@@ -298,6 +301,8 @@ def test_replicate_lines_past_a_packed_profile_key():
                        lift_right=lift_right, closed_edge_totals=np.zeros(16, dtype=np.int64),
                        closed_edges=edges)
     columns = _profiles(ens).T
+    assert np.array_equal(columns[:-1, 0], columns[:-1, half])
+    assert columns[-1, 0] != columns[-1, half]
     ids, first = experiments._profile_ids(columns)
     assert math.prod((np.ptp(columns, axis=1) + 1).tolist()) >= 2 ** 63
     assert np.array_equal(columns[:, first[ids]], columns)

@@ -61,8 +61,11 @@ def test_beta_accuracy_across_range():
 
 
 def test_polylog_log_series():
-    for s in (0.1, 0.5, 0.9, -0.7, 0.9999999):
+    for s in (0.1, 0.5, 0.9, 0.9999999):
         assert polylog(1.0, s) == pytest.approx(-math.log(1.0 - s), rel=1e-12, abs=1e-12)
+    # alpha = 0 just below s = 1/2 takes the series the most terms, 47
+    s = math.nextafter(0.5, 0.0)
+    assert polylog(0.0, s) == pytest.approx(s / (1.0 - s), rel=1e-14)
 
 
 def test_polylog_matches_long_partial_sum():
@@ -80,10 +83,15 @@ def test_polylog_expansion_near_one_matches_series():
 
 
 def test_polylog_domain():
-    with pytest.raises(ValueError):
-        polylog(0.5, 1.0)
-    with pytest.raises(ValueError):
-        polylog(1.0, -0.9999999)  # the series would need over 10^7 terms
+    """Its one caller, `halfline_gap_pgf`, takes 0 < s < 1 and alpha >= 0;
+    outside that domain polylog raises."""
+    assert polylog(0.5, 0.0) == 0.0
+    for s in (1.0, -0.5, -1e-300):
+        with pytest.raises(ValueError, match="0 <= s < 1"):
+            polylog(0.5, s)
+    for alpha in (-0.5, -1e-300):
+        with pytest.raises(ValueError, match="alpha"):
+            polylog(alpha, 0.3)
 
 
 def test_zeta_values():

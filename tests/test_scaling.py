@@ -15,11 +15,13 @@ from oracles import (
     closed_edge_count_pmf,
     conditioned_draw,
     conditioned_path_checks,
+    decimal_limit_densities,
     integrate,
     limit_identity_checks,
     renewal_jumps_by_recursion,
     subordinator_checks,
 )
+from loopsoup.analytics import cluster_extent_limit_density, covered_extent_limit_density
 from loopsoup.experiments import asymmetric_schedule, symmetric_schedule
 from loopsoup.scaling import (
     ConditionedBridgeLaw,
@@ -403,6 +405,92 @@ def test_potential_density_zero_drift():
     assert law.potential_density(1e-12) > 1e5  # u(0+) = infinity
     with pytest.raises(ValueError):
         law.potential_density(0.0)
+
+
+_EXPONENT = st.floats(-323.3, 2.6).map(lambda e: 10.0 ** e)  # 5e-324 to 400
+
+
+@settings(deadline=None, max_examples=200)
+@given(kappa=st.one_of(st.just(0.0), st.floats(-300.0, 4.0).map(lambda e: 10.0 ** e)),
+       alpha=st.floats(-300.0, math.log10(0.99)).map(lambda e: 10.0 ** e),
+       a=_EXPONENT, b=_EXPONENT, x=_EXPONENT, y=_EXPONENT)
+# each call below failed while each density took its own kappa -> 0 series:
+# OverflowError in the potential density, then in the Levy density and tail,
+# ZeroDivisionError in the hitting density and nan in the bridge density
+@example(kappa=0.0, alpha=0.99, a=1.0, b=0.5, x=5e-324, y=1.0)
+@example(kappa=0.0, alpha=1e-300, a=1.0, b=0.5, x=5e-324, y=1.0)
+@example(kappa=1.0, alpha=0.1, a=4e-301, b=0.5, x=1e-300, y=1.0)
+@example(kappa=1e-300, alpha=0.5, a=1e-200, b=0.1, x=2e-200, y=0.2)
+def test_subordinator_densities_are_never_nan(kappa, alpha, a, b, x, y):
+    """The potential and Levy densities and the Levy tail at x, the hitting
+    density at (a, x) and, for kappa > 0 and a + b < 1, the bridge crossing
+    density at (a, b, x, y) are nonnegative numbers, inf only where the
+    decimal reference is past the float range too, and never nan or an
+    exception."""
+    law, exact = SubordinatorLaw(kappa, alpha), decimal_limit_densities(kappa, alpha)
+    values = {"potential_density": ((x,), law.potential_density(x)),
+              "levy_density": ((x,), law.levy_density(x)),
+              "levy_tail": ((x,), law.levy_tail(x)),
+              "hitting_density": ((a, x), law.hitting_density(a, x))}
+    if kappa > 0.0 and a + b < 1.0:
+        values["bridge_crossing_joint_density"] = (
+            (a, b, x, y), bridge_crossing_joint_density(kappa, alpha, a, b, x, y))
+    for name, (args, value) in values.items():
+        assert value >= 0.0, name
+        assert value < math.inf or exact[name](*args) == math.inf, name
+
+
+_REFERENCE_KAPPAS = (0.0, 1e-300, 1e-14, 1.0, 1e4)
+_REFERENCE_ALPHAS = (1e-300, 0.1, 0.5, 0.99)
+_REFERENCE_POINTS = (5e-324, 1e-300, 1e-8, 0.3, 1.2, 3.0, 400.0)
+_UNIT_POINTS = tuple(v for v in _REFERENCE_POINTS if v < 1.0)
+_REFERENCE_CELLS = {
+    "potential_density": [(x,) for x in _REFERENCE_POINTS],
+    "levy_density": [(t,) for t in _REFERENCE_POINTS],
+    "levy_tail": [(t,) for t in _REFERENCE_POINTS],
+    "hitting_density": [(a, x) for a in _REFERENCE_POINTS for x in _REFERENCE_POINTS if a < x],
+    "bridge_crossing_joint_density": [
+        (a, b, x, y) for a in _UNIT_POINTS for b in _UNIT_POINTS for x in _UNIT_POINTS
+        for y in _UNIT_POINTS if a < x and b < y and x + y < 1.0],
+    "covered_extent_limit_density": [(a, b) for a in _REFERENCE_POINTS for b in _REFERENCE_POINTS],
+    "cluster_extent_limit_density": [(x, y) for x in _UNIT_POINTS for y in _UNIT_POINTS
+                                     if x + y < 1.0],
+}
+
+
+def _limit_density(name: str, kappa: float, alpha: float):
+    """The package's density `name` at (kappa, alpha), a function of the rest."""
+    if hasattr(SubordinatorLaw, name):
+        return getattr(SubordinatorLaw(kappa, alpha), name)
+    fn = {"bridge_crossing_joint_density": bridge_crossing_joint_density,
+          "covered_extent_limit_density": covered_extent_limit_density,
+          "cluster_extent_limit_density": cluster_extent_limit_density}[name]
+    return lambda *args: fn(kappa, alpha, *args)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CELLS))
+def test_limit_densities_match_a_decimal_reference(name):
+    """Within 5e-13 relative of the 80-digit reference wherever that lies in
+    [1e-300, 1e300], and inf wherever it is past the float range, on a grid
+    from kappa = 0 (1e-300 where the law needs kappa > 0) to 1e4, alpha from
+    1e-300 to 0.99 and arguments from 5e-324 to 400.  The grid holds
+    kappa = 1e-14, alpha = 0.99, a = 1.2, x = 3, where the hitting density's
+    kappa -> 0 series was 3.0e-7 off; values near 1e300 sum logs near 700,
+    whose rounding alone reaches 1e-13."""
+    worst = 0.0
+    # the subordinator's densities take kappa = 0, the other three kappa > 0
+    kappas = _REFERENCE_KAPPAS if hasattr(SubordinatorLaw, name) else _REFERENCE_KAPPAS[1:]
+    for kappa in kappas:
+        for alpha in _REFERENCE_ALPHAS:
+            fn, exact = _limit_density(name, kappa, alpha), decimal_limit_densities(kappa, alpha)
+            for args in _REFERENCE_CELLS[name]:
+                got, want = fn(*args), exact[name](*args)
+                if want == math.inf:
+                    assert got == math.inf, (kappa, alpha, args)
+                elif 1e-300 <= want <= 1e300:
+                    worst = max(worst, abs(got / want - 1.0))
+                    assert got == pytest.approx(want, rel=5e-13, abs=0.0), (kappa, alpha, args)
+    assert worst > 0.0  # the grid reached the checked range
 
 
 def test_laplace_exponent_vanishes_at_zero():
